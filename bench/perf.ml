@@ -372,11 +372,9 @@ let run_suite ~smoke =
     (fresh_window_bench "run_window/seq" (fun sim src ->
          Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src));
   push
-    (fresh_window_bench "run_window/batched" (fun sim src ->
-         Nicsim.Sim.run_window_batched sim ~duration:1.0 ~packets ~source:src));
-  push
     (fresh_window_bench "run_window/parallel" (fun sim src ->
-         Nicsim.Sim.run_window_parallel sim ~duration:1.0 ~packets ~source:src));
+         Nicsim.Sim.run_window ~domains:(Domain.recommended_domain_count ()) sim ~duration:1.0
+           ~packets ~source:src));
 
   (* --- compiled data path --- *)
 
@@ -387,8 +385,8 @@ let run_suite ~smoke =
      width — dominates the interpreter's cost. Packets come from a
      pre-generated cycling pool so both sides time execution, not
      traffic generation (all actions are nops, so pooled packets are
-     never mutated and can recirculate). The before column is the
-     interpretive sequential driver on the same fixture. *)
+     never mutated and can recirculate). The compiled row's before
+     column is the reference interpreter's window on the same fixture. *)
   let pipe_fields =
     [| P4ir.Field.Ipv4_src; P4ir.Field.Ipv4_dst; P4ir.Field.Tcp_sport; P4ir.Field.Tcp_dport |]
   in
@@ -408,71 +406,91 @@ let run_suite ~smoke =
              (fun f -> (f, Int64.of_int (Stdx.Prng.int rng 128)))
              (Array.to_list pipe_fields)))
   in
-  let compiled_before_ns =
+  let reference_ns =
     let sim = Nicsim.Sim.create target (pipeline_program ()) in
     let src = pooled_source () in
     (window_bench ~name:"pipe/interp" ~packets ~windows (fun () ->
-         Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src))
+         Nicsim.Sim.run_window_reference sim ~duration:1.0 ~packets ~source:src))
       .after_ns
   in
-  let compiled_row batch =
+  (* The same window, packet at a time through the scalar compiled walk
+     ([Compile.run]) with the simulator's own stats fold (histogram fill,
+     index-order sum, float sort): the before column of the soa row, so
+     the ratio isolates the vectorization win (columnar loads,
+     op-at-a-time regrouping, exact-probe prefetch) from the
+     compiled-vs-interp one. *)
+  let scalar_ns =
+    let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) (pipeline_program ()) in
+    let prog = Nicsim.Exec.program ex in
+    let c =
+      Nicsim.Compile.build ~target ~placement:Costmodel.Cost.all_asic
+        ~counters:(Nicsim.Exec.counters ex) ~telemetry:Telemetry.null
+        ~engine_of:(fun id ->
+          match P4ir.Program.table_of prog id with
+          | Some tab -> Nicsim.Exec.engine_exn ex tab.P4ir.Table.name
+          | None -> invalid_arg "engine_of: not a table")
+        prog
+    in
+    let src = pooled_source () in
+    let latencies = Array.make packets 0. in
+    let hist = Telemetry.Histogram.create () in
+    let seq = ref 0 in
+    (window_bench ~name:"pipe/scalar" ~packets ~windows (fun () ->
+         for i = 0 to packets - 1 do
+           incr seq;
+           latencies.(i) <-
+             Nicsim.Compile.run c ~tracer:None ~sampled:true ~seq:!seq
+               ~now:(float_of_int i /. float_of_int packets)
+               (src ())
+         done;
+         Telemetry.Histogram.clear hist;
+         Telemetry.Histogram.record_array hist ~n:packets latencies;
+         Stdx.Fsort.sort latencies;
+         (Telemetry.Histogram.sum hist, latencies.(packets * 99 / 100))))
+      .after_ns
+  in
+  let walk_row name before_ns =
     let sim = Nicsim.Sim.create target (pipeline_program ()) in
     let src = pooled_source () in
     let b =
-      window_bench
-        ~name:(Printf.sprintf "run_window/compiled-%d" batch)
-        ~packets ~windows
-        (fun () -> Nicsim.Sim.run_window_compiled ~batch sim ~duration:1.0 ~packets ~source:src)
+      window_bench ~name ~packets ~windows (fun () ->
+          Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src)
     in
-    { b with before_ns = Some compiled_before_ns }
+    { b with before_ns = Some before_ns }
   in
-  push (compiled_row 64);
-  let c256 = compiled_row 256 in
-  push c256;
-
-  (* Burst-vectorized struct-of-arrays walk on the same fixture. The
-     before column is the per-packet compiled walk at batch 256, so the
-     ratio isolates the vectorization win (columnar loads, op-at-a-time
-     regrouping, exact-probe prefetch) from the compiled-vs-interp one. *)
-  let soa_row batch =
-    let sim = Nicsim.Sim.create target (pipeline_program ()) in
-    let src = pooled_source () in
-    let b =
-      window_bench
-        ~name:(Printf.sprintf "run_window/soa-%d" batch)
-        ~packets ~windows
-        (fun () ->
-          Nicsim.Sim.run_window_compiled ~batch ~soa:true sim ~duration:1.0 ~packets
-            ~source:src)
-    in
-    { b with before_ns = Some c256.after_ns }
-  in
-  push (soa_row 64);
-  push (soa_row 256);
+  push (walk_row "run_window/compiled" reference_ns);
+  push (walk_row "run_window/soa" scalar_ns);
 
   (* --- telemetry overhead --- *)
 
   (* The disabled sink's whole-window cost (guard loads plus the
      always-on histogram fill behind window_stats' p50/p90/p999) against
      a telemetry-free window loop doing exactly the pre-telemetry work:
-     run_packet per packet, index-order sum, Float.compare sort. Must
-     stay within 2% (checked in [run]). *)
+     the same 64-packet bursts through the same entry ([Exec.run_batch]),
+     index-order sum, float sort. Must stay within 2% (checked in
+     [run]). *)
   let telemetry_free_window ex latencies ~start ~packets ~source =
+    let burst = Array.make 64 (Nicsim.Packet.create ()) in
+    let seqs = Array.make 64 0 and nows = Array.make 64 0. in
     let drops = ref 0 in
-    for i = 0 to packets - 1 do
-      let pkt = source () in
-      latencies.(i) <-
-        Nicsim.Exec.run_packet ex
-          ~now:(start +. (1.0 *. float_of_int i /. float_of_int packets))
-          pkt;
-      if Nicsim.Packet.is_dropped pkt then incr drops
+    let pos = ref 0 in
+    while !pos < packets do
+      let n = min 64 (packets - !pos) in
+      let seen = Nicsim.Exec.packets_seen ex in
+      for i = 0 to n - 1 do
+        burst.(i) <- source ();
+        seqs.(i) <- seen + i + 1;
+        nows.(i) <- start +. (1.0 *. float_of_int (!pos + i) /. float_of_int packets)
+      done;
+      drops := !drops + Nicsim.Exec.run_batch ex ~seqs ~nows ~pos:!pos ~n ~out:latencies burst;
+      pos := !pos + n
     done;
     let sum = ref 0. in
     for i = 0 to packets - 1 do
       sum := !sum +. Array.unsafe_get latencies i
     done;
     let avg = !sum /. float_of_int packets in
-    Array.sort Float.compare latencies;
+    Stdx.Fsort.sort latencies;
     (avg, latencies.(min (packets - 1) (packets * 99 / 100)), !drops)
   in
   (* A 2% claim is below this suite's row-to-row drift (turbo, GC state),
@@ -871,7 +889,7 @@ let run ~smoke ~out =
         if s < floor_ then
           Printf.printf "WARNING: %s below the %.2fx rule-scale floor (%.2fx)\n" b.name
             floor_ s
-      | Some s when String.starts_with ~prefix:"run_window/soa-" b.name ->
+      | Some s when b.name = "run_window/soa" ->
         (* The burst-vectorization claim: >= 1.5x over the per-packet
            compiled walk (its before column) at full scale. Smoke windows
            are too small to amortize batch fills, so the floor there only
@@ -879,9 +897,9 @@ let run ~smoke ~out =
         let floor_ = if smoke then 1.1 else 1.5 in
         if s < floor_ then
           Printf.printf "WARNING: %s below the %.1fx soa floor (%.2fx)\n" b.name floor_ s
-      | Some s when String.starts_with ~prefix:"run_window/compiled-" b.name ->
+      | Some s when b.name = "run_window/compiled" ->
         (* The compiled data path's headline claim: >= 5x over the
-           interpretive driver at full scale; at smoke scale warmup and
+           reference interpreter's window at full scale; at smoke scale warmup and
            fixed costs dilute the window, so the floor relaxes to 2x. *)
         let floor_ = if smoke then 2.0 else 5.0 in
         if s < floor_ then

@@ -320,17 +320,17 @@ let driver_arg =
     let parse s =
       match Fuzz.Oracle.driver_of_string s with
       | Some d -> Ok d
-      | None -> Error (`Msg ("unknown driver: " ^ s ^ " (interp|batched|parallel|compiled|soa)"))
+      | None -> Error (`Msg ("unknown driver: " ^ s ^ " (interp|compiled|parallel)"))
     in
     Arg.conv (parse, fun fmt d -> Format.pp_print_string fmt (Fuzz.Oracle.driver_to_string d))
   in
   Arg.(value & opt drv_conv Fuzz.Oracle.Interp
        & info [ "driver" ] ~docv:"DRIVER"
-           ~doc:"Execution path carrying the packets under test: interp (default), \
-                 batched (one-packet bursts through run_batch), parallel (the sharded \
-                 replica shape), compiled (the flattened op-array data path — in \
-                 chaos mode each deploy and rollback also exercises recompilation), \
-                 or soa (the burst-vectorized struct-of-arrays walk).")
+           ~doc:"Execution path carrying the packets under test: interp (the \
+                 reference interpreter, default), compiled (one-packet bursts through \
+                 the data path, the burst-vectorized walk — in chaos mode each deploy \
+                 and rollback also exercises recompilation), or parallel (the sharded \
+                 window's replica shape through the same data path).")
 
 let autotune_flag =
   Arg.(value & flag

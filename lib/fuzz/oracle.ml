@@ -27,22 +27,24 @@ let mk_exec ~telemetry target prog =
       (Telemetry.create ~trace_capacity:1024 ~trace_sample_every:7 ());
   ex
 
-type exec_driver = Interp | Batched | Parallel | Compiled | Soa
+type exec_driver = Interp | Compiled | Parallel
 
 let driver_to_string = function
   | Interp -> "interp"
-  | Batched -> "batched"
-  | Parallel -> "parallel"
   | Compiled -> "compiled"
-  | Soa -> "soa"
+  | Parallel -> "parallel"
 
 let driver_of_string = function
   | "interp" -> Some Interp
-  | "batched" -> Some Batched
-  | "parallel" -> Some Parallel
   | "compiled" -> Some Compiled
-  | "soa" -> Some Soa
+  | "parallel" -> Some Parallel
   | _ -> None
+
+(* One lane through the burst entry at an explicit sequence number. *)
+let run_lane ex ~seq pkt =
+  ignore
+    (Nicsim.Exec.run_batch ex ~seqs:[| seq |] ~nows:[| 0. |] ~pos:0 ~n:1 ~out:[| 0. |]
+       [| pkt |])
 
 (* One packet through a live executor, observed the same way Refsim
    reports: final field values, drop flag, egress, action trace. The
@@ -55,34 +57,25 @@ let exec_obs ?(driver = Interp) ex flow : Refsim.obs =
   let hook =
     Some (fun (e : Nicsim.Exec.trace_event) -> trace := (e.name, e.outcome) :: !trace)
   in
+  let seq = Nicsim.Exec.packets_seen ex + 1 in
   (match driver with
   | Interp ->
     Nicsim.Exec.set_tracer ex hook;
     ignore (Nicsim.Exec.run_packet ex ~now:0. pkt);
     Nicsim.Exec.set_tracer ex None
   | Compiled ->
+    (* A burst of one through the data path: the struct-of-arrays walk,
+       or the scalar compiled walk for the random programs that mix in
+       cache tables. *)
     Nicsim.Exec.set_tracer ex hook;
-    ignore (Nicsim.Exec.run_packet_compiled ex ~now:0. pkt);
-    Nicsim.Exec.set_tracer ex None
-  | Batched ->
-    (* A burst of one: exercises the batch entry points end to end. *)
-    Nicsim.Exec.set_tracer ex hook;
-    ignore (Nicsim.Exec.run_batch ex ~now_of:(fun _ -> 0.) ~out:[| 0. |] [| pkt |]);
-    Nicsim.Exec.set_tracer ex None
-  | Soa ->
-    (* The struct-of-arrays burst walk, as a burst of one: scatter into
-       columns, op-at-a-time walk, gather back. The fuzzer's random
-       programs also exercise the non-vectorizable fallback inside. *)
-    Nicsim.Exec.set_tracer ex hook;
-    ignore (Nicsim.Exec.run_batch_soa ex ~now_of:(fun _ -> 0.) ~out:[| 0. |] [| pkt |]);
+    run_lane ex ~seq pkt;
     Nicsim.Exec.set_tracer ex None
   | Parallel ->
-    (* The sharded window's per-packet shape: a replica executes with the
-       parent's next global sequence number, then merges back. *)
+    (* The sharded window's shape: a replica executes at the parent's
+       next global sequence number, then merges back. *)
     let r = Nicsim.Exec.replicate ex in
     Nicsim.Exec.set_tracer r hook;
-    ignore
-      (Nicsim.Exec.run_packet_at r ~seq:(Nicsim.Exec.packets_seen ex + 1) ~now:0. pkt);
+    run_lane r ~seq pkt;
     Nicsim.Exec.set_tracer r None;
     Nicsim.Exec.merge_replica ex r);
   { Refsim.fields = List.map (fun f -> (f, Nicsim.Packet.get pkt f)) Refsim.observed_fields;

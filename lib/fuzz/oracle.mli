@@ -13,20 +13,19 @@ val supported : P4ir.Program.t -> bool
     metadata, so programs already rewritten by Pipeleon are compared
     engine-vs-engine ([replay_diff]) instead. *)
 
-type exec_driver = Interp | Batched | Parallel | Compiled | Soa
+type exec_driver = Interp | Compiled | Parallel
 (** Which execution path carries each packet of a differential check:
-    the plain interpreter ({!Nicsim.Exec.run_packet}), a one-packet
-    burst through {!Nicsim.Exec.run_batch}, the sharded-replica shape
-    ({!Nicsim.Exec.replicate} + [run_packet_at] + [merge_replica]), the
-    compiled data path ({!Nicsim.Exec.run_packet_compiled}), or the
-    burst-vectorized struct-of-arrays walk
-    ({!Nicsim.Exec.run_batch_soa}). All five claim bit-identical packet
-    outcomes; fuzzing under each driver holds them to it against the
-    reference interpreter. *)
+    the DAG interpreter ({!Nicsim.Exec.run_packet}), a one-lane burst
+    through the data path ({!Nicsim.Exec.run_batch}), or the sharded
+    window's replica shape ({!Nicsim.Exec.replicate}, a one-lane
+    [run_batch] at the parent's next global sequence number, then
+    [merge_replica]). All three claim bit-identical packet outcomes;
+    fuzzing under each driver holds them to it against the reference
+    interpreter. *)
 
 val driver_to_string : exec_driver -> string
 val driver_of_string : string -> exec_driver option
-(** ["interp"], ["batched"], ["parallel"], ["compiled"], ["soa"]. *)
+(** ["interp"], ["compiled"], ["parallel"]. *)
 
 val exec_obs : ?driver:exec_driver -> Nicsim.Exec.t -> Gen.flow -> Refsim.obs
 (** One packet through a live executor, observed the way {!Refsim}

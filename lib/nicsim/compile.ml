@@ -900,7 +900,7 @@ let bcond_eval (bc : bcond) (v : int) =
    key, fully chained so every int64 intermediate stays unboxed.
    Constants and shift counts must match Engine.hash_exact1 (and
    Stdx.Prng.mix64) bit for bit — the differential suites (test_batch,
-   fuzz --driver soa) catch any drift. *)
+   fuzz --driver compiled) catch any drift. *)
 let[@inline always] bhash1 (vi : int) =
   let z = Int64.logxor 0x9E3779B97F4A7C15L (Int64.of_int vi) in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in

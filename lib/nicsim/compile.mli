@@ -13,9 +13,9 @@
     profile counters (the cells alias the same registry slots the
     interpreter's hash probes reach), identical telemetry counters,
     spans, and sampling, and identical flow-cache fill behaviour.
-    {!Exec} owns compiled instances, their staleness, and the batch
-    drivers ({!Exec.run_batch_compiled}); this module is engine-level
-    machinery below it. *)
+    {!Exec} owns compiled instances, their staleness, and the burst
+    entry ({!Exec.run_batch}); this module is engine-level machinery
+    below it. *)
 
 type t
 
@@ -69,7 +69,7 @@ val soa_capable : t -> bool
 (** Whether {!run_burst} accepts this program: no cache-role tables
     (fills and LRU recency are packet-order-sensitive) and every
     interned field narrower than 62 bits (so int columns are exact).
-    {!Exec.run_batch_soa} falls back to the per-packet compiled loop
+    {!Exec.run_batch} falls back to the per-packet compiled loop
     when false. *)
 
 val soa_layout : t -> P4ir.Field.t array
@@ -93,7 +93,7 @@ val run_burst :
     [sampled.(base+i)]/[seqs.(base+i)]/[nows.(base+i)], its latency
     lands in [out.(pos + base + i)], and the packets are mutated.
     [base] lets a caller walk a large batch in L1-sized blocks without
-    slicing its arrays ({!Exec.run_batch_soa_at}). Returns the number
+    slicing its arrays ({!Exec.run_batch}). Returns the number
     of in-walk drops observed (the sum
     {!drop_observed} would give per packet). Bit-identical to [n] calls
     of {!run} in lane order: same latency float sequences, counter

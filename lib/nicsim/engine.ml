@@ -1308,8 +1308,6 @@ let set_tuning t tun =
 
 let tuning t = t.tun
 
-let set_backend_hint t hint = set_tuning t { t.tun with hint }
-
 let backend_hint t =
   match t.backend with Shaped _ -> t.tun.hint | Exact_hash _ | Exact_lru _ | Linear _ -> Auto
 

@@ -134,10 +134,6 @@ val set_tuning : t -> tuning -> unit
 val tuning : t -> tuning
 (** Current tuning ({!default_tuning} unless overridden). *)
 
-val set_backend_hint : t -> backend_hint -> unit
-  [@@ocaml.deprecated "use set_tuning (hint field)"]
-(** Deprecated shim for one release: equivalent to
-    [set_tuning t { (tuning t) with hint }]. *)
 
 val backend_hint : t -> backend_hint
 (** Current hint; [Auto] for non-shaped backends. *)

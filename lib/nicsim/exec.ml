@@ -9,7 +9,7 @@ let default_config target =
   { target; instrumented = true; sample_rate = 1; placement = Costmodel.Cost.all_asic }
 
 (* Default L1 burst block of the struct-of-arrays walk; see the blocking
-   note above [run_batch_soa_at]. Tunable per executor ([set_soa_block],
+   note above [run_batch]. Tunable per executor ([set_soa_block],
    registry key [exec.soa_block]). *)
 let default_soa_block = 64
 
@@ -51,15 +51,13 @@ type t = {
   mutable tracer : (trace_event -> unit) option;
   mutable tel : Telemetry.t;
   mutable tel_handles : exec_tel option;  (* Some iff [tel] is enabled *)
-  (* The compiled data path. [None] until first compiled-driver use;
+  (* The compiled data path. [None] until the first [run_batch];
      [compiled_stale] forces a rebuild (with per-table artifact reuse)
      on the next use. *)
   mutable compiled : Compile.t option;
   mutable compiled_stale : bool;
-  (* Scratch for the struct-of-arrays burst driver: per-lane seq / now /
-     sampled inputs, grown on demand and reused across bursts. *)
-  mutable soa_seqs : int array;
-  mutable soa_nows : float array;
+  (* Per-lane sampling decisions for the burst walk, grown on demand and
+     reused across bursts. *)
   mutable soa_sampled : bool array;
   (* Host tunables (Pipeleon.Tune [Host] scope): the SoA burst block and
      the engine plan tuning applied to every engine this executor owns —
@@ -101,8 +99,8 @@ let create cfg prog =
     (P4ir.Program.tables prog);
   { cfg; prog; engines; node_engine; ctrs = Profile.Counter.create (); seen = 0; drops = 0;
     tracer = None; tel = Telemetry.null; tel_handles = None; compiled = None;
-    compiled_stale = true; soa_seqs = [||]; soa_nows = [||]; soa_sampled = [||];
-    soa_blk = default_soa_block; eng_tun = Engine.default_tuning }
+    compiled_stale = true; soa_sampled = [||]; soa_blk = default_soa_block;
+    eng_tun = Engine.default_tuning }
 
 let program t = t.prog
 let config t = t.cfg
@@ -182,13 +180,16 @@ let try_complete_fill ~now fill =
     | None -> ()  (* behaviour combination not representable; skip *)
   end
 
-let entry_core_of t root =
-  match root with Some r -> t.cfg.placement r | None -> Costmodel.Cost.Asic
+let sampled_at t seq = t.cfg.instrumented && seq mod t.cfg.sample_rate = 0
 
-(* Core of the per-packet walk, with everything derivable once per burst
-   ([root], [entry_core]) and once per packet position ([sampled]) hoisted
-   out so batch and parallel drivers can amortize or pin them. *)
-let exec_packet t ~sampled ~seq ~now ~root ~entry_core pkt =
+(* The DAG interpreter: the reference the compiled walk is tested
+   against, not a production path. *)
+let run_packet t ~now pkt =
+  t.seen <- t.seen + 1;
+  let seq = t.seen in
+  let sampled = sampled_at t seq in
+  let root = P4ir.Program.root t.prog in
+  let entry_core = match root with Some r -> t.cfg.placement r | None -> Costmodel.Cost.Asic in
   let target = t.cfg.target in
   let bump owner label latency =
     if sampled then begin
@@ -332,36 +333,6 @@ let exec_packet t ~sampled ~seq ~now ~root ~entry_core pkt =
   end;
   !latency
 
-let sampled_at t seq = t.cfg.instrumented && seq mod t.cfg.sample_rate = 0
-
-let run_packet t ~now pkt =
-  t.seen <- t.seen + 1;
-  let root = P4ir.Program.root t.prog in
-  exec_packet t ~sampled:(sampled_at t t.seen) ~seq:t.seen ~now ~root
-    ~entry_core:(entry_core_of t root) pkt
-
-let run_packet_at t ~seq ~now pkt =
-  t.seen <- t.seen + 1;
-  let root = P4ir.Program.root t.prog in
-  exec_packet t ~sampled:(sampled_at t seq) ~seq ~now ~root ~entry_core:(entry_core_of t root)
-    pkt
-
-let run_batch t ?(pos = 0) ?n ~now_of ~out pkts =
-  let n = match n with Some n -> n | None -> Array.length pkts in
-  if pos < 0 || pos + n > Array.length out then invalid_arg "Exec.run_batch: out too small";
-  let root = P4ir.Program.root t.prog in
-  let entry_core = entry_core_of t root in
-  let dropped = ref 0 in
-  for i = 0 to n - 1 do
-    t.seen <- t.seen + 1;
-    let pkt = Array.unsafe_get pkts i in
-    out.(pos + i) <-
-      exec_packet t ~sampled:(sampled_at t t.seen) ~seq:t.seen ~now:(now_of i) ~root
-        ~entry_core pkt;
-    if Packet.is_dropped pkt then incr dropped
-  done;
-  !dropped
-
 (* --- compiled data path --- *)
 
 let ensure_compiled t =
@@ -388,51 +359,9 @@ let compiled_tracer t =
   | None -> None
   | Some f -> Some (fun node name outcome -> f { node; name; outcome })
 
-let run_packet_compiled t ~now pkt =
-  let c = ensure_compiled t in
-  t.seen <- t.seen + 1;
-  let lat =
-    Compile.run c ~tracer:(compiled_tracer t) ~sampled:(sampled_at t t.seen) ~seq:t.seen
-      ~now pkt
-  in
-  if Compile.drop_observed c then t.drops <- t.drops + 1;
-  lat
-
-let run_packet_compiled_at t ~seq ~now pkt =
-  let c = ensure_compiled t in
-  t.seen <- t.seen + 1;
-  let lat = Compile.run c ~tracer:(compiled_tracer t) ~sampled:(sampled_at t seq) ~seq ~now pkt in
-  if Compile.drop_observed c then t.drops <- t.drops + 1;
-  lat
-
-let run_batch_compiled t ?(pos = 0) ?n ~now_of ~out pkts =
-  let n = match n with Some n -> n | None -> Array.length pkts in
-  if pos < 0 || pos + n > Array.length out then
-    invalid_arg "Exec.run_batch_compiled: out too small";
-  let c = ensure_compiled t in
-  let tracer = compiled_tracer t in
-  let dropped = ref 0 in
-  for i = 0 to n - 1 do
-    t.seen <- t.seen + 1;
-    let pkt = Array.unsafe_get pkts i in
-    out.(pos + i) <-
-      Compile.run c ~tracer ~sampled:(sampled_at t t.seen) ~seq:t.seen ~now:(now_of i) pkt;
-    if Compile.drop_observed c then t.drops <- t.drops + 1;
-    if Packet.is_dropped pkt then incr dropped
-  done;
-  !dropped
-
-(* --- struct-of-arrays burst driver --- *)
+(* --- the burst walk --- *)
 
 let soa_capable t = Compile.soa_capable (ensure_compiled t)
-
-let ensure_soa_scratch t n =
-  if Array.length t.soa_seqs < n then begin
-    let cap = max n 64 in
-    t.soa_seqs <- Array.make cap 0;
-    t.soa_nows <- Array.make cap 0.;
-    t.soa_sampled <- Array.make cap false
-  end
 
 (* L1-aware burst blocking. The op-major walk sweeps every per-lane
    column once per op, so its working set grows with the burst: at 256
@@ -446,17 +375,16 @@ let ensure_soa_scratch t n =
    read-only in a soa-capable program — a blocked run is bit-identical
    to one whole-burst walk. *)
 
-(* Lane inputs ([seqs], [nows]) supplied by the caller — the form the
-   simulator drivers use, with their own reused scratch. Advances [seen]
-   by [n] exactly as [n] per-packet calls would. *)
-let run_batch_soa_at t ~seqs ~nows ~pos ~n ~out pkts =
-  if pos < 0 || pos + n > Array.length out then
-    invalid_arg "Exec.run_batch_soa_at: out too small";
+(* Lane inputs ([seqs], [nows]) supplied by the caller, with its own
+   reused scratch. Advances [seen] by [n] exactly as [n] per-packet calls
+   would. *)
+let run_batch t ~seqs ~nows ~pos ~n ~out pkts =
+  if pos < 0 || pos + n > Array.length out then invalid_arg "Exec.run_batch: out too small";
   let c = ensure_compiled t in
+  let tracer = compiled_tracer t in
   if not (Compile.soa_capable c) then begin
     (* Cache tables (or an over-wide field) in the pipeline: fall back to
        the per-packet compiled walk, same observable behaviour. *)
-    let tracer = compiled_tracer t in
     let dropped = ref 0 in
     for i = 0 to n - 1 do
       t.seen <- t.seen + 1;
@@ -471,13 +399,12 @@ let run_batch_soa_at t ~seqs ~nows ~pos ~n ~out pkts =
     !dropped
   end
   else begin
-    ensure_soa_scratch t n;
+    if Array.length t.soa_sampled < n then t.soa_sampled <- Array.make (max n 64) false;
     let sampled = t.soa_sampled in
     for i = 0 to n - 1 do
       Array.unsafe_set sampled i (sampled_at t (Array.unsafe_get seqs i))
     done;
     t.seen <- t.seen + n;
-    let tracer = compiled_tracer t in
     let inwalk = ref 0 in
     let b0 = ref 0 in
     while !b0 < n do
@@ -496,19 +423,6 @@ let run_batch_soa_at t ~seqs ~nows ~pos ~n ~out pkts =
     done;
     !dropped
   end
-
-let run_batch_soa t ?(pos = 0) ?n ~now_of ~out pkts =
-  let n = match n with Some n -> n | None -> Array.length pkts in
-  if pos < 0 || pos + n > Array.length out then
-    invalid_arg "Exec.run_batch_soa: out too small";
-  ignore (ensure_compiled t);
-  ensure_soa_scratch t n;
-  let seqs = t.soa_seqs and nows = t.soa_nows in
-  for i = 0 to n - 1 do
-    Array.unsafe_set seqs i (t.seen + i + 1);
-    Array.unsafe_set nows i (now_of i)
-  done;
-  run_batch_soa_at t ~seqs ~nows ~pos ~n ~out pkts
 
 let replicate t =
   (* Distinct program nodes can share one engine by name; preserve that
@@ -540,12 +454,10 @@ let replicate t =
     tel;
     tel_handles = build_tel_handles tel t.prog;
     (* The replica has its own engines, counters, and sink; it compiles
-       its own pipeline on first compiled use. Scratch arrays are
-       mutable state and must not be shared across domains. *)
+       its own pipeline on first use. Scratch arrays are mutable state
+       and must not be shared across domains. *)
     compiled = None;
     compiled_stale = true;
-    soa_seqs = [||];
-    soa_nows = [||];
     soa_sampled = [||] }
 
 let merge_replica t r =

@@ -30,81 +30,18 @@ val engine : t -> string -> Engine.t option
 val engine_exn : t -> string -> Engine.t
 
 val run_packet : t -> now:float -> Packet.t -> float
-(** Process one packet; returns the latency in target latency-units
-    (including the fixed per-packet overhead and any migrations). The
-    packet is mutated (header rewrites, drop flag, egress). *)
-
-val run_packet_at : t -> seq:int -> now:float -> Packet.t -> float
-(** Like {!run_packet} but the counter-sampling decision uses the given
-    global sequence number instead of this executor's own packet count.
-    Lets a sharded replica reproduce, bit for bit, the sampling pattern
-    the sequential executor would have applied at that position. The
-    replica's own [packets_seen] still advances by one. *)
+(** The DAG interpreter: process one packet; returns the latency in
+    target latency-units (including the fixed per-packet overhead and any
+    migrations). The packet is mutated (header rewrites, drop flag,
+    egress). This is the reference {!run_batch} is tested against — the
+    one independent model of latency, counters, cache fills and spans —
+    not a production path; the simulator's window reaches it only
+    through {!Sim.run_window_reference}. The packet takes the executor's
+    next global sequence number ([packets_seen + 1]), which keys both
+    counter sampling ([instrumented && seq mod sample_rate = 0]) and
+    telemetry trace sampling. *)
 
 val run_batch :
-  t ->
-  ?pos:int ->
-  ?n:int ->
-  now_of:(int -> float) ->
-  out:float array ->
-  Packet.t array ->
-  int
-(** Process a burst interpretively: packets [0 .. n-1] of the array
-    (default all), with packet [i] timestamped [now_of i] and its
-    latency written to [out.(pos + i)] (default [pos = 0]). Per-burst
-    work (program root, entry-core placement) is hoisted out of the
-    per-packet path; each packet still walks the program DAG through the
-    interpreter, so results are bit-identical to [n] calls to
-    {!run_packet}. Packet [i] takes the executor's next global sequence
-    number ([packets_seen + 1] at its turn), which keys both counter
-    sampling ([instrumented && seq mod sample_rate = 0]) and telemetry
-    trace sampling — the batched, compiled
-    ({!run_batch_compiled}), and sharded ({!run_packet_at}) drivers all
-    sample exactly the packets the sequential loop would.
-    @raise Invalid_argument if [out] cannot hold the burst. *)
-
-val run_batch_compiled :
-  t ->
-  ?pos:int ->
-  ?n:int ->
-  now_of:(int -> float) ->
-  out:float array ->
-  Packet.t array ->
-  int
-(** {!run_batch} over the compiled data path: the deployed program is
-    flattened once ({!Compile}) into a linear op array with resolved
-    successors, per-table action artifacts, pre-resolved counter cells
-    and telemetry handles; packets then execute by array walk instead of
-    DAG interpretation, allocation-free in steady state. Latencies,
-    profile counters, telemetry (hit/miss counters, packets/drops,
-    sampled spans), flow-cache fills, and tracer callbacks are all
-    bit-identical to {!run_batch} — same floats, same counts, same
-    sampling sequence. The pipeline is compiled lazily on first use and
-    recompiled (reusing unchanged tables' artifacts) after
-    {!replace_program}, {!set_telemetry}, or {!reset_counters}.
-    @raise Invalid_argument if [out] cannot hold the burst. *)
-
-val run_batch_soa :
-  t ->
-  ?pos:int ->
-  ?n:int ->
-  now_of:(int -> float) ->
-  out:float array ->
-  Packet.t array ->
-  int
-(** {!run_batch_compiled} over the burst-vectorized walk
-    ({!Compile.run_burst}): the burst is scattered into a
-    struct-of-arrays {!Packet.Batch} and each fused op runs across every
-    live lane before the walk advances, with single-key exact tables
-    hashing the whole burst and touching their open-addressing slots
-    before probing. Bit-identical to {!run_batch_compiled} — same
-    latency floats, counters, telemetry, traces, sampling sequence.
-    Pipelines the walk cannot vectorize (cache-role tables, over-wide
-    fields — see {!Compile.soa_capable}) silently fall back to the
-    per-packet compiled loop.
-    @raise Invalid_argument if [out] cannot hold the burst. *)
-
-val run_batch_soa_at :
   t ->
   seqs:int array ->
   nows:float array ->
@@ -113,16 +50,33 @@ val run_batch_soa_at :
   out:float array ->
   Packet.t array ->
   int
-(** {!run_batch_soa} with the per-lane sequence numbers and timestamps
-    supplied by the caller (lane [i] uses [seqs.(i)]/[nows.(i)]) — the
-    sharded drivers' form, mirroring {!run_packet_compiled_at}. This
-    executor's [packets_seen] still advances by [n]. All arguments are
-    required: the per-burst path cannot afford optional-argument
-    boxing. *)
+(** The data path: packets [0 .. n-1] of the array run as one burst
+    through the compiled pipeline — the program flattened once
+    ({!Compile}) into a linear op array with resolved successors,
+    per-table action artifacts, pre-resolved counter cells and telemetry
+    handles. Lane [i] uses global sequence number [seqs.(i)] (keying
+    counter and trace sampling) and timestamp [nows.(i)], and its
+    latency lands in [out.(pos + i)]; returns the number of dropped
+    packets. When {!soa_capable}, the burst is scattered into a
+    struct-of-arrays {!Packet.Batch} and each fused op runs across every
+    live lane before the walk advances ({!Compile.run_burst}); otherwise
+    (cache-role tables, over-wide fields) each packet takes the scalar
+    compiled walk ({!Compile.run}). Either way the result is
+    bit-identical to {!run_packet} at the same sequence numbers — same
+    latency floats, profile counters, telemetry (hit/miss counters,
+    packets/drops, sampled spans), flow-cache fills, and tracer
+    callbacks in lane order. This executor's [packets_seen] advances by
+    [n] whatever the [seqs], so a sharded replica can reproduce the
+    sampling pattern of the sequential window. The pipeline compiles
+    lazily on first use and recompiles (reusing unchanged tables'
+    artifacts) after {!replace_program}, {!set_telemetry}, or
+    {!reset_counters}. All arguments are required: the per-burst path
+    cannot afford optional-argument boxing.
+    @raise Invalid_argument if [out] cannot hold the burst. *)
 
 val soa_capable : t -> bool
-(** Whether {!run_batch_soa} will actually take the vectorized path for
-    the current program (compiling it first if needed). *)
+(** Whether {!run_batch} will actually take the vectorized path for the
+    current program (compiling it first if needed). *)
 
 val default_soa_block : int
 (** The default L1 burst block size (64); mirrored by the tune registry's
@@ -148,17 +102,9 @@ val set_engine_tuning : t -> Engine.tuning -> unit
     rebuild on next lookup), and engines created by a later
     {!replace_program} inherit it. Registry keys [engine.*]. *)
 
-val run_packet_compiled : t -> now:float -> Packet.t -> float
-(** One packet through the compiled data path; bit-identical to
-    {!run_packet}. *)
-
-val run_packet_compiled_at : t -> seq:int -> now:float -> Packet.t -> float
-(** Compiled counterpart of {!run_packet_at}: the sampling decision uses
-    the given global sequence number (sharded replicas). *)
-
 val precompile : t -> int * int
-(** Force compilation of the data path now (normally lazy on first
-    compiled run) and return [(tables_reused, tables_rebuilt)] for the
+(** Force compilation of the data path now (normally lazy on the first
+    {!run_batch}) and return [(tables_reused, tables_rebuilt)] for the
     most recent compile — after an incremental {!replace_program},
     [tables_reused] counts the per-table artifacts carried over. *)
 
@@ -199,7 +145,7 @@ val set_telemetry : t -> Telemetry.t -> unit
     when the sink carries a trace ring — records each sampled packet's
     walk through the node DAG as spans on the modeled time axis
     (sampling is keyed on the global sequence number, so every window
-    driver samples identically). Instrumentation only observes: counters
+    path samples identically). Instrumentation only observes: counters
     and spans never change packet outcomes, engine state, or latencies.
     Metric handles are resolved here, not per packet. *)
 

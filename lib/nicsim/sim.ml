@@ -5,10 +5,11 @@ type t = {
   mutable counter_baseline : Profile.Counter.t;
   mutable last_profile_time : float;
   mutable lat_scratch : float array;  (* reused latency buffer, one slot per packet *)
-  mutable burst_scratch : Packet.t array;  (* reused burst buffer (compiled driver) *)
-  (* Per-sim scratch for the soa burst driver (per-lane seq/now inputs)
-     and the parallel driver's CSR shard layout — grown on demand and
-     reused so a steady-state window loop allocates nothing per window. *)
+  (* Per-sim scratch for the sequential window (the burst and its
+     per-lane seq/now inputs) and the sharded window's packet staging
+     and CSR shard layout — reused so a steady-state window loop
+     allocates nothing per window. *)
+  mutable burst_scratch : Packet.t array;
   mutable seq_scratch : int array;
   mutable now_scratch : float array;
   mutable par_pkts : Packet.t array;
@@ -75,8 +76,8 @@ let scratch t packets =
   t.lat_scratch
 
 (* Fold a filled latency buffer into stats and advance the clock. The
-   summation runs in packet-index order so every window driver
-   (sequential, batched, parallel) produces bit-identical floats; the
+   summation runs in packet-index order so the sequential and sharded
+   windows and the reference produce bit-identical floats; the
    histogram fill rides the same pass (bucket increments, order-free).
    avg/p99 keep the original sorted-scratch computation bit for bit; the
    p50/p90/p99.9 trio is histogram-derived (<= 3.125% high). *)
@@ -132,8 +133,8 @@ let finish t ~start ~duration ~packets ~drops latencies =
 let packet_time ~start ~duration ~packets i =
   start +. (duration *. float_of_int i /. float_of_int packets)
 
-let run_window t ~duration ~packets ~source =
-  if packets <= 0 then invalid_arg "Sim.run_window: packets must be positive";
+let run_window_reference t ~duration ~packets ~source =
+  if packets <= 0 then invalid_arg "Sim.run_window_reference: packets must be positive";
   let start = t.clock in
   let latencies = scratch t packets in
   let drops = ref 0 in
@@ -144,88 +145,52 @@ let run_window t ~duration ~packets ~source =
   done;
   finish t ~start ~duration ~packets ~drops:!drops latencies
 
-let default_batch = 64
+let burst = 64
+
+(* Parks the staging slots between windows, so a sim does not keep the
+   last window's packets alive. Never executed, so sharing it across
+   sims and domains is safe. *)
+let idle_packet = Packet.create ()
 
 (* Exact-size reusable burst buffer, same rationale as [scratch]: a
-   steady-state window loop allocates it once, keeping the compiled
-   driver's per-window allocations at zero. *)
+   steady-state window loop allocates it once. *)
 let burst_buf t n =
-  if Array.length t.burst_scratch <> n then
-    t.burst_scratch <- Array.make n (Packet.create ());
-  t.burst_scratch
-
-let ensure_soa_bufs t n =
-  if Array.length t.seq_scratch < n then begin
+  if Array.length t.burst_scratch <> n then begin
+    t.burst_scratch <- Array.make n idle_packet;
     t.seq_scratch <- Array.make n 0;
     t.now_scratch <- Array.make n 0.
-  end
+  end;
+  t.burst_scratch
 
-let batched_loop ~fname ~compiled ~soa ~batch t ~duration ~packets ~source =
-  if packets <= 0 then invalid_arg (fname ^ ": packets must be positive");
-  if batch <= 0 then invalid_arg (fname ^ ": batch must be positive");
+let run_sequential t ~duration ~packets ~source =
   let start = t.clock in
   let latencies = scratch t packets in
-  let burst = burst_buf t (min batch packets) in
+  let pkts = burst_buf t (min burst packets) in
+  let seqs = t.seq_scratch and nows = t.now_scratch in
+  let fpackets = float_of_int packets in
   let drops = ref 0 in
   let pos = ref 0 in
-  if soa then begin
-    (* Struct-of-arrays burst driver (implies the compiled path). Lane
-       seq/now inputs live in per-sim scratch filled in place, with
-       [packet_time] open-coded: a call through a float-returning
+  while !pos < packets do
+    let n = min burst (packets - !pos) in
+    (* Pull the burst in index order: the source sees the same call
+       sequence as the one-at-a-time reference loop. *)
+    for i = 0 to n - 1 do
+      pkts.(i) <- source ()
+    done;
+    let base = !pos in
+    let base_seen = Exec.packets_seen t.ex in
+    (* [packet_time] open-coded: a call through a float-returning
        function would box every result, and this loop must not allocate.
-       Same formula, same operand order — the timestamps are
-       bit-identical to the closure form below. *)
-    ensure_soa_bufs t (min batch packets);
-    let seqs = t.seq_scratch and nows = t.now_scratch in
-    let fpackets = float_of_int packets in
-    while !pos < packets do
-      let n = min batch (packets - !pos) in
-      (* Pull the burst in index order: the source sees the same call
-         sequence as the one-at-a-time loop. *)
-      for i = 0 to n - 1 do
-        burst.(i) <- source ()
-      done;
-      let base = !pos in
-      let base_seen = Exec.packets_seen t.ex in
-      for i = 0 to n - 1 do
-        Array.unsafe_set seqs i (base_seen + i + 1);
-        Array.unsafe_set nows i
-          (start +. (duration *. float_of_int (base + i) /. fpackets))
-      done;
-      drops :=
-        !drops + Exec.run_batch_soa_at t.ex ~seqs ~nows ~pos:base ~n ~out:latencies burst;
-      pos := base + n
-    done
-  end
-  else begin
-    let run_batch = if compiled then Exec.run_batch_compiled else Exec.run_batch in
-    (* One timestamp closure per window, not per burst: the burst base
-       advances through a mutable cell. *)
-    let burst_base = ref 0 in
-    let now_of i = packet_time ~start ~duration ~packets (!burst_base + i) in
-    while !pos < packets do
-      let n = min batch (packets - !pos) in
-      (* Pull the burst in index order: the source sees the same call
-         sequence as the one-at-a-time loop. *)
-      for i = 0 to n - 1 do
-        burst.(i) <- source ()
-      done;
-      let base = !pos in
-      burst_base := base;
-      drops := !drops + run_batch t.ex ~pos:base ~n ~now_of ~out:latencies burst;
-      pos := base + n
-    done
-  end;
+       Same formula, same operand order, bit-identical timestamps. *)
+    for i = 0 to n - 1 do
+      Array.unsafe_set seqs i (base_seen + i + 1);
+      Array.unsafe_set nows i (start +. (duration *. float_of_int (base + i) /. fpackets))
+    done;
+    drops := !drops + Exec.run_batch t.ex ~seqs ~nows ~pos:base ~n ~out:latencies pkts;
+    pos := base + n
+  done;
+  Array.fill pkts 0 (Array.length pkts) idle_packet;
   finish t ~start ~duration ~packets ~drops:!drops latencies
-
-let run_window_batched ?(batch = default_batch) ?(compiled = false) ?(soa = false) t
-    ~duration ~packets ~source =
-  batched_loop ~fname:"Sim.run_window_batched" ~compiled ~soa ~batch t ~duration ~packets
-    ~source
-
-let run_window_compiled ?(batch = default_batch) ?(soa = false) t ~duration ~packets ~source =
-  batched_loop ~fname:"Sim.run_window_compiled" ~compiled:true ~soa ~batch t ~duration
-    ~packets ~source
 
 let has_cache_tables prog =
   List.exists
@@ -245,121 +210,100 @@ let flow_shard pkt ~domains =
   mix P4ir.Field.Tcp_dport;
   Int64.to_int (Int64.rem (Int64.shift_right_logical !h 1) (Int64.of_int domains))
 
-let run_window_parallel ?domains ?(compiled = false) ?(soa = false) t ~duration ~packets
-    ~source =
-  if packets <= 0 then invalid_arg "Sim.run_window_parallel: packets must be positive";
-  let domains =
-    match domains with
-    | Some d when d <= 0 -> invalid_arg "Sim.run_window_parallel: domains must be positive"
-    | Some d -> d
-    | None -> Domain.recommended_domain_count ()
+let run_sharded t ~domains ~duration ~packets ~source =
+  let start = t.clock in
+  let latencies = scratch t packets in
+  (* Per-sim scratch, grown on demand: the packet staging array and a
+     CSR shard layout — shard [s] owns indices
+     [par_idx.(par_off.(s) .. par_off.(s+1) - 1)]. *)
+  if Array.length t.par_pkts < packets then begin
+    t.par_pkts <- Array.make packets idle_packet;
+    t.par_shard <- Array.make packets 0;
+    t.par_idx <- Array.make packets 0
+  end;
+  if Array.length t.par_off < domains + 1 then begin
+    t.par_off <- Array.make (domains + 1) 0;
+    t.par_cursor <- Array.make domains 0
+  end;
+  let pkts = t.par_pkts in
+  let shard = t.par_shard and idx = t.par_idx in
+  let off = t.par_off and cursor = t.par_cursor in
+  (* Pull every packet up front, in index order — same source call
+     sequence as sequential — then shard deterministically by flow. *)
+  for i = 0 to packets - 1 do
+    pkts.(i) <- source ()
+  done;
+  Array.fill off 0 (domains + 1) 0;
+  for i = 0 to packets - 1 do
+    let s = flow_shard pkts.(i) ~domains in
+    shard.(i) <- s;
+    off.(s + 1) <- off.(s + 1) + 1
+  done;
+  for s = 0 to domains - 1 do
+    off.(s + 1) <- off.(s + 1) + off.(s);
+    cursor.(s) <- off.(s)
+  done;
+  for i = 0 to packets - 1 do
+    let s = shard.(i) in
+    idx.(cursor.(s)) <- i;
+    cursor.(s) <- cursor.(s) + 1
+  done;
+  let base_seen = Exec.packets_seen t.ex in
+  let run_shard s () =
+    (* Each replica compiles its own op array on first use — the
+       compiled pipeline holds engine handles, which are per-replica.
+       The lane buffers live inside the domain: replicas must not share
+       mutable scratch. Disjoint index sets make the shared
+       latency-buffer writes race-free, and each lane's global sequence
+       number pins sampling to the packet's window position, not to
+       arrival order within the shard. *)
+    let replica = Exec.replicate t.ex in
+    let lo = off.(s) and hi = off.(s + 1) in
+    let cap = min burst (max 1 (hi - lo)) in
+    let bpkts = Array.make cap idle_packet in
+    let seqs = Array.make cap 0 in
+    let nows = Array.make cap 0. in
+    let lout = Array.make cap 0. in
+    let j = ref lo in
+    while !j < hi do
+      let n = min cap (hi - !j) in
+      for k = 0 to n - 1 do
+        let i = idx.(!j + k) in
+        bpkts.(k) <- pkts.(i);
+        seqs.(k) <- base_seen + i + 1;
+        nows.(k) <- packet_time ~start ~duration ~packets i
+      done;
+      ignore (Exec.run_batch replica ~seqs ~nows ~pos:0 ~n ~out:lout bpkts);
+      for k = 0 to n - 1 do
+        latencies.(idx.(!j + k)) <- lout.(k)
+      done;
+      j := !j + n
+    done;
+    replica
   in
+  let workers = Array.init (domains - 1) (fun k -> Domain.spawn (run_shard (k + 1))) in
+  let replica0 = run_shard 0 () in
+  let replicas = Array.append [| replica0 |] (Array.map Domain.join workers) in
+  Array.iter (fun r -> Exec.merge_replica t.ex r) replicas;
+  let drops = ref 0 in
+  for i = 0 to packets - 1 do
+    if Packet.is_dropped pkts.(i) then incr drops
+  done;
+  Array.fill pkts 0 packets idle_packet;
+  finish t ~start ~duration ~packets ~drops:!drops latencies
+
+let run_window ?(domains = 1) t ~duration ~packets ~source =
+  if packets <= 0 then invalid_arg "Sim.run_window: packets must be positive";
+  if domains <= 0 then invalid_arg "Sim.run_window: domains must be positive";
   (* Cache-role tables mutate shared engine state per packet (LRU recency,
      fills), which sharded replicas cannot reproduce faithfully; those
      programs run sequentially. So do degenerate shardings. *)
   if domains = 1 || packets < 2 * domains || has_cache_tables (Exec.program t.ex) then
-    if soa then run_window_compiled ~soa:true t ~duration ~packets ~source
-    else if compiled then run_window_compiled t ~duration ~packets ~source
-    else run_window t ~duration ~packets ~source
-  else begin
-    let start = t.clock in
-    let latencies = scratch t packets in
-    (* Per-sim scratch, grown on demand: the packet staging array and a
-       CSR shard layout — shard [s] owns indices
-       [par_idx.(par_off.(s) .. par_off.(s+1) - 1)] — replacing the
-       nested per-window shard arrays this driver used to allocate. *)
-    if Array.length t.par_pkts < packets then begin
-      t.par_pkts <- Array.make packets (Packet.create ());
-      t.par_shard <- Array.make packets 0;
-      t.par_idx <- Array.make packets 0
-    end;
-    if Array.length t.par_off < domains + 1 then begin
-      t.par_off <- Array.make (domains + 1) 0;
-      t.par_cursor <- Array.make domains 0
-    end;
-    let pkts = t.par_pkts in
-    let shard = t.par_shard and idx = t.par_idx in
-    let off = t.par_off and cursor = t.par_cursor in
-    (* Pull every packet up front, in index order — same source call
-       sequence as sequential — then shard deterministically by flow. *)
-    for i = 0 to packets - 1 do
-      pkts.(i) <- source ()
-    done;
-    Array.fill off 0 (domains + 1) 0;
-    for i = 0 to packets - 1 do
-      let s = flow_shard pkts.(i) ~domains in
-      shard.(i) <- s;
-      off.(s + 1) <- off.(s + 1) + 1
-    done;
-    for s = 0 to domains - 1 do
-      off.(s + 1) <- off.(s + 1) + off.(s);
-      cursor.(s) <- off.(s)
-    done;
-    for i = 0 to packets - 1 do
-      let s = shard.(i) in
-      idx.(cursor.(s)) <- i;
-      cursor.(s) <- cursor.(s) + 1
-    done;
-    let base_seen = Exec.packets_seen t.ex in
-    let run_at = if compiled then Exec.run_packet_compiled_at else Exec.run_packet_at in
-    let run_shard s () =
-      (* Each replica compiles its own op array on first use — the
-         compiled pipeline holds engine handles, which are per-replica. *)
-      let replica = Exec.replicate t.ex in
-      let lo = off.(s) and hi = off.(s + 1) in
-      if soa then begin
-        (* Chunk this shard's packets through the burst walk. The lane
-           buffers live inside the domain: replicas must not share
-           mutable scratch. Disjoint index sets make the shared
-           latency-buffer writes race-free, and each lane's global
-           sequence number pins sampling to the packet's window
-           position, exactly as the per-packet shard loop does. *)
-        let cap = min default_batch (max 1 (hi - lo)) in
-        let bpkts = Array.make cap (Packet.create ()) in
-        let seqs = Array.make cap 0 in
-        let nows = Array.make cap 0. in
-        let lout = Array.make cap 0. in
-        let j = ref lo in
-        while !j < hi do
-          let n = min cap (hi - !j) in
-          for k = 0 to n - 1 do
-            let i = idx.(!j + k) in
-            bpkts.(k) <- pkts.(i);
-            seqs.(k) <- base_seen + i + 1;
-            nows.(k) <- packet_time ~start ~duration ~packets i
-          done;
-          ignore (Exec.run_batch_soa_at replica ~seqs ~nows ~pos:0 ~n ~out:lout bpkts);
-          for k = 0 to n - 1 do
-            latencies.(idx.(!j + k)) <- lout.(k)
-          done;
-          j := !j + n
-        done
-      end
-      else
-        for j = lo to hi - 1 do
-          let i = idx.(j) in
-          (* Disjoint index sets make the shared latency-buffer writes
-             race-free; the global sequence number pins the sampling
-             pattern to the packet's window position, not arrival order. *)
-          latencies.(i) <-
-            run_at replica ~seq:(base_seen + i + 1)
-              ~now:(packet_time ~start ~duration ~packets i)
-              pkts.(i)
-        done;
-      replica
-    in
-    let workers =
-      Array.init (domains - 1) (fun k -> Domain.spawn (run_shard (k + 1)))
-    in
-    let replica0 = run_shard 0 () in
-    let replicas = Array.append [| replica0 |] (Array.map Domain.join workers) in
-    Array.iter (fun r -> Exec.merge_replica t.ex r) replicas;
-    let drops = ref 0 in
-    for i = 0 to packets - 1 do
-      if Packet.is_dropped pkts.(i) then incr drops
-    done;
-    finish t ~start ~duration ~packets ~drops:!drops latencies
-  end
+    run_sequential t ~duration ~packets ~source
+  else run_sharded t ~domains ~duration ~packets ~source
+
+let run_window_compiled ?soa:_ t ~duration ~packets ~source =
+  run_window t ~duration ~packets ~source
 
 let insert t ~table entry = Engine.insert (Exec.engine_exn t.ex table) entry
 

@@ -32,9 +32,9 @@ val set_telemetry : t -> Telemetry.t -> unit
     distribution into histogram [nicsim.latency], bumps counter
     [nicsim.windows], and sets gauges [nicsim.window.throughput_gbps] /
     [.avg_latency] / [.drop_fraction] and per-table occupancy
-    [nicsim.table.<name>.entries]. Traces are only collected by the
-    sequential and batched window drivers — parallel shards run on
-    {!Telemetry.fork}ed sinks, which carry no trace ring. *)
+    [nicsim.table.<name>.entries]. Traces are only collected by
+    sequential windows — sharded windows run on {!Telemetry.fork}ed
+    sinks, which carry no trace ring. *)
 
 type window_stats = {
   window_start : float;
@@ -45,7 +45,7 @@ type window_stats = {
   p99_latency : float;  (** exact, from the sorted sample *)
   p50_latency : float;
       (** histogram-derived (log-bucketed, at most 3.125% high); identical
-          across window drivers because the histogram fill is bucketwise *)
+          for any domain count because the histogram fill is bucketwise *)
   p90_latency : float;
   p999_latency : float;
   throughput_gbps : float;  (** sustained, capped at line rate *)
@@ -53,83 +53,60 @@ type window_stats = {
 }
 
 val run_window :
-  t -> duration:float -> packets:int -> source:(unit -> Packet.t) -> window_stats
-(** Simulate [packets] sample packets spread uniformly over [duration]
-    emulated seconds (the clock advances between packets, so cache
-    token buckets and time series behave), then advance the clock to the
-    window end. *)
-
-val run_window_batched :
-  ?batch:int ->
-  ?compiled:bool ->
-  ?soa:bool ->
+  ?domains:int ->
   t ->
   duration:float ->
   packets:int ->
   source:(unit -> Packet.t) ->
   window_stats
-(** {!run_window} processing packets in bursts of [batch] (default 64)
-    via {!Exec.run_batch}, amortizing per-packet dispatch. The source is
-    called in the same order, every packet gets the same timestamp, and
-    the resulting stats and counters are bit-identical to {!run_window}.
-    With [compiled] (default false) the bursts go through
-    {!Exec.run_batch_compiled} instead — same identity guarantee. With
-    [soa] (default false, implies the compiled path) each burst runs the
-    burst-vectorized struct-of-arrays walk, {!Exec.run_batch_soa_at} —
-    still bit-identical. *)
+(** Simulate [packets] sample packets spread uniformly over [duration]
+    emulated seconds (packet [i] is stamped [start + duration * i /
+    packets], so cache token buckets and time series behave), then
+    advance the clock to the window end.
+
+    Packets run in bursts of 64 through the compiled data path,
+    {!Exec.run_batch}: the program flattened at deploy time into a
+    linear op array ({!Compile}), walked op-at-a-time over a
+    struct-of-arrays burst when {!Exec.soa_capable} (see docs/PERF.md
+    "Burst-vectorized walk"), packet-at-a-time otherwise. The pipeline
+    compiles lazily on first use; {!reconfigure} and {!hot_patch} keep
+    it coherent. Burst, lane inputs and latency buffers are per-sim
+    scratch, so a steady-state window loop allocates nothing per window
+    (asserted by a [Gc.minor_words] test), and no packet outlives its
+    window in that scratch.
+
+    With [domains > 1] (default 1) the window is sharded across OCaml
+    domains: packets are pulled from the source up front in index
+    order, assigned to domains by a deterministic hash of the flow
+    5-tuple (RSS-style), run through the same burst walk on independent
+    engine replicas, and merged order-independently. Programs with
+    cache-role tables (whose per-packet LRU mutation sharding cannot
+    reproduce) and degenerate shardings ([packets < 2 * domains]) run
+    sequentially. Shards run on {!Telemetry.fork}ed sinks, which carry no
+    trace ring, and replicas carry no tracer ({!Exec.replicate}), so
+    spans and tracer events come only from sequential windows.
+
+    Stats, counters, telemetry metrics and per-packet latencies are
+    bit-identical to {!run_window_reference}, whatever [domains].
+    @raise Invalid_argument if [domains <= 0] or [packets <= 0]. *)
+
+val run_window_reference :
+  t -> duration:float -> packets:int -> source:(unit -> Packet.t) -> window_stats
+(** {!run_window} one packet at a time through the DAG interpreter
+    ({!Exec.run_packet}): the reference the tests compare the data path
+    against, not a production path. Same source call sequence, same
+    timestamps, same sampling. *)
 
 val run_window_compiled :
-  ?batch:int ->
   ?soa:bool ->
   t ->
   duration:float ->
   packets:int ->
   source:(unit -> Packet.t) ->
   window_stats
-(** {!run_window} over the compiled data path: bursts of [batch]
-    (default 64) execute via {!Exec.run_batch_compiled} — the program
-    flattened at deploy time into a linear op array ({!Compile}) —
-    reusing a persistent burst buffer, so a steady-state window loop
-    allocates nothing per window. Stats, counters, telemetry, and
-    per-packet latencies are bit-identical to {!run_window}. The
-    pipeline compiles lazily on first use; {!reconfigure} and
-    {!hot_patch} keep it coherent (rebuilt tables recompile, unchanged
-    tables keep their compiled artifacts). With [soa] (default false)
-    the bursts run the struct-of-arrays walk instead
-    ({!Exec.run_batch_soa_at}: one column per interned field, op-at-a-
-    time execution, exact-probe prefetch — see docs/PERF.md
-    "Burst-vectorized walk"), with lane inputs in per-sim scratch, so
-    the no-per-window-allocation property holds there too (asserted by
-    a [Gc.minor_words] test). Pipelines the walk cannot vectorize fall
-    back to the per-packet compiled loop inside the executor. *)
-
-val run_window_parallel :
-  ?domains:int ->
-  ?compiled:bool ->
-  ?soa:bool ->
-  t ->
-  duration:float ->
-  packets:int ->
-  source:(unit -> Packet.t) ->
-  window_stats
-(** {!run_window} sharded across [domains] OCaml domains (default
-    [Domain.recommended_domain_count ()]): packets are pulled from the
-    source up front in index order, assigned to domains by a deterministic
-    hash of the flow 5-tuple (RSS-style), executed on independent engine
-    replicas, and merged order-independently — stats and counters are
-    bit-identical to the sequential run. Packet staging and the shard
-    layout (a CSR index/offset pair) live in per-sim scratch reused
-    across windows. Programs with cache-role tables
-    (whose per-packet LRU mutation sharding cannot reproduce) and
-    degenerate shardings fall back to the sequential path. With
-    [compiled] (default false), each replica runs the compiled data path
-    (compiling its own op array over its replicated engines), and the
-    fallback path is {!run_window_compiled}. With [soa] (default false)
-    each replica additionally chunks its shard through the
-    struct-of-arrays burst walk ({!Exec.run_batch_soa_at}), and the
-    fallback path is [run_window_compiled ~soa:true] — both still
-    bit-identical.
-    @raise Invalid_argument if [domains <= 0] or [packets <= 0]. *)
+(** {!run_window} with one domain. Kept for [e2e/workloads.ml]
+    [data_path]; [?soa] is ignored; removed when a benchmark PR
+    repoints the adapter. *)
 
 val insert : t -> table:string -> P4ir.Table.entry -> unit
 (** Control-plane entry insert (counts toward the table's update rate).

@@ -1,7 +1,7 @@
 (* Tests for the burst-vectorized compiled walk: the struct-of-arrays
    Packet.Batch container (scatter/gather, live mask, truncation), the
-   op-at-a-time walk's divergence regrouping, bit-identity of the soa
-   driver against the compiled and interpreted paths (fixed pipelines,
+   op-at-a-time walk's divergence regrouping, bit-identity of the
+   window walk against the reference interpreter (fixed pipelines,
    random programs, telemetry), and the no-per-window-allocation
    guarantee of the steady-state window loop. *)
 
@@ -232,26 +232,24 @@ let window_obs ?(sample_rate = 3) ?source prog run =
     Profile.Counter.dump (Nicsim.Exec.counters ex) )
 
 (* The soa walk must vectorize these (no caches, narrow fields) and then
-   agree with both the interpreter and the per-packet compiled walk —
-   including the divergence fixtures, where lanes split at a cond or a
-   per-action successor and regroup at the join. *)
+   agree with the interpreter — including the divergence fixtures, where
+   lanes split at a cond or a per-action successor and regroup at the
+   join. *)
 let test_soa_window_identity () =
   List.iter
     (fun prog ->
       check_bool "program is vectorizable" true
         (Nicsim.Exec.soa_capable
            (Nicsim.Exec.create (Nicsim.Exec.default_config target) prog));
-      let interp = window_obs prog (fun sim -> Nicsim.Sim.run_window sim) in
-      let compiled = window_obs prog (fun sim -> Nicsim.Sim.run_window_compiled ~batch:7 sim) in
-      let soa =
-        window_obs prog (fun sim -> Nicsim.Sim.run_window_compiled ~batch:7 ~soa:true sim)
+      let interp = window_obs prog Nicsim.Sim.run_window_reference in
+      let soa = window_obs prog (fun sim -> Nicsim.Sim.run_window sim) in
+      let soa_blocked =
+        window_obs prog (fun sim ->
+            Nicsim.Exec.set_soa_block (Nicsim.Sim.exec sim) 5;
+            Nicsim.Sim.run_window sim)
       in
-      let soa_batched =
-        window_obs prog (fun sim -> Nicsim.Sim.run_window_batched ~batch:5 ~soa:true sim)
-      in
-      check_bool "interp = compiled" true (interp = compiled);
-      check_bool "compiled = soa" true (compiled = soa);
-      check_bool "soa batch size free" true (soa = soa_batched))
+      check_bool "interp = soa" true (interp = soa);
+      check_bool "soa block size free" true (soa = soa_blocked))
     [ P4ir.Program.linear "lin" (chain 3);
       branching_prog ();
       per_action_prog () ]
@@ -261,16 +259,10 @@ let test_soa_window_identity () =
    per-packet walk. The LPM route also exercises the generic gather. *)
 let test_soa_drops_identity () =
   let prog = acl_route_prog () in
-  let interp =
-    window_obs ~source:(drop_source 5L) prog (fun sim -> Nicsim.Sim.run_window sim)
-  in
-  let soa =
-    window_obs ~source:(drop_source 5L) prog
-      (fun sim -> Nicsim.Sim.run_window_compiled ~soa:true sim)
-  in
+  let interp = window_obs ~source:(drop_source 5L) prog Nicsim.Sim.run_window_reference in
+  let soa = window_obs ~source:(drop_source 5L) prog (fun sim -> Nicsim.Sim.run_window sim) in
   let par_soa =
-    window_obs ~source:(drop_source 5L) prog
-      (fun sim -> Nicsim.Sim.run_window_parallel ~domains:3 ~soa:true sim)
+    window_obs ~source:(drop_source 5L) prog (fun sim -> Nicsim.Sim.run_window ~domains:3 sim)
   in
   check_bool "drops actually happen" true (match interp with _, d, _ -> d > 0);
   check_bool "interp = soa (drops included)" true (interp = soa);
@@ -292,22 +284,21 @@ let test_soa_fallback_on_cache () =
   in
   check_bool "cache program not vectorizable" false
     (Nicsim.Exec.soa_capable (Nicsim.Exec.create (Nicsim.Exec.default_config target) prog));
-  let seq = window_obs ~sample_rate:2 prog (fun sim -> Nicsim.Sim.run_window sim) in
-  let soa =
-    window_obs ~sample_rate:2 prog (fun sim -> Nicsim.Sim.run_window_compiled ~soa:true sim)
-  in
+  let seq = window_obs ~sample_rate:2 prog Nicsim.Sim.run_window_reference in
+  let soa = window_obs ~sample_rate:2 prog (fun sim -> Nicsim.Sim.run_window sim) in
   check_bool "fallback bit-identical" true (seq = soa)
 
 (* Per-packet latencies out of the batch entry point, compared float for
    float (not just window aggregates). *)
-let batch_obs prog run_batch =
+let batch_obs prog run =
   let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
   let ex = Nicsim.Exec.create cfg prog in
   let source = zipf_source 21L in
   let n = 300 in
   let pkts = Array.init n (fun _ -> source ()) in
+  let nows = Array.init n (fun i -> 0.001 *. float_of_int i) in
   let out = Array.make n 0. in
-  let dropped = run_batch ex ~now_of:(fun i -> 0.001 *. float_of_int i) ~out pkts in
+  let dropped = run ex ~nows ~out pkts in
   ( Array.map Int64.bits_of_float out,
     dropped,
     Nicsim.Exec.drops_seen ex,
@@ -316,15 +307,19 @@ let batch_obs prog run_batch =
 let test_soa_batch_latencies () =
   List.iter
     (fun prog ->
-      let compiled =
-        batch_obs prog (fun ex ~now_of ~out pkts ->
-            Nicsim.Exec.run_batch_compiled ex ~now_of ~out pkts)
+      let interp =
+        batch_obs prog (fun ex ~nows ~out pkts ->
+            Array.iteri (fun i p -> out.(i) <- Nicsim.Exec.run_packet ex ~now:nows.(i) p) pkts;
+            Array.fold_left
+              (fun d p -> if Nicsim.Packet.is_dropped p then d + 1 else d) 0 pkts)
       in
       let soa =
-        batch_obs prog (fun ex ~now_of ~out pkts ->
-            Nicsim.Exec.run_batch_soa ex ~now_of ~out pkts)
+        batch_obs prog (fun ex ~nows ~out pkts ->
+            let n = Array.length pkts in
+            Nicsim.Exec.run_batch ex ~seqs:(Array.init n (fun i -> i + 1)) ~nows ~pos:0 ~n
+              ~out pkts)
       in
-      check_bool "per-packet latency bits + drops + counters" true (compiled = soa))
+      check_bool "per-packet latency bits + drops + counters" true (interp = soa))
     [ P4ir.Program.linear "lin" (chain 3); branching_prog (); acl_route_prog () ]
 
 (* Telemetry under the soa walk: buffered spans and tracer events must
@@ -336,8 +331,8 @@ let test_soa_telemetry_identity () =
     let stats = driver sim ~duration:1.0 ~packets:400 ~source:(drop_source 13L) in
     (tel, window_stats_bits stats)
   in
-  let tel_a, bits_a = obs (fun sim -> Nicsim.Sim.run_window_compiled sim) in
-  let tel_b, bits_b = obs (fun sim -> Nicsim.Sim.run_window_compiled ~soa:true sim) in
+  let tel_a, bits_a = obs Nicsim.Sim.run_window_reference in
+  let tel_b, bits_b = obs (fun sim -> Nicsim.Sim.run_window sim) in
   check_bool "stats identical under sink" true (bits_a = bits_b);
   let ma = Telemetry.metrics tel_a and mb = Telemetry.metrics tel_b in
   Alcotest.(check (list string)) "metric names" (Telemetry.Metrics.names ma)
@@ -352,10 +347,10 @@ let test_soa_telemetry_identity () =
   check_bool "spans nonempty" true (spans tel_a <> [])
 
 (* Random programs (exact/LPM/ternary/range tables, branching, switch,
-   drops): the soa driver — vectorized or fallen back — must match the
-   per-packet compiled walk on whole windows. *)
+   drops): the window walk — vectorized or fallen back — must match the
+   reference interpreter on whole windows. *)
 let test_soa_random_programs =
-  qtest ~count:40 "soa window = compiled window on random programs"
+  qtest ~count:40 "soa window = reference window on random programs"
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
       let case = Fuzz.Gen.case ~n_packets:48 (Stdx.Prng.create (Int64.of_int seed)) in
@@ -367,18 +362,16 @@ let test_soa_random_programs =
           incr k;
           Nicsim.Packet.of_fields f
       in
-      let run soa =
+      let run driver =
         let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
         let sim = Nicsim.Sim.create ~config:cfg target case.Fuzz.Gen.program in
-        let stats =
-          Nicsim.Sim.run_window_compiled ~batch:13 ~soa sim ~duration:1.0 ~packets:200
-            ~source:(mk_source ())
-        in
+        Nicsim.Exec.set_soa_block (Nicsim.Sim.exec sim) 13;
+        let stats = driver sim ~duration:1.0 ~packets:200 ~source:(mk_source ()) in
         ( window_stats_bits stats,
           Nicsim.Exec.drops_seen (Nicsim.Sim.exec sim),
           Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)) )
       in
-      run false = run true)
+      run Nicsim.Sim.run_window_reference = run (fun sim -> Nicsim.Sim.run_window sim))
 
 (* --- allocation: the steady-state soa window loop must not churn --- *)
 
@@ -414,7 +407,7 @@ let test_soa_window_allocation_free () =
     p
   in
   let window () =
-    ignore (Nicsim.Sim.run_window_compiled ~soa:true sim ~duration:1.0 ~packets:8192 ~source)
+    ignore (Nicsim.Sim.run_window sim ~duration:1.0 ~packets:8192 ~source)
   in
   (* Warm up: scratch buffers, the compiled pipeline, the batch state and
      the exact-index views all get built here. *)

@@ -246,20 +246,12 @@ let test_compiled_window_identical =
   qtest ~count:20 "compiled windows = sequential (bits + counters)"
     QCheck2.Gen.(pair (map Int64.of_int int) (int_range 16 400))
     (fun (seed, packets) ->
-      let seq = driver_fixture seed packets Nicsim.Sim.run_window in
-      let compiled =
-        driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_compiled ~batch:5 sim)
-      in
-      let batched_compiled =
-        driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_batched ~batch:7 ~compiled:true sim)
-      in
+      let seq = driver_fixture seed packets Nicsim.Sim.run_window_reference in
+      let compiled = driver_fixture seed packets (fun sim -> Nicsim.Sim.run_window sim) in
       let par_compiled =
-        driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_parallel ~domains:3 ~compiled:true sim)
+        driver_fixture seed packets (fun sim -> Nicsim.Sim.run_window ~domains:3 sim)
       in
-      seq = compiled && seq = batched_compiled && seq = par_compiled)
+      seq = compiled && seq = par_compiled)
 
 (* Cache-role tables: LRU recency, auto-insert fills, and the token
    bucket all mutate per packet; the compiled walk must reproduce every
@@ -282,10 +274,8 @@ let test_compiled_cache_identical =
   qtest ~count:15 "compiled = sequential on flow-cached program (fills included)"
     QCheck2.Gen.(map Int64.of_int int)
     (fun seed ->
-      let ((_, _, filled) as seq) = cache_fixture seed Nicsim.Sim.run_window in
-      let compiled =
-        cache_fixture seed (fun sim -> Nicsim.Sim.run_window_compiled ~batch:9 sim)
-      in
+      let ((_, _, filled) as seq) = cache_fixture seed Nicsim.Sim.run_window_reference in
+      let compiled = cache_fixture seed (fun sim -> Nicsim.Sim.run_window sim) in
       (* The fixture must actually exercise the fill path. *)
       filled > 0 && seq = compiled)
 
@@ -297,8 +287,8 @@ let test_compiled_merged_identical () =
   in
   List.iter
     (fun prog ->
-      let seq = run prog (fun sim -> Nicsim.Sim.run_window sim) in
-      let compiled = run prog (fun sim -> Nicsim.Sim.run_window_compiled sim) in
+      let seq = run prog Nicsim.Sim.run_window_reference in
+      let compiled = run prog (fun sim -> Nicsim.Sim.run_window sim) in
       check_bool "merged/branching/switch program identical" true (seq = compiled))
     [ merged_prog ();
       (let p, _, _, _, _ = branching_prog () in p);
@@ -323,60 +313,74 @@ let test_compiled_optimizer_output_identical () =
     (window_stats_bits stats, Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)))
   in
   check_bool "optimized program identical under compiled driver" true
-    (run (fun sim -> Nicsim.Sim.run_window sim)
-    = run (fun sim -> Nicsim.Sim.run_window_compiled sim))
+    (run Nicsim.Sim.run_window_reference = run (fun sim -> Nicsim.Sim.run_window sim))
 
 (* --- batch-level identity: per-packet latencies --- *)
 
-let batch_obs prog run_batch =
+(* One lane through the burst entry at an explicit sequence number. *)
+let run_lane ex ~seq ~now pkt =
+  let out = [| 0. |] in
+  ignore (Nicsim.Exec.run_batch ex ~seqs:[| seq |] ~nows:[| now |] ~pos:0 ~n:1 ~out [| pkt |]);
+  out.(0)
+
+let batch_obs prog run =
   let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
   let ex = Nicsim.Exec.create cfg prog in
   let source = zipf_source 21L in
   let n = 300 in
   let pkts = Array.init n (fun _ -> source ()) in
+  let nows = Array.init n (fun i -> 0.001 *. float_of_int i) in
   let out = Array.make n 0. in
-  let dropped = run_batch ex ~now_of:(fun i -> 0.001 *. float_of_int i) ~out pkts in
+  let dropped = run ex ~nows ~out pkts in
   ( Array.map Int64.bits_of_float out,
     dropped,
     Nicsim.Exec.drops_seen ex,
     Profile.Counter.dump (Nicsim.Exec.counters ex) )
 
+let interp_batch ex ~nows ~out pkts =
+  Array.iteri
+    (fun i pkt -> out.(i) <- Nicsim.Exec.run_packet ex ~now:nows.(i) pkt)
+    pkts;
+  Array.fold_left (fun d p -> if Nicsim.Packet.is_dropped p then d + 1 else d) 0 pkts
+
+let walk_batch ex ~nows ~out pkts =
+  let n = Array.length pkts in
+  Nicsim.Exec.run_batch ex ~seqs:(Array.init n (fun i -> i + 1)) ~nows ~pos:0 ~n ~out pkts
+
 let test_batch_latencies_bit_identical () =
   List.iter
     (fun prog ->
-      let interp =
-        batch_obs prog (fun ex ~now_of ~out pkts -> Nicsim.Exec.run_batch ex ~now_of ~out pkts)
-      in
-      let compiled =
-        batch_obs prog (fun ex ~now_of ~out pkts ->
-            Nicsim.Exec.run_batch_compiled ex ~now_of ~out pkts)
-      in
-      check_bool "per-packet latency bits + drops + counters" true (interp = compiled))
+      check_bool "per-packet latency bits + drops + counters" true
+        (batch_obs prog interp_batch = batch_obs prog walk_batch))
     [ P4ir.Program.linear "lin" (chain 3); cached_prog (); merged_prog () ]
 
 (* --- replicas --- *)
 
 let test_replica_compiled_identical () =
   let prog = P4ir.Program.linear "rep" (chain 3) in
-  let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) prog in
-  (* Warm the parent so replicas inherit nonzero packets_seen. *)
+  let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
+  let ex = Nicsim.Exec.create cfg prog in
+  (* Warm the parent, so the replica's explicit sequence numbers differ
+     from its own packet count. *)
   let warm = zipf_source 4L in
   for _ = 1 to 50 do
     ignore (Nicsim.Exec.run_packet ex ~now:0. (warm ()))
   done;
-  let r_interp = Nicsim.Exec.replicate ex in
-  let r_comp = Nicsim.Exec.replicate ex in
+  let baseline = Profile.Counter.snapshot (Nicsim.Exec.counters ex) in
+  let r = Nicsim.Exec.replicate ex in
   let src_a = zipf_source 5L and src_b = zipf_source 5L in
   let ok = ref true in
   for i = 1 to 200 do
-    let a = Nicsim.Exec.run_packet_at r_interp ~seq:(50 + i) ~now:0.01 (src_a ()) in
-    let b = Nicsim.Exec.run_packet_compiled_at r_comp ~seq:(50 + i) ~now:0.01 (src_b ()) in
+    (* The parent interprets packet i at sequence number 50 + i. *)
+    let a = Nicsim.Exec.run_packet ex ~now:0.01 (src_a ()) in
+    let b = run_lane r ~seq:(50 + i) ~now:0.01 (src_b ()) in
     if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then ok := false
   done;
   check_bool "replica latencies bit-identical" true !ok;
   check_bool "replica counters identical" true
-    (Profile.Counter.dump (Nicsim.Exec.counters r_interp)
-    = Profile.Counter.dump (Nicsim.Exec.counters r_comp))
+    (Profile.Counter.dump
+       (Profile.Counter.diff ~current:(Nicsim.Exec.counters ex) ~baseline)
+    = Profile.Counter.dump (Nicsim.Exec.counters r))
 
 (* --- telemetry identity --- *)
 
@@ -391,8 +395,8 @@ let telemetry_obs driver =
   (tel, window_stats_bits stats)
 
 let test_compiled_telemetry_identical () =
-  let tel_a, bits_a = telemetry_obs (fun sim -> Nicsim.Sim.run_window sim) in
-  let tel_b, bits_b = telemetry_obs (fun sim -> Nicsim.Sim.run_window_compiled sim) in
+  let tel_a, bits_a = telemetry_obs Nicsim.Sim.run_window_reference in
+  let tel_b, bits_b = telemetry_obs (fun sim -> Nicsim.Sim.run_window sim) in
   check_bool "stats identical under sink" true (bits_a = bits_b);
   let ma = Telemetry.metrics tel_a and mb = Telemetry.metrics tel_b in
   Alcotest.(check (list string)) "metric names" (M.names ma) (M.names mb);
@@ -414,12 +418,133 @@ let test_compiled_telemetry_identical () =
   check_bool "sampled spans identical" true (spans tel_a = spans tel_b);
   check_bool "spans nonempty" true (spans tel_a <> [])
 
+(* --- the walk against the interpreter reference --- *)
+
+let reference = Nicsim.Sim.run_window_reference
+let walk sim = Nicsim.Sim.run_window sim
+let sharded sim = Nicsim.Sim.run_window ~domains:2 sim
+
+let metrics_obs tel =
+  let m = Telemetry.metrics tel in
+  List.map
+    (fun n ->
+      ( n,
+        M.find_counter m n,
+        Option.map Int64.bits_of_float (M.find_gauge m n),
+        Option.map H.bucket_counts (M.find_histogram m n) ))
+    (M.names m)
+
+(* Three windows (an odd packet count, so each window's first global
+   sequence number lands at a different sampling phase) with a
+   trace-ring sink and a tracer hook installed. *)
+let reference_obs ?(sample_rate = 1) ~placement ~source prog run =
+  let cfg =
+    { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate; placement }
+  in
+  let tel = Telemetry.create ~trace_capacity:8192 ~trace_sample_every:5 () in
+  let sim = Nicsim.Sim.create ~config:cfg ~telemetry:tel target prog in
+  let source = source () in
+  let events = ref [] in
+  Nicsim.Exec.set_tracer (Nicsim.Sim.exec sim) (Some (fun e -> events := e :: !events));
+  let windows =
+    List.init 3 (fun _ -> window_stats_bits (run sim ~duration:1.0 ~packets:301 ~source))
+  in
+  let ex = Nicsim.Sim.exec sim in
+  ( ( windows,
+      Profile.Counter.dump (Nicsim.Exec.counters ex),
+      Nicsim.Exec.packets_seen ex,
+      Nicsim.Exec.drops_seen ex,
+      metrics_obs tel ),
+    Tr.spans (Option.get (Telemetry.trace tel)),
+    List.rev !events )
+
+let cpu_on names prog id =
+  let name =
+    match P4ir.Program.find_exn prog id with
+    | P4ir.Program.Table (tab, _) -> tab.P4ir.Table.name
+    | P4ir.Program.Cond c -> c.P4ir.Program.cond_name
+  in
+  if List.mem name names then Costmodel.Cost.Cpu else Costmodel.Cost.Asic
+
+(* Drop-capable ACL on a CPU-placed root (entry migration, and drops
+   that skip the tail migration) feeding a chain whose last table is on
+   CPU (tail migration); the branching fixture puts its cond and one arm
+   on CPU. *)
+let hetero_cases () =
+  let acl =
+    P4ir.Table.add_entry
+      (P4ir.Builder.acl_table ~name:"acl"
+         ~keys:[ P4ir.Builder.exact_key P4ir.Field.Ipv4_dst ]
+         ())
+      (P4ir.Table.entry [ P4ir.Pattern.Exact 9L ] "deny")
+  in
+  let lin =
+    P4ir.Program.linear "het"
+      (acl :: List.map (fun i -> mk_table i ~entries:[ 1L; 2L; 3L ]) [ 1; 2; 3 ])
+  in
+  let branch, _, _, _, _ = branching_prog () in
+  [ (lin, cpu_on [ "acl"; "t2"; "t3" ] lin);
+    (branch, cpu_on [ "is_tcp"; "t1" ] branch) ]
+
+let drop_zipf_source seed =
+  let rng = Stdx.Prng.create (Int64.add seed 7L) in
+  Traffic.Workload.mark_fraction rng ~rate:0.15 ~field:P4ir.Field.Ipv4_dst ~value:9L
+    (zipf_source seed)
+
+(* [sharded] replicas run on forked sinks with no trace ring and carry
+   no tracer (Exec.replicate), so spans and tracer events are compared
+   for the sequential walk only; everything else for both. *)
+let check_against_reference ?sample_rate ~placement ~source prog =
+  let obs run = reference_obs ?sample_rate ~placement ~source prog run in
+  let ((_, _, _, drops, _) as r_core), r_spans, r_events = obs reference in
+  let w_core, w_spans, w_events = obs walk in
+  let s_core, _, _ = obs sharded in
+  check_bool "walk = reference (stats, counters, telemetry)" true (r_core = w_core);
+  check_bool "walk spans = reference" true (r_spans = w_spans);
+  check_bool "walk tracer events = reference" true (r_events = w_events);
+  check_bool "sharded = reference (stats, counters, telemetry)" true (r_core = s_core);
+  check_bool "spans and events nonempty" true (r_spans <> [] && r_events <> []);
+  drops
+
+let test_walk_heterogeneous_placement () =
+  let drops =
+    List.map
+      (fun (prog, placement) ->
+        let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.placement } in
+        check_bool "vectorizable" true (Nicsim.Exec.soa_capable (Nicsim.Exec.create cfg prog));
+        check_against_reference ~placement ~source:(fun () -> drop_zipf_source 31L) prog)
+      (hetero_cases ())
+  in
+  check_bool "drops on the CPU-placed root" true (List.hd drops > 0)
+
+(* The tracer hook sees every node of every packet, in execution order,
+   across branch, switch-case, cache and merged shapes. *)
+let test_walk_tracer_events () =
+  List.iter
+    (fun prog ->
+      ignore
+        (check_against_reference ~placement:Costmodel.Cost.all_asic
+           ~source:(fun () -> zipf_source 17L) prog))
+    [ (let p, _, _, _, _ = branching_prog () in p);
+      (let p, _, _, _ = per_action_prog () in p);
+      cached_prog ();
+      merged_prog () ]
+
+(* Sampling 1 in 3 under sharding: each lane's global sequence number
+   must pin its counter and span sampling to its window position. *)
+let test_walk_sharded_sample_rate () =
+  List.iter
+    (fun (prog, placement) ->
+      ignore
+        (check_against_reference ~sample_rate:3 ~placement
+           ~source:(fun () -> drop_zipf_source 41L) prog))
+    ((P4ir.Program.linear "lin" (chain 4), Costmodel.Cost.all_asic) :: hetero_cases ())
+
 (* --- deploys: incremental recompilation and staleness --- *)
 
 let test_incremental_recompile_reuses_artifacts () =
   let sim = Nicsim.Sim.create target (P4ir.Program.linear "inc" (chain 4)) in
-  ignore
-    (Nicsim.Sim.run_window_compiled sim ~duration:1.0 ~packets:100 ~source:(zipf_source 2L));
+  ignore (Nicsim.Sim.run_window sim ~duration:1.0 ~packets:100 ~source:(zipf_source 2L));
   (* Reshape t2 only (extra action): hot_patch rebuilds one engine, and
      the eager recompile must rebuild exactly that table's artifact. *)
   let tabs' =
@@ -448,17 +573,17 @@ let test_compiled_across_hot_patch_identical =
   qtest ~count:10 "window / hot_patch / window: compiled = sequential"
     QCheck2.Gen.(map Int64.of_int int)
     (fun seed ->
-      deploy_fixture seed (fun sim -> Nicsim.Sim.run_window sim)
-      = deploy_fixture seed (fun sim -> Nicsim.Sim.run_window_compiled sim))
+      deploy_fixture seed Nicsim.Sim.run_window_reference
+      = deploy_fixture seed (fun sim -> Nicsim.Sim.run_window sim))
 
 let test_reset_counters_recompiles () =
   let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) (cached_prog ()) in
   let src = zipf_source 8L in
-  ignore (Nicsim.Exec.run_packet_compiled ex ~now:0. (src ()));
+  ignore (run_lane ex ~seq:1 ~now:0. (src ()));
   Nicsim.Exec.reset_counters ex;
   (* Counter.clear orphans the compiled pipeline's cells; the next
      compiled packet must run on a fresh compile against live slots. *)
-  ignore (Nicsim.Exec.run_packet_compiled ex ~now:0.01 (src ()));
+  ignore (run_lane ex ~seq:2 ~now:0.01 (src ()));
   check_bool "counters repopulate after reset" true
     (Profile.Counter.dump (Nicsim.Exec.counters ex) <> [])
 
@@ -476,7 +601,11 @@ let () =
           Alcotest.test_case "optimizer output" `Quick test_compiled_optimizer_output_identical;
           Alcotest.test_case "batch latencies" `Quick test_batch_latencies_bit_identical;
           Alcotest.test_case "replicas" `Quick test_replica_compiled_identical;
-          Alcotest.test_case "telemetry" `Quick test_compiled_telemetry_identical ] );
+          Alcotest.test_case "telemetry" `Quick test_compiled_telemetry_identical;
+          Alcotest.test_case "heterogeneous placement" `Quick
+            test_walk_heterogeneous_placement;
+          Alcotest.test_case "tracer events" `Quick test_walk_tracer_events;
+          Alcotest.test_case "sharded sample_rate 3" `Quick test_walk_sharded_sample_rate ] );
       ( "deploys",
         [ Alcotest.test_case "incremental recompile reuse" `Quick
             test_incremental_recompile_reuses_artifacts;

@@ -747,7 +747,8 @@ let test_prng_fork_deterministic () =
        (Stdx.Prng.next64 (Stdx.Prng.fork c 0))
        (Stdx.Prng.next64 (Stdx.Prng.fork c 1)))
 
-(* --- window drivers: batched and parallel bit-identity --- *)
+(* --- windows: the burst walk, sequential and sharded, against the
+   reference interpreter --- *)
 
 let stats_bits_equal (a : Nicsim.Sim.window_stats) (b : Nicsim.Sim.window_stats) =
   let f x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
@@ -811,7 +812,8 @@ let driver_sim () =
 let check_driver_identical name run_alt =
   let sim_a = driver_sim () in
   let stats_a =
-    Nicsim.Sim.run_window sim_a ~duration:1.0 ~packets:1000 ~source:(driver_source 5L)
+    Nicsim.Sim.run_window_reference sim_a ~duration:1.0 ~packets:1000
+      ~source:(driver_source 5L)
   in
   let sim_b = driver_sim () in
   let stats_b = run_alt sim_b (driver_source 5L) in
@@ -825,19 +827,20 @@ let check_driver_identical name run_alt =
     (Nicsim.Exec.drops_seen (Nicsim.Sim.exec sim_b))
 
 let test_window_batched_identical () =
-  (* batch 7 exercises a ragged final burst. *)
+  (* 1000 packets in bursts of 64 end on a ragged burst of 40. *)
   check_driver_identical "batched" (fun sim source ->
-      Nicsim.Sim.run_window_batched ~batch:7 sim ~duration:1.0 ~packets:1000 ~source)
+      Nicsim.Sim.run_window sim ~duration:1.0 ~packets:1000 ~source)
 
 let test_window_parallel_identical () =
   check_driver_identical "parallel-3" (fun sim source ->
-      Nicsim.Sim.run_window_parallel ~domains:3 sim ~duration:1.0 ~packets:1000 ~source);
-  check_driver_identical "parallel-default" (fun sim source ->
-      Nicsim.Sim.run_window_parallel sim ~duration:1.0 ~packets:1000 ~source)
+      Nicsim.Sim.run_window ~domains:3 sim ~duration:1.0 ~packets:1000 ~source);
+  check_driver_identical "parallel-recommended" (fun sim source ->
+      Nicsim.Sim.run_window ~domains:(Domain.recommended_domain_count ()) sim ~duration:1.0
+        ~packets:1000 ~source)
 
 let test_window_parallel_cache_fallback () =
   (* Programs with cache tables take the sequential fallback — and still
-     match run_window exactly, LRU state included. *)
+     match the reference exactly, LRU state included. *)
   let prog = P4ir.Program.linear "cp" [ cache_table ~capacity:16 () ] in
   let target = Costmodel.Target.bluefield2 in
   let mk () = Nicsim.Sim.create target prog in
@@ -847,10 +850,12 @@ let test_window_parallel_cache_fallback () =
       Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, Int64.of_int (Stdx.Prng.int rng 64)) ]
   in
   let sim_a = mk () in
-  let stats_a = Nicsim.Sim.run_window sim_a ~duration:1.0 ~packets:400 ~source:(src 3L) in
+  let stats_a =
+    Nicsim.Sim.run_window_reference sim_a ~duration:1.0 ~packets:400 ~source:(src 3L)
+  in
   let sim_b = mk () in
   let stats_b =
-    Nicsim.Sim.run_window_parallel ~domains:4 sim_b ~duration:1.0 ~packets:400 ~source:(src 3L)
+    Nicsim.Sim.run_window ~domains:4 sim_b ~duration:1.0 ~packets:400 ~source:(src 3L)
   in
   check_bool "fallback stats identical" true (stats_bits_equal stats_a stats_b);
   check_int "fallback cache contents identical"

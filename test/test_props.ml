@@ -268,15 +268,9 @@ let test_window_drivers_identical =
   qtest ~count:20 "batched/parallel windows = sequential (bits + counters)"
     QCheck2.Gen.(pair (map Int64.of_int int) (int_range 16 400))
     (fun (seed, packets) ->
-      let seq = driver_fixture seed packets Nicsim.Sim.run_window in
-      let batched =
-        driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_batched ~batch:5 sim)
-      in
-      let par =
-        driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_parallel ~domains:3 sim)
-      in
+      let seq = driver_fixture seed packets Nicsim.Sim.run_window_reference in
+      let batched = driver_fixture seed packets (fun sim -> Nicsim.Sim.run_window sim) in
+      let par = driver_fixture seed packets (fun sim -> Nicsim.Sim.run_window ~domains:3 sim) in
       seq = batched && seq = par)
 
 let synth_gen =

@@ -287,17 +287,18 @@ let metrics_equal name ma mb =
     (M.names ma)
 
 let test_sim_metrics_driver_independent () =
-  (* Sequential, batched, and sharded windows must land the exact same
-     counters and histogram buckets: batching only changes dispatch, and
-     parallel shards record into forked registries merged losslessly. *)
+  (* The reference interpreter and the burst walk, sequential and
+     sharded, must land the exact same counters and histogram buckets:
+     the walk only changes dispatch, and shards record into forked
+     registries merged losslessly. *)
   let seq = run_with_sink (fun sim source ->
-      Nicsim.Sim.run_window sim ~duration:1.0 ~packets:600 ~source)
+      Nicsim.Sim.run_window_reference sim ~duration:1.0 ~packets:600 ~source)
   in
   let batched = run_with_sink (fun sim source ->
-      Nicsim.Sim.run_window_batched ~batch:7 sim ~duration:1.0 ~packets:600 ~source)
+      Nicsim.Sim.run_window sim ~duration:1.0 ~packets:600 ~source)
   in
   let parallel = run_with_sink (fun sim source ->
-      Nicsim.Sim.run_window_parallel ~domains:3 sim ~duration:1.0 ~packets:600 ~source)
+      Nicsim.Sim.run_window ~domains:3 sim ~duration:1.0 ~packets:600 ~source)
   in
   check_bool "packets counted" true (M.find_counter seq "nicsim.packets" = Some 600);
   check_bool "latency histogram filled" true
