@@ -1,9 +1,9 @@
 (* `main.exe perf`: the nicsim + optimizer fast-path micro-suite.
 
-   Times the table-engine lookup path by match kind against the
-   pre-fast-path implementation ({!Baseline}), engine construction,
-   single-packet execution, and the window drivers (sequential, batched,
-   parallel); then the optimizer fast path (candidate enumeration,
+   Times the table-engine lookup path by match kind (compiled plan
+   against the same engine's straight-line reference probe), engine
+   construction, single-packet execution, and the window drivers
+   (sequential, parallel); then the optimizer fast path (candidate enumeration,
    analytic evaluation, knapsack, end-to-end optimize — sequential vs
    parallel vs warm-start) against the pre-fast-path search
    ({!Opt_baseline}). Writes the numbers to a JSON artifact (default
@@ -98,14 +98,25 @@ let probe_pool ~seed ~size ~of_rng =
     i := (!i + 1) mod size;
     p
 
-let lookup_bench ~name ~iters tab probe_of_rng =
-  let before_eng = Baseline.create tab in
-  let after_eng = Nicsim.Engine.create tab in
-  let probes = probe_pool ~seed:7L ~size:1024 ~of_rng:probe_of_rng in
-  let before_ns = time_ns ~iters (fun () -> Baseline.lookup before_eng (probes ())) in
-  let probes = probe_pool ~seed:7L ~size:1024 ~of_rng:probe_of_rng in
-  let after_ns = time_ns ~iters (fun () -> Nicsim.Engine.lookup after_eng (probes ())) in
-  { name; unit_ = "lookup"; before_ns = Some before_ns; after_ns; iters; note = None }
+(* Lookups through one auto-planned engine. With [~vs_linear] the before
+   column is the same engine's straight-line reference probe
+   ([Engine.lookup_linear]), so the row answers whether the selected
+   plan pays for itself; otherwise the row is after-only. *)
+let lookup_bench ~name ~iters ~vs_linear tab probe_of_rng =
+  let eng = Nicsim.Engine.create tab in
+  let time lookup =
+    let probes = probe_pool ~seed:7L ~size:1024 ~of_rng:probe_of_rng in
+    time_ns ~iters (fun () -> lookup eng (probes ()))
+  in
+  let before_ns = if vs_linear then Some (time Nicsim.Engine.lookup_linear) else None in
+  let after_ns = time Nicsim.Engine.lookup in
+  { name;
+    unit_ = "lookup";
+    before_ns;
+    after_ns;
+    iters;
+    note =
+      (if vs_linear then Some ("linear -> " ^ Nicsim.Engine.plan_kind eng) else None) }
 
 let dst_packet rng =
   Nicsim.Packet.of_fields
@@ -218,7 +229,7 @@ let scale_ternary_fixture n =
    warmup pass; the note records what actually ran. *)
 let hinted_lookup_bench ~name ~iters ~before_hint ~after_hint tab probe_value =
   let engine hint =
-    Nicsim.Engine.create ~tuning:{ Nicsim.Engine.default_tuning with hint } tab
+    Nicsim.Engine.create ~hint tab
   in
   let before_eng = engine before_hint in
   let after_eng = engine after_hint in
@@ -285,25 +296,26 @@ let run_suite ~smoke =
 
   (* Engine lookups by match kind. *)
   push
-    (lookup_bench ~name:"engine-lookup/exact-4k" ~iters:lookup_iters (exact_table 4096)
+    (lookup_bench ~name:"engine-lookup/exact-4k" ~iters:lookup_iters ~vs_linear:false
+       (exact_table 4096)
        (fun rng ->
          Nicsim.Packet.of_fields
            [ (P4ir.Field.Ipv4_dst, Int64.of_int (Stdx.Prng.int rng 8192)) ]));
   push
-    (lookup_bench ~name:"engine-lookup/lpm-16len" ~iters:lookup_iters
+    (lookup_bench ~name:"engine-lookup/lpm-16len" ~iters:lookup_iters ~vs_linear:true
        (lpm_table ~nlens:16 ~per_len:64)
        dst_packet);
   push
-    (lookup_bench ~name:"engine-lookup/ternary-8mask" ~iters:lookup_iters
+    (lookup_bench ~name:"engine-lookup/ternary-8mask" ~iters:lookup_iters ~vs_linear:true
        (ternary_table ~per_mask:64)
        dst_packet);
 
-  (* Rule-scale rows: the learned-index LPM plan vs Waldvogel, and the
-     decision-tree ternary plan vs the skip-list linear probe, at 100k
-     and 1M rules (tables shrink with [scale] in smoke mode — the forced
-     hints keep both plans engaged below the auto thresholds). Exact
-     rows ride along for scale context: the hash backend vs the
-     string-key baseline. Floors are enforced in [run]. *)
+  (* Rule-scale rows: the learned-index LPM plan vs the longest-first
+     probe, and the decision-tree ternary plan vs the skip probe, at
+     100k and 1M rules (tables shrink with [scale] in smoke mode — the
+     forced hints keep both plans engaged below the auto thresholds).
+     After-only exact rows ride along for scale context. Floors are
+     enforced in [run]. *)
   List.iter
     (fun (n, label) ->
       let sz = scale n in
@@ -311,7 +323,7 @@ let run_suite ~smoke =
       push
         (hinted_lookup_bench
            ~name:(Printf.sprintf "engine-lookup/lpm-%s" label)
-           ~iters:lookup_iters ~before_hint:Nicsim.Engine.Force_waldvogel
+           ~iters:lookup_iters ~before_hint:Nicsim.Engine.Force_linear
            ~after_hint:Nicsim.Engine.Force_learned lpm_tab lpm_probe);
       let ter_tab, ter_probe = scale_ternary_fixture sz in
       push
@@ -322,7 +334,7 @@ let run_suite ~smoke =
       push
         (lookup_bench
            ~name:(Printf.sprintf "engine-lookup/exact-%s" label)
-           ~iters:lookup_iters (exact_table sz)
+           ~iters:lookup_iters ~vs_linear:false (exact_table sz)
            (fun rng ->
              Nicsim.Packet.of_fields
                [ (P4ir.Field.Ipv4_dst, Int64.of_int (Stdx.Prng.int rng (2 * sz))) ])))
@@ -334,7 +346,7 @@ let run_suite ~smoke =
   push
     { name = "engine-build/lpm-16x32";
       unit_ = "build";
-      before_ns = Some (time_ns ~iters:build_iters (fun () -> Baseline.create lpm_tab));
+      before_ns = None;
       after_ns = time_ns ~iters:build_iters (fun () -> Nicsim.Engine.create lpm_tab);
       iters = build_iters;
       note = None };
@@ -359,15 +371,6 @@ let run_suite ~smoke =
     let src = window_source 23L in
     window_bench ~name ~packets ~windows (fun () -> run_of_sim sim src)
   in
-  push
-    ((* The old loop: per-window array allocation + polymorphic sort. *)
-     let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) (window_program ()) in
-     let src = window_source 23L in
-     let start = ref 0. in
-     window_bench ~name:"run_window/old-loop" ~packets ~windows (fun () ->
-         let r = Baseline.run_window ex ~start:!start ~duration:1.0 ~packets ~source:src in
-         start := !start +. 1.0;
-         r));
   push
     (fresh_window_bench "run_window/seq" (fun sim src ->
          Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src));
@@ -875,7 +878,7 @@ let run ~smoke ~out =
                [ "engine-lookup/lpm-100k"; "engine-lookup/lpm-1M";
                  "engine-lookup/ternary-100k"; "engine-lookup/ternary-1M" ] ->
         (* The rule-scale claim: learned LPM and decision-tree ternary
-           plans >= 2x over the Waldvogel / skip-probe paths at full
+           plans >= 2x over the longest-first / skip probes at full
            scale. The million-rule rows get a softer floor — there both
            sides are cache-miss bound (tens of MB of plan arrays), which
            compresses the ratio. In smoke mode the tables shrink 50x, so

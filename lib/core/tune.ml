@@ -5,57 +5,28 @@ type domain =
   | Floats of float list
   | Choices of string list
 
-type scope = Model | Host
-
 type param = {
   key : string;
   doc : string;
-  scope : scope;
   domain : domain;
   default : value;
 }
 
-(* Engine defaults below mirror Nicsim.Engine.default_tuning; pipeleon
-   cannot depend on nicsim, so a unit test cross-checks the literals. *)
 let params =
   [ { key = "candidate.cache_entries";
       doc = "provisioned capacity of generated cache tables";
-      scope = Model;
       domain = Ints [ 512; 1024; 2048; 4096; 8192 ];
       default = Int 4096 };
     { key = "candidate.max_merge_len";
       doc = "max tables folded into one merge segment";
-      scope = Model;
       domain = Ints [ 1; 2; 3 ];
       default = Int 2 };
-    { key = "engine.backend_hint";
-      doc = "forced engine plan backend (auto lets thresholds decide)";
-      scope = Host;
-      domain = Choices [ "auto"; "linear"; "waldvogel"; "learned"; "tree" ];
-      default = Choice "auto" };
-    { key = "engine.learned_threshold";
-      doc = "entry count at which LPM tables auto-select the learned index";
-      scope = Host;
-      domain = Ints [ 1024; 2048; 4096; 8192; 16384 ];
-      default = Int 4096 };
-    { key = "engine.tree_threshold";
-      doc = "entry count at which ternary tables auto-select the decision tree";
-      scope = Host;
-      domain = Ints [ 1024; 2048; 4096; 8192; 16384 ];
-      default = Int 4096 };
-    { key = "exec.soa_block";
-      doc = "L1 burst block size of the struct-of-arrays walk";
-      scope = Host;
-      domain = Ints [ 16; 32; 64; 128; 256 ];
-      default = Int 64 };
     { key = "optimizer.max_pipelet_len";
       doc = "pipelet formation length cap";
-      scope = Model;
       domain = Ints [ 4; 6; 8; 10 ];
       default = Int 8 };
     { key = "optimizer.top_k";
       doc = "fraction of hot pipelets searched (1.0 = ESearch)";
-      scope = Model;
       domain = Floats [ 0.1; 0.2; 0.5; 1.0 ];
       default = Float 0.2 } ]
 
@@ -267,27 +238,24 @@ let evaluate_point ?warm ~(config : Optimizer.config) target prof prog ~base asg
 let neighbors ~radius a =
   List.concat_map
     (fun p ->
-      match p.scope with
-      | Host -> []
-      | Model ->
-        let dom = domain_values p.domain in
-        let n = List.length dom in
-        let cur = get a p.key in
-        let idx =
-          let rec find i = function
-            | [] -> 0
-            | v :: tl -> if value_equal v cur then i else find (i + 1) tl
-          in
-          find 0 dom
+      let dom = domain_values p.domain in
+      let n = List.length dom in
+      let cur = get a p.key in
+      let idx =
+        let rec find i = function
+          | [] -> 0
+          | v :: tl -> if value_equal v cur then i else find (i + 1) tl
         in
-        List.concat_map
-          (fun d ->
-            List.filter_map
-              (fun i ->
-                if i >= 0 && i < n && i <> idx then Some (set a p.key (List.nth dom i))
-                else None)
-              [ idx - d; idx + d ])
-          (List.init radius (fun i -> i + 1)))
+        find 0 dom
+      in
+      List.concat_map
+        (fun d ->
+          List.filter_map
+            (fun i ->
+              if i >= 0 && i < n && i <> idx then Some (set a p.key (List.nth dom i))
+              else None)
+            [ idx - d; idx + d ])
+        (List.init radius (fun i -> i + 1)))
     a.aparams
 
 let point_order a b =

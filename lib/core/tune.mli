@@ -2,23 +2,17 @@
     and a multi-objective Pareto search over assignments.
 
     The optimizer picks among three fixed transformations, but the knobs
-    that govern production performance — cache sizes, merge depth, top-k
-    fraction, engine backend thresholds, burst block size — were
-    hard-coded across {!Candidate.options}, {!Optimizer.config}, and the
-    engines. This module makes them first-class: every knob registers a
-    {!param} with a stable key, a finite domain, and a default, and
-    {!explore} sweeps assignments through the existing analytic
+    that govern its layouts — cache sizes, merge depth, pipelet length,
+    top-k fraction — were hard-coded across {!Candidate.options} and
+    {!Optimizer.config}. This module makes them first-class: every knob
+    registers a {!param} with a stable key, a finite domain, and a
+    default, and {!explore} sweeps assignments through the existing analytic
     evaluator, maintaining a Pareto front over expected latency / table
     memory / entry-update rate (the same three axes the global knapsack
-    budgets, Eq. 5).
-
-    Parameters are split by {!scope}: [Model] params change the modeled
-    objectives and are swept by {!explore}; [Host] params (engine plan
-    thresholds, backend hints, the SoA burst block) change how the
-    simulator executes the same plan — access counts and forwarding are
-    unchanged by contract — so they ride along in assignments and
-    fingerprints but are not swept. The runtime applies them to the live
-    simulator when adopting an assignment ([Runtime.Autotune]).
+    budgets, Eq. 5). Only knobs that move those objectives are
+    registered: host-side execution choices such as the engines' lookup
+    plans report the same modeled costs whatever they are, so a sweep
+    could never tell them apart.
 
     Exploration is warm-started from the controller's
     {!Search.eval_cache}: each assignment's candidate-affecting params
@@ -33,14 +27,9 @@ type domain =
   | Floats of float list
   | Choices of string list
 
-type scope =
-  | Model  (** affects the analytic objectives; swept by {!explore} *)
-  | Host  (** execution-only (engines, burst blocking); carried, not swept *)
-
 type param = {
   key : string;  (** stable dotted key, e.g. ["optimizer.top_k"] *)
   doc : string;
-  scope : scope;
   domain : domain;
   default : value;
 }
@@ -49,15 +38,8 @@ val params : param list
 (** The standard registry, in key order:
     - [candidate.cache_entries] — provisioned cache capacity
     - [candidate.max_merge_len] — merge segment cap (§5.2.2)
-    - [engine.backend_hint] — forced engine plan backend (Host)
-    - [engine.learned_threshold] — learned-index LPM auto-select floor (Host)
-    - [engine.tree_threshold] — decision-tree ternary auto-select floor (Host)
-    - [exec.soa_block] — SoA burst L1 block size (Host)
     - [optimizer.max_pipelet_len] — pipelet formation cap
-    - [optimizer.top_k] — fraction of hot pipelets searched
-
-    The engine defaults here mirror [Nicsim.Engine.default_tuning]
-    (pipeleon does not depend on nicsim; a unit test cross-checks). *)
+    - [optimizer.top_k] — fraction of hot pipelets searched *)
 
 val find_param : string -> param option
 (** Lookup in {!params} by key. *)
@@ -162,11 +144,11 @@ val explore :
   exploration
 (** Deterministic bounded neighborhood sweep: starting from [start]
     (default {!default_assignment}), breadth-first over single-param
-    moves of at most [radius] domain steps (default 1) on [Model]
-    params, evaluating at most [budget] assignments (default 32) and
-    never re-evaluating a fingerprint. Each assignment is evaluated
-    plan-only — the per-pipelet search and global knapsack run, but no
-    tables are realized — so a sweep costs a few optimizer searches,
+    moves of at most [radius] domain steps (default 1), evaluating at
+    most [budget] assignments (default 32) and never re-evaluating a
+    fingerprint. Each assignment is evaluated plan-only — the
+    per-pipelet search and global knapsack run, but no tables are
+    realized — so a sweep costs a few optimizer searches,
     warm-started from [warm] with {!candidate_salt}-salted signatures.
     Group caching is disabled during evaluation (plan-only sweep).
 

@@ -66,8 +66,8 @@ type op_table = {
       (* allocation-free exact probe ({!Engine.exact_probe}); one memory
          access by construction, same entries as [Engine.lookup] *)
   t_splan : (Packet.t -> P4ir.Table.entry option) option;
-      (* shaped plan probe ({!Engine.plan_probe}): Waldvogel / learned /
-         tree / straight probe per the table's backend selection; leaves
+      (* shaped plan probe ({!Engine.plan_probe}): learned / tree /
+         straight probe per the table's backend selection; leaves
          the modeled access count in [Engine.last_accesses] instead of
          allocating a result tuple *)
   t_core : Costmodel.Cost.core;

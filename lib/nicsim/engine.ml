@@ -23,24 +23,6 @@ type group = {
   tbl : (int, slot list) Hashtbl.t;
 }
 
-(* Compiled binary-search plan over LPM-ordered groups (Waldvogel-style
-   binary search on prefix lengths). Built lazily once the group masks
-   form a nesting chain; positions are in ascending specificity. Each
-   plan slot is either a real entry's key or a marker on some entry's
-   binary-search path; [pbest] memoizes the answer a linear longest-first
-   probe restricted to positions <= this one would give, so the search
-   never backtracks. *)
-type pslot = {
-  pmasked : int64 array;
-  pbest : P4ir.Table.entry option;
-  pbest_pos : int;  (* ascending position of [pbest]'s own group, -1 if none *)
-}
-
-type plan = {
-  pmasks : int64 array array;  (* per ascending position, per key *)
-  ptbls : (int, pslot list) Hashtbl.t array;
-}
-
 (* Learned-index LPM plan (single-LPM-key tables). The prefix set is
    flattened into disjoint elementary intervals over the key domain; a
    piecewise-linear model over the sorted interval start keys predicts
@@ -85,23 +67,13 @@ type tree = {
 (* Which compiled plan a shaped table is currently running. *)
 type splan =
   | P_none  (* straight probe: longest-first LPM scan / ternary skip probe *)
-  | P_waldvogel of plan
   | P_learned of learned
   | P_tree of tree
 
-(* Per-table override for the plan selector. [Auto] picks from the entry
-   count and match kind at plan-build time; a forced hint that does not
-   apply to the table's shape falls back to [Auto]'s choice. *)
-type backend_hint = Auto | Force_linear | Force_waldvogel | Force_learned | Force_tree
-
-(* Value-typed plan tuning: the auto-selector thresholds plus the hint,
-   carried per engine so the registry (Pipeleon.Tune) can sweep them.
-   Replaces the ad-hoc per-shaped [hint] mutation. *)
-type tuning = {
-  learned_threshold : int;
-  tree_threshold : int;
-  hint : backend_hint;
-}
+(* Per-table override for the plan selector. [Auto] picks from the table
+   alone at plan-build time; a forced hint that does not apply to the
+   table's shape falls back to [Auto]'s choice. *)
+type backend_hint = Auto | Force_linear | Force_learned | Force_tree
 
 type shaped = {
   mutable groups : group array;  (* only the first [ngroups] are live *)
@@ -162,7 +134,7 @@ type t = {
   fields : P4ir.Field.t array;  (* key fields, in key order *)
   scratch : int64 array;  (* reusable per-lookup key-value buffer *)
   backend : backend;
-  mutable tun : tuning;  (* plan thresholds + hint; see [set_tuning] *)
+  hint : backend_hint;  (* plan selector override, fixed at [create] *)
   mutable updates : int;
   mutable last_acc : int;  (* accesses of the most recent plan probe *)
   mutable tokens : float;  (* cache-fill token bucket *)
@@ -400,137 +372,10 @@ let shaped_insert s (tab : P4ir.Table.t) (e : P4ir.Table.entry) =
     s.nentries <- s.nentries + 1;
   invalidate_plan s
 
-(* --- compiled binary-search plan (LPM) --- *)
-
-(* Binary search pays off once there are enough prefix-length groups; a
-   linear longest-first scan wins below this. *)
-let plan_threshold = 4
-
 let group_probe (g : group) vals =
   match Hashtbl.find_opt g.tbl (hash_masked vals g.masks) with
   | None -> None
   | Some bucket -> bucket_find g.masks vals bucket
-
-let build_waldvogel s =
-  let result = ref None in
-  let m = s.ngroups in
-  if s.lpm_ordered && m >= plan_threshold then begin
-    (* Ascending specificity: position p is groups.(m-1-p). *)
-    let asc = Array.init m (fun p -> s.groups.(m - 1 - p)) in
-    let nk = Array.length asc.(0).masks in
-    (* Binary search is only sound when the group masks nest (a chain):
-       true for the common single-LPM-key table (other keys exact), not
-       necessarily for multi-LPM-key tables, which keep linear probing. *)
-    let chain = ref true in
-    for p = 0 to m - 2 do
-      for k = 0 to nk - 1 do
-        let narrow = asc.(p).masks.(k) and wide = asc.(p + 1).masks.(k) in
-        if not (Int64.equal (Int64.logand narrow wide) narrow) then chain := false
-      done
-    done;
-    if !chain then begin
-      let pmasks = Array.map (fun (g : group) -> g.masks) asc in
-      (* Pass 1: collect the key set per position — every real slot plus
-         markers on each real slot's binary-search path. *)
-      let keysets : (int, int64 array list) Hashtbl.t array =
-        Array.init m (fun _ -> Hashtbl.create 32)
-      in
-      let add_key pos (masked : int64 array) =
-        let h = hash_masked masked pmasks.(pos) in
-        let bucket =
-          match Hashtbl.find_opt keysets.(pos) h with Some b -> b | None -> []
-        in
-        if not (List.exists (arrays_equal masked) bucket) then
-          Hashtbl.replace keysets.(pos) h (masked :: bucket)
-      in
-      let project (src : int64 array) pos =
-        Array.mapi (fun k v -> Int64.logand v pmasks.(pos).(k)) src
-      in
-      Array.iteri
-        (fun p (g : group) ->
-          Hashtbl.iter
-            (fun _ slots ->
-              List.iter
-                (fun (s0 : slot) ->
-                  add_key p s0.masked;
-                  let rec path lo hi =
-                    if lo <= hi then begin
-                      let mid = (lo + hi) / 2 in
-                      if mid < p then begin
-                        add_key mid (project s0.masked mid);
-                        path (mid + 1) hi
-                      end
-                      else if mid > p then path lo (mid - 1)
-                    end
-                  in
-                  path 0 (m - 1))
-                slots)
-            g.tbl)
-        asc;
-      (* Pass 2: memoize each key's effective best — what the linear
-         longest-first probe restricted to positions <= pos would find. *)
-      let ptbls = Array.init m (fun _ -> Hashtbl.create 64) in
-      Array.iteri
-        (fun pos keys ->
-          Hashtbl.iter
-            (fun h bucket ->
-              let pslots =
-                List.map
-                  (fun masked ->
-                    let rec eff i =
-                      if i < 0 then (None, -1)
-                      else
-                        match group_probe asc.(i) masked with
-                        | Some s0 -> (Some s0.entry, i)
-                        | None -> eff (i - 1)
-                    in
-                    let pbest, pbest_pos = eff pos in
-                    { pmasked = masked; pbest; pbest_pos })
-                  bucket
-              in
-              Hashtbl.replace ptbls.(pos) h pslots)
-            keys)
-        keysets;
-      result := Some { pmasks; ptbls }
-    end
-  end;
-  !result
-
-let pslot_matches (masks : int64 array) (vals : int64 array) (ps : pslot) =
-  let n = Array.length masks in
-  let rec go i =
-    i >= n
-    || Int64.equal ps.pmasked.(i) (Int64.logand vals.(i) masks.(i)) && go (i + 1)
-  in
-  go 0
-
-let rec pbucket_find masks vals = function
-  | [] -> None
-  | ps :: rest -> if pslot_matches masks vals ps then Some ps else pbucket_find masks vals rest
-
-(* Reported accesses stay those of the modeled hardware (one hash probe
-   per prefix-length table, longest first, stopping at the hit): the
-   binary search is a host-side shortcut, not a different cost model. *)
-let plan_lookup (plan : plan) vals m =
-  let best = ref None and best_pos = ref (-1) in
-  let lo = ref 0 and hi = ref (m - 1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let hit =
-      match Hashtbl.find_opt plan.ptbls.(mid) (hash_masked vals plan.pmasks.(mid)) with
-      | None -> None
-      | Some bucket -> pbucket_find plan.pmasks.(mid) vals bucket
-    in
-    match hit with
-    | Some ps ->
-      best := ps.pbest;
-      best_pos := ps.pbest_pos;
-      lo := mid + 1
-    | None -> hi := mid - 1
-  done;
-  match !best with
-  | Some e -> (Some e, m - !best_pos)
-  | None -> (None, max 1 m)
 
 (* --- learned-index LPM plan --- *)
 
@@ -538,15 +383,16 @@ let plan_lookup (plan : plan) vals m =
    last-mile search window is epsilon + 2 (queries between two sample
    keys can land one slot past either bound). Segments shorter than
    [learned_min_run] are outliers the cone could not extend over — they
-   go to the remainder store instead of earning coefficients. The
-   thresholds are where the auto selector switches a table over; below
-   them the existing plans win on build cost. *)
+   go to the remainder store instead of earning coefficients. The auto
+   selector gives an LPM table the learned index once it has
+   [learned_min_groups] prefix lengths (below that the longest-first
+   scan is a handful of probes) or [learned_threshold] entries, and a
+   ternary table the decision tree at [tree_threshold] entries. *)
 let learned_epsilon = 32
 let learned_min_run = 4
+let learned_min_groups = 4
 let learned_threshold = 4096
 let tree_threshold = 4096
-
-let default_tuning = { learned_threshold; tree_threshold; hint = Auto }
 
 (* Degeneracy guard for the decision tree. Unstructured mask sets (no
    bits shared across masks) exhaust the wildcard-duplication budget
@@ -560,7 +406,7 @@ let tree_leaf_budget ngroups = 4 * max 8 ngroups
 
 (* The learned plan models one key dimension: a single LPM key, whose
    width (<= 48 bits) converts to float exactly. Multi-key LPM tables
-   keep the Waldvogel / linear plans. *)
+   keep the linear plan. *)
 let learned_applicable t s =
   s.lpm_ordered
   && Array.length t.fields = 1
@@ -1011,23 +857,23 @@ let rec tree_descend (tr : tree) (vals : int64 array) node =
 
 let select_plan t s =
   s.plan_stale <- false;
-  let waldvogel () = match build_waldvogel s with Some p -> P_waldvogel p | None -> P_none in
   let auto () =
     if s.lpm_ordered then
-      if learned_applicable t s && s.nentries >= t.tun.learned_threshold then
-        P_learned (build_learned t s)
-      else waldvogel ()
-    else if s.nentries >= t.tun.tree_threshold && s.ngroups >= 2 then begin
+      if
+        learned_applicable t s
+        && (s.ngroups >= learned_min_groups || s.nentries >= learned_threshold)
+      then P_learned (build_learned t s)
+      else P_none
+    else if s.nentries >= tree_threshold && s.ngroups >= 2 then begin
       let tr = build_tree s in
       if tr.t_maxleaf <= tree_leaf_budget s.ngroups then P_tree tr else P_none
     end
     else P_none
   in
   s.plan <-
-    (match t.tun.hint with
+    (match t.hint with
      | Auto -> auto ()
      | Force_linear -> P_none
-     | Force_waldvogel -> if s.lpm_ordered then waldvogel () else auto ()
      | Force_learned -> if learned_applicable t s then P_learned (build_learned t s) else auto ()
      | Force_tree -> if (not s.lpm_ordered) && s.ngroups > 0 then P_tree (build_tree s) else auto ())
 
@@ -1043,7 +889,7 @@ let raw_insert t (e : P4ir.Table.entry) =
   | Linear entries -> entries := !entries @ [ e ]
   | Shaped s -> shaped_insert s t.table e
 
-let create ?(tuning = default_tuning) (tab : P4ir.Table.t) =
+let create ?(hint = Auto) (tab : P4ir.Table.t) =
   let backend =
     match tab.role with
     | P4ir.Table.Cache meta when all_exact tab ->
@@ -1077,7 +923,7 @@ let create ?(tuning = default_tuning) (tab : P4ir.Table.t) =
       fields = Array.of_list (key_fields tab);
       scratch = Array.make (max 1 nkeys) 0L;
       backend;
-      tun = tuning;
+      hint;
       updates = 0;
       last_acc = 1;
       tokens;
@@ -1148,11 +994,6 @@ let shaped_probe t s pkt =
     let vals = read_values t pkt in
     t.last_acc <- tr.t_acc;
     tree_descend tr vals 0
-  | P_waldvogel p ->
-    let vals = read_values t pkt in
-    let r, a = plan_lookup p vals s.ngroups in
-    t.last_acc <- a;
-    r
   | P_none ->
     let vals = read_values t pkt in
     let r, a =
@@ -1296,21 +1137,6 @@ let plan_probe t =
 
 let last_accesses t = t.last_acc
 
-let set_tuning t tun =
-  if t.tun <> tun then begin
-    t.tun <- tun;
-    (* A threshold or hint change can flip the auto-selector's choice:
-       the current plan is stale and the next lookup rebuilds it. *)
-    match t.backend with
-    | Shaped s -> invalidate_plan s
-    | Exact_hash _ | Exact_lru _ | Linear _ -> ()
-  end
-
-let tuning t = t.tun
-
-let backend_hint t =
-  match t.backend with Shaped _ -> t.tun.hint | Exact_hash _ | Exact_lru _ | Linear _ -> Auto
-
 let plan_kind t =
   match t.backend with
   | Exact_hash _ -> "exact-hash"
@@ -1321,7 +1147,6 @@ let plan_kind t =
     (match s.plan with
      | P_learned _ -> "learned"
      | P_tree _ -> "tree"
-     | P_waldvogel _ -> "waldvogel"
      | P_none -> if s.lpm_ordered then "lpm-linear" else "ternary-skip")
 
 let plan_stats t =
@@ -1338,7 +1163,6 @@ let plan_stats t =
        [ ("tree_nodes", Array.length tr.tn / 3);
          ("tree_candidates", Array.length tr.c_ent);
          ("tree_max_leaf", tr.t_maxleaf) ]
-     | P_waldvogel p -> [ ("positions", Array.length p.pmasks) ]
      | P_none -> [])
 
 let lookup_gen ~use_plan t pkt =

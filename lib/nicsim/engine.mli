@@ -10,37 +10,23 @@
 
 type t
 
-type backend_hint = Auto | Force_linear | Force_waldvogel | Force_learned | Force_tree
+type backend_hint = Auto | Force_linear | Force_learned | Force_tree
 (** Override for the per-table plan selector (LPM/ternary backends
-    only). [Auto] picks from the entry count and match kind at
-    plan-build time: big single-key LPM tables get the learned-index
-    plan, big ternary tables the decision tree, medium LPM tables the
-    Waldvogel binary search, everything else the straight probe. A
+    only). [Auto] picks from the table alone at plan-build time: a
+    single-key LPM table with at least four prefix lengths or
+    {!learned_threshold} entries gets the learned-index plan, a
+    multi-group ternary table with {!tree_threshold} entries the
+    decision tree, everything else the straight probe. The forced hints
+    exist so tests and benchmarks can run a plan below its threshold; a
     forced hint that does not apply to the table's shape (e.g.
-    [Force_learned] on a ternary table) falls back to [Auto]'s choice. *)
+    [Force_learned] on a ternary table) falls back to [Auto]'s choice.
+    Whatever the plan, lookups report the modeled hardware access
+    counts — the plan changes host execution speed, never forwarding or
+    cost-model inputs. *)
 
-type tuning = {
-  learned_threshold : int;
-      (** entry count at which [Auto] switches a single-key LPM table to
-          the learned-index plan *)
-  tree_threshold : int;
-      (** entry count at which [Auto] switches a multi-group ternary
-          table to the decision-tree plan (degeneracy-guarded, see
-          {!tree_threshold}) *)
-  hint : backend_hint;
-}
-(** Value-typed plan tuning, accepted at construction and swappable live
-    via {!set_tuning}. Registered as [engine.*] params in the tunable
-    registry ([Pipeleon.Tune]); a cross-check test keeps the two
-    defaults in lockstep. Whatever the tuning, lookups report the
-    modeled hardware access counts — tuning changes host execution
-    speed, never forwarding or cost-model inputs. *)
-
-val default_tuning : tuning
-(** Thresholds {!learned_threshold} / {!tree_threshold}, hint [Auto]. *)
-
-val create : ?tuning:tuning -> P4ir.Table.t -> t
-(** Engine initialized with the table's static entries. *)
+val create : ?hint:backend_hint -> P4ir.Table.t -> t
+(** Engine initialized with the table's static entries; [hint] defaults
+    to [Auto]. *)
 
 val def : t -> P4ir.Table.t
 (** The table definition this engine was built from. *)
@@ -49,16 +35,16 @@ val lookup : t -> Packet.t -> P4ir.Table.entry option * int
 (** Match result plus the number of memory accesses performed. A miss in
     a shaped table costs one access per probed hash table. Shaped tables
     are probed through a compiled plan chosen per table (see
-    {!backend_hint}): Waldvogel binary search, learned-index LPM, or a
-    ternary decision tree. Whatever the plan, the reported access count
+    {!backend_hint}): learned-index LPM, a ternary decision tree, or the
+    straight probe. Whatever the plan, the reported access count
     stays that of the modeled hardware — the longest-first linear probe
     for LPM, one probe per mask group for ternary — so the cost model is
     unaffected by host-side shortcuts. *)
 
 val lookup_linear : t -> Packet.t -> P4ir.Table.entry option * int
-(** {!lookup} with the compiled binary-search plan disabled: always the
-    straight-line reference probe. Used by tests and the differential
-    fuzzer to check the plan against the model it compiles. *)
+(** {!lookup} with the compiled plan disabled: always the straight-line
+    reference probe. Used by tests and the differential fuzzer to check
+    the plan against the model it compiles. *)
 
 val exact_probe : t -> (Packet.t -> P4ir.Table.entry option) option
 (** [Some probe] iff this engine is an exact-hash store (every key
@@ -114,7 +100,7 @@ val plan_probe : t -> (Packet.t -> P4ir.Table.entry option) option
     tuple. The learned-index and decision-tree plans return preallocated
     entry options, so those probes allocate nothing. Like
     {!exact_probe}, the closure reads live state: any control-plane
-    mutation (or {!set_tuning}) marks the plan stale and the next
+    mutation marks the plan stale and the next
     probe rebuilds it. [None] for exact, cache and linear backends. *)
 
 val last_accesses : t -> int
@@ -123,36 +109,20 @@ val last_accesses : t -> int
     probe; pairs with {!plan_probe} to keep the compiled walk free of
     result tuples. *)
 
-val set_tuning : t -> tuning -> unit
-(** Swap the engine's plan tuning. When a threshold or hint change can
-    affect the plan selector's choice, the current compiled plan is
-    marked stale and the next lookup (or {!plan_kind} / {!plan_stats}
-    call) rebuilds it under the new tuning — a captured {!plan_probe}
-    closure stays valid. No plan effect on non-shaped backends, though
-    the tuning is stored for inspection. *)
-
-val tuning : t -> tuning
-(** Current tuning ({!default_tuning} unless overridden). *)
-
-
-val backend_hint : t -> backend_hint
-(** Current hint; [Auto] for non-shaped backends. *)
-
 val plan_kind : t -> string
 (** Which backend the table is currently running, building the plan
     first if stale: ["exact-hash"], ["exact-lru"], ["linear"],
-    ["waldvogel"], ["learned"], ["tree"], ["lpm-linear"] or
-    ["ternary-skip"]. For tests and diagnostics. *)
+    ["learned"], ["tree"], ["lpm-linear"] or ["ternary-skip"]. For tests and diagnostics. *)
 
 val plan_stats : t -> (string * int) list
 (** Size counters of the current compiled plan (builds it if stale):
     segments/intervals/remainder for the learned plan,
-    tree_nodes/tree_candidates/tree_max_leaf for the decision tree,
-    positions for Waldvogel; [[]] otherwise. *)
+    tree_nodes/tree_candidates/tree_max_leaf for the decision tree;
+    [[]] otherwise. *)
 
 val learned_threshold : int
-(** Entry count at which [Auto] switches a single-key LPM table to the
-    learned-index plan. *)
+(** Entry count at which [Auto] switches a single-key LPM table with
+    fewer than four prefix lengths to the learned-index plan. *)
 
 val tree_threshold : int
 (** Entry count at which [Auto] switches a multi-group ternary table to

@@ -8,11 +8,6 @@ type config = {
 let default_config target =
   { target; instrumented = true; sample_rate = 1; placement = Costmodel.Cost.all_asic }
 
-(* Default L1 burst block of the struct-of-arrays walk; see the blocking
-   note above [run_batch]. Tunable per executor ([set_soa_block],
-   registry key [exec.soa_block]). *)
-let default_soa_block = 64
-
 (* A flow-cache fill in flight: the packet missed [cache] and is now
    traversing the covered original tables; we record which action each
    fired and install the fused result at the end (§3.2.2). *)
@@ -59,12 +54,9 @@ type t = {
   (* Per-lane sampling decisions for the burst walk, grown on demand and
      reused across bursts. *)
   mutable soa_sampled : bool array;
-  (* Host tunables (Pipeleon.Tune [Host] scope): the SoA burst block and
-     the engine plan tuning applied to every engine this executor owns —
-     existing engines on set, future engines at creation. Neither
-     changes forwarding or modeled costs. *)
+  (* L1 burst block of the struct-of-arrays walk; see the blocking note
+     above [run_batch]. Invisible in the results ([set_soa_block]). *)
   mutable soa_blk : int;
-  mutable eng_tun : Engine.tuning;
 }
 
 let node_cat = Compile.node_cat
@@ -99,8 +91,7 @@ let create cfg prog =
     (P4ir.Program.tables prog);
   { cfg; prog; engines; node_engine; ctrs = Profile.Counter.create (); seen = 0; drops = 0;
     tracer = None; tel = Telemetry.null; tel_handles = None; compiled = None;
-    compiled_stale = true; soa_sampled = [||]; soa_blk = default_soa_block;
-    eng_tun = Engine.default_tuning }
+    compiled_stale = true; soa_sampled = [||]; soa_blk = 64 }
 
 let program t = t.prog
 let config t = t.cfg
@@ -115,17 +106,9 @@ let engine_exn t name =
 let packets_seen t = t.seen
 let drops_seen t = t.drops
 
-let soa_block t = t.soa_blk
-
 let set_soa_block t n =
   if n < 1 then invalid_arg "Exec.set_soa_block: block must be >= 1";
   t.soa_blk <- n
-
-let engine_tuning t = t.eng_tun
-
-let set_engine_tuning t tun =
-  t.eng_tun <- tun;
-  Hashtbl.iter (fun _ eng -> Engine.set_tuning eng tun) t.engines
 
 let reset_counters t =
   Profile.Counter.clear t.ctrs;
@@ -487,7 +470,7 @@ let replace_program t prog =
         | Some eng -> eng
         | None ->
           incr changed;
-          Engine.create ~tuning:t.eng_tun tab
+          Engine.create tab
       in
       Hashtbl.replace new_engines tab.name eng;
       Hashtbl.replace t.node_engine id eng)

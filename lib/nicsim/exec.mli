@@ -78,29 +78,11 @@ val soa_capable : t -> bool
 (** Whether {!run_batch} will actually take the vectorized path for the
     current program (compiling it first if needed). *)
 
-val default_soa_block : int
-(** The default L1 burst block size (64); mirrored by the tune registry's
-    [exec.soa_block] default. *)
-
-val soa_block : t -> int
-(** Current L1 burst block size of the struct-of-arrays walk (default
-    {!default_soa_block}). *)
-
 val set_soa_block : t -> int -> unit
-(** Set the SoA burst block size (registry key [exec.soa_block]). A
-    host-side execution knob: blocking is invisible in the results, so
-    any block size yields bit-identical outputs.
+(** Set the L1 burst block size of the struct-of-arrays walk (default
+    64). Blocking is invisible in the results, so any block size yields
+    bit-identical outputs; tests use it to prove exactly that.
     @raise Invalid_argument when the block is < 1. *)
-
-val engine_tuning : t -> Engine.tuning
-(** The engine plan tuning this executor applies (default
-    {!Engine.default_tuning}). *)
-
-val set_engine_tuning : t -> Engine.tuning -> unit
-(** Apply a plan tuning to every engine this executor owns, now and in
-    the future: existing engines are retuned immediately (stale plans
-    rebuild on next lookup), and engines created by a later
-    {!replace_program} inherit it. Registry keys [engine.*]. *)
 
 val precompile : t -> int * int
 (** Force compilation of the data path now (normally lazy on the first

@@ -1,42 +1,3 @@
-let hint_of_string = function
-  | "auto" -> Nicsim.Engine.Auto
-  | "linear" -> Nicsim.Engine.Force_linear
-  | "waldvogel" -> Nicsim.Engine.Force_waldvogel
-  | "learned" -> Nicsim.Engine.Force_learned
-  | "tree" -> Nicsim.Engine.Force_tree
-  | s -> invalid_arg (Printf.sprintf "Autotune.hint_of_string: %S" s)
-
-let hint_to_string = function
-  | Nicsim.Engine.Auto -> "auto"
-  | Nicsim.Engine.Force_linear -> "linear"
-  | Nicsim.Engine.Force_waldvogel -> "waldvogel"
-  | Nicsim.Engine.Force_learned -> "learned"
-  | Nicsim.Engine.Force_tree -> "tree"
-
-let engine_tuning asg =
-  let d = Nicsim.Engine.default_tuning in
-  let int_of key fallback =
-    match Pipeleon.Tune.get_int asg key with
-    | v -> v
-    | exception Invalid_argument _ -> fallback
-  in
-  let hint =
-    match Pipeleon.Tune.get_choice asg "engine.backend_hint" with
-    | s -> hint_of_string s
-    | exception Invalid_argument _ -> d.Nicsim.Engine.hint
-  in
-  { Nicsim.Engine.learned_threshold =
-      int_of "engine.learned_threshold" d.Nicsim.Engine.learned_threshold;
-    tree_threshold = int_of "engine.tree_threshold" d.Nicsim.Engine.tree_threshold;
-    hint }
-
-let apply_host asg sim =
-  let ex = Nicsim.Sim.exec sim in
-  Nicsim.Exec.set_engine_tuning ex (engine_tuning asg);
-  match Pipeleon.Tune.get_int asg "exec.soa_block" with
-  | v -> Nicsim.Exec.set_soa_block ex v
-  | exception Invalid_argument _ -> ()
-
 let signature asg =
   (* Must match the suffix Tune.explore appends internally. *)
   let salt = "|tune:" ^ Pipeleon.Tune.candidate_salt asg in

@@ -1,31 +1,7 @@
 (** Bridging the tunable registry ({!Pipeleon.Tune}) to the live
-    runtime: translate an assignment's host-scoped params into simulator
-    settings, and salt warm-cache signatures with the assignment so a
-    shared fleet cache never replays evaluations computed under
-    different candidate options.
-
-    The registry lives in [pipeleon], which cannot depend on [nicsim];
-    this module owns the mapping from [engine.*] / [exec.*] keys to
-    {!Nicsim.Engine.tuning} and {!Nicsim.Exec.set_soa_block}. *)
-
-val hint_of_string : string -> Nicsim.Engine.backend_hint
-(** Registry spelling of [engine.backend_hint] values: ["auto"],
-    ["linear"], ["waldvogel"], ["learned"], ["tree"].
-    @raise Invalid_argument on anything else. *)
-
-val hint_to_string : Nicsim.Engine.backend_hint -> string
-
-val engine_tuning : Pipeleon.Tune.assignment -> Nicsim.Engine.tuning
-(** Build an engine tuning from the assignment's [engine.*] params;
-    params absent from the assignment keep their
-    {!Nicsim.Engine.default_tuning} value. *)
-
-val apply_host : Pipeleon.Tune.assignment -> Nicsim.Sim.t -> unit
-(** Apply the assignment's host-scoped params to the simulator: engine
-    plan tuning ({!Nicsim.Exec.set_engine_tuning}) and the SoA burst
-    block ({!Nicsim.Exec.set_soa_block}). Host params change execution
-    speed only — forwarding, access counts and modeled costs are
-    unchanged, so the chaos oracles hold with any assignment. *)
+    runtime: salt warm-cache signatures with the assignment so a shared
+    fleet cache never replays evaluations computed under different
+    candidate options. *)
 
 val signature :
   Pipeleon.Tune.assignment ->

@@ -547,9 +547,8 @@ let tick t =
     (* Opt-in autotune phase: every [tune_every] ticks, re-explore a
        bounded neighborhood of the current assignment against the fresh
        profile and adopt the chosen point when it clears the improvement
-       threshold. Host params go live immediately (execution-only; no
-       forwarding change); model params steer this very tick's search, so
-       an adopted assignment deploys through the verified path below. *)
+       threshold. The adopted params steer this very tick's search, so an
+       adopted assignment deploys through the verified path below. *)
     (match t.cfg.autotune with
      | Some at when (t.ticks - 1) mod max 1 at.tune_every = 0 ->
        let warm =
@@ -573,7 +572,6 @@ let tick t =
          && not (Pipeleon.Tune.equal chosen.Pipeleon.Tune.assignment t.assignment)
        then begin
          t.assignment <- chosen.Pipeleon.Tune.assignment;
-         Autotune.apply_host t.assignment t.simulator;
          bump t "runtime.autotune.adopted"
        end
      | _ -> ());

@@ -38,13 +38,10 @@ type autotune = {
 }
 (** Online design-space exploration ({!Pipeleon.Tune}): periodically
     re-explore a bounded neighborhood of the current parameter
-    assignment as profiles drift. Adopted assignments take effect in two
-    ways: model params ([candidate.*], [optimizer.*]) reshape the same
-    tick's search, whose layout deploys through the verified {!deploy}
-    path (rollback, TTL blacklists and the chaos oracles apply
-    unchanged); host params ([engine.*], [exec.soa_block]) are applied
-    to the simulator immediately ({!Autotune.apply_host}) and never
-    change forwarding. *)
+    assignment as profiles drift. An adopted assignment's params
+    ([candidate.*], [optimizer.*]) reshape the same tick's search, whose
+    layout deploys through the verified {!deploy} path (rollback, TTL
+    blacklists and the chaos oracles apply unchanged). *)
 
 val default_autotune : autotune
 (** Every 4 ticks, radius 1, budget 12, 1% improvement threshold. *)

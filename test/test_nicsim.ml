@@ -542,38 +542,21 @@ let big_ternary_table n =
                     "hit"))))
     ()
 
-let test_plan_selector_thresholds () =
-  let eng = Nicsim.Engine.create (big_lpm_table Nicsim.Engine.learned_threshold) in
-  check_string "lpm at threshold" "learned" (Nicsim.Engine.plan_kind eng);
-  let eng = Nicsim.Engine.create (big_lpm_table (Nicsim.Engine.learned_threshold - 1)) in
-  check_string "lpm below threshold" "waldvogel" (Nicsim.Engine.plan_kind eng);
-  let eng = Nicsim.Engine.create (big_ternary_table Nicsim.Engine.tree_threshold) in
-  check_string "ternary at threshold" "tree" (Nicsim.Engine.plan_kind eng);
-  let eng = Nicsim.Engine.create (big_ternary_table (Nicsim.Engine.tree_threshold - 1)) in
-  check_string "ternary below threshold" "ternary-skip" (Nicsim.Engine.plan_kind eng)
+(* [per] distinct prefixes at each of the given lengths. *)
+let lpm_lengths_table ~lens ~per =
+  P4ir.Table.make ~name:"lens" ~keys:lpm_key
+    ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
+    ~default_action:"def"
+    ~entries:
+      (List.concat_map
+         (fun len ->
+           List.init per (fun i ->
+               lpm_entry ~len (Int64.shift_left (Int64.of_int (i + 1)) (32 - len))))
+         lens)
+    ()
 
-let test_tuning_invalidates_plan () =
-  (* A threshold change through set_tuning must invalidate the cached
-     shaped plan: flipping learned_threshold across the default 4096
-     boundary reshapes the plan observed after the next lookup. *)
-  let eng = Nicsim.Engine.create (big_lpm_table Nicsim.Engine.learned_threshold) in
-  check_string "at threshold: learned" "learned" (Nicsim.Engine.plan_kind eng);
-  Nicsim.Engine.set_tuning eng
-    { (Nicsim.Engine.tuning eng) with Nicsim.Engine.learned_threshold = 8192 };
-  ignore (Nicsim.Engine.lookup eng (pkt_dst 0x01020304L));
-  check_string "threshold raised past size: waldvogel" "waldvogel"
-    (Nicsim.Engine.plan_kind eng);
-  Nicsim.Engine.set_tuning eng
-    { (Nicsim.Engine.tuning eng) with Nicsim.Engine.learned_threshold = 1024 };
-  ignore (Nicsim.Engine.lookup eng (pkt_dst 0x01020304L));
-  check_string "threshold lowered: learned again" "learned" (Nicsim.Engine.plan_kind eng);
-  (* Setting an identical tuning must not churn the plan (no
-     invalidation, same kind). *)
-  Nicsim.Engine.set_tuning eng (Nicsim.Engine.tuning eng);
-  check_string "no-op set_tuning keeps the plan" "learned" (Nicsim.Engine.plan_kind eng)
-
-let plan_agrees_with_linear eng probe =
-  let pkt = pkt_dst probe in
+let plan_agrees_with_linear ?(pkt_of = pkt_dst) eng probe =
+  let pkt = pkt_of probe in
   let plan_hit, plan_acc = Nicsim.Engine.lookup eng pkt in
   let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
   check_bool
@@ -585,27 +568,90 @@ let plan_agrees_with_linear eng probe =
       | _ -> false)
     && plan_acc = lin_acc)
 
+(* Probes that land inside the populated prefixes of [lpm_lengths_table]
+   (every length, at every depth) as well as random misses. *)
+let lengths_probes ~lens ~per =
+  List.concat_map
+    (fun len ->
+      List.init per (fun i ->
+          Int64.logor
+            (Int64.shift_left (Int64.of_int (i + 1)) (32 - len))
+            (Int64.of_int (i land 0xF))))
+    lens
+  @ List.init 200 (fun i -> Int64.logand (Stdx.Prng.mix64 (Int64.of_int i)) 0xFFFFFFFFL)
+
+let test_plan_selector_thresholds () =
+  (* Four prefix lengths are enough for the learned index, whatever the
+     entry count; result and modeled access count stay the linear probe's. *)
+  let lens = [ 8; 12; 16; 24 ] in
+  let eng = Nicsim.Engine.create (lpm_lengths_table ~lens ~per:16) in
+  check_string "4 lengths x 16 entries" "learned" (Nicsim.Engine.plan_kind eng);
+  List.iter (plan_agrees_with_linear eng) (lengths_probes ~lens ~per:16);
+  (* Three lengths take the learned index only from 4096 entries on. *)
+  let lens = [ 16; 20; 24 ] in
+  let n = Nicsim.Engine.learned_threshold in
+  let eng = Nicsim.Engine.create (lpm_lengths_table ~lens ~per:16) in
+  check_string "3 lengths, small" "lpm-linear" (Nicsim.Engine.plan_kind eng);
+  let eng = Nicsim.Engine.create (lpm_lengths_table ~lens ~per:((n / 3) + 1)) in
+  check_string "3 lengths at threshold" "learned" (Nicsim.Engine.plan_kind eng);
+  let eng = Nicsim.Engine.create (lpm_lengths_table ~lens ~per:((n - 1) / 3)) in
+  check_string "3 lengths below threshold" "lpm-linear" (Nicsim.Engine.plan_kind eng);
+  (* A second (exact) key rules the learned index out at any length
+     count: nested LPM+exact tables keep the longest-first probe. *)
+  let two_key =
+    P4ir.Table.make ~name:"lpm-exact"
+      ~keys:(lpm_key @ [ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Exact ])
+      ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
+      ~default_action:"def"
+      ~entries:
+        (List.concat_map
+           (fun len ->
+             List.init 16 (fun i ->
+                 P4ir.Table.entry
+                   [ P4ir.Pattern.Lpm (Int64.shift_left (Int64.of_int (i + 1)) (32 - len), len);
+                     P4ir.Pattern.Exact (Int64.of_int (i land 3)) ]
+                   "hit"))
+           [ 8; 12; 16; 20; 24; 28 ])
+      ()
+  in
+  let eng = Nicsim.Engine.create two_key in
+  check_string "LPM+exact, 6 lengths" "lpm-linear" (Nicsim.Engine.plan_kind eng);
+  let pkt_of v =
+    Nicsim.Packet.of_fields
+      [ (P4ir.Field.Ipv4_dst, Int64.logand v 0xFFFFFFFFL);
+        (P4ir.Field.Tcp_dport, Int64.shift_right_logical v 32 |> Int64.logand 3L) ]
+  in
+  List.iter
+    (fun v ->
+      plan_agrees_with_linear ~pkt_of eng v;
+      plan_agrees_with_linear ~pkt_of eng (Int64.logor v (Int64.shift_left 1L 32)))
+    (lengths_probes ~lens:[ 8; 12; 16; 20; 24; 28 ] ~per:16);
+  (* The ternary decision tree still switches on at 4096 entries. *)
+  let eng = Nicsim.Engine.create (big_ternary_table Nicsim.Engine.tree_threshold) in
+  check_string "ternary at threshold" "tree" (Nicsim.Engine.plan_kind eng);
+  let eng = Nicsim.Engine.create (big_ternary_table (Nicsim.Engine.tree_threshold - 1)) in
+  check_string "ternary below threshold" "ternary-skip" (Nicsim.Engine.plan_kind eng)
+
 let test_backend_hint_override () =
-  let eng = Nicsim.Engine.create (big_lpm_table 256) in
-  check_string "auto picks waldvogel" "waldvogel" (Nicsim.Engine.plan_kind eng);
-  (* A forced hint beats the entry-count threshold... *)
-  Nicsim.Engine.set_tuning eng { (Nicsim.Engine.tuning eng) with hint = Nicsim.Engine.Force_learned };
-  check_bool "hint recorded" true
-    (Nicsim.Engine.backend_hint eng = Nicsim.Engine.Force_learned);
+  let lens = [ 16; 20; 24 ] in
+  let tab = lpm_lengths_table ~lens ~per:16 in
+  (* A forced hint runs a plan below its auto threshold... *)
+  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned tab in
   check_string "forced learned" "learned" (Nicsim.Engine.plan_kind eng);
-  for i = 0 to 200 do
-    plan_agrees_with_linear eng (Int64.logand (Stdx.Prng.mix64 (Int64.of_int i)) 0xFFFFFFFFL)
-  done;
-  Nicsim.Engine.set_tuning eng { (Nicsim.Engine.tuning eng) with hint = Nicsim.Engine.Force_linear };
+  List.iter (plan_agrees_with_linear eng) (lengths_probes ~lens ~per:16);
+  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_linear (big_lpm_table 256) in
   check_string "forced linear" "lpm-linear" (Nicsim.Engine.plan_kind eng);
   (* ...but a hint the table's shape cannot honour falls back to Auto. *)
-  Nicsim.Engine.set_tuning eng { (Nicsim.Engine.tuning eng) with hint = Nicsim.Engine.Force_tree };
-  check_string "inapplicable hint falls back" "waldvogel" (Nicsim.Engine.plan_kind eng);
-  Nicsim.Engine.set_tuning eng { (Nicsim.Engine.tuning eng) with hint = Nicsim.Engine.Auto };
-  check_string "back to auto" "waldvogel" (Nicsim.Engine.plan_kind eng);
+  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree (big_lpm_table 256) in
+  check_string "tree hint on LPM: auto's learned" "learned" (Nicsim.Engine.plan_kind eng);
+  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree tab in
+  check_string "tree hint on LPM: auto's linear" "lpm-linear" (Nicsim.Engine.plan_kind eng);
+  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned (big_ternary_table 64) in
+  check_string "learned hint on ternary: auto's skip" "ternary-skip"
+    (Nicsim.Engine.plan_kind eng);
   (* Hints are a shaped-backend concept; exact tables ignore them. *)
   let ex =
-    Nicsim.Engine.create
+    Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree
       (P4ir.Table.make ~name:"e"
          ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Exact ]
          ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
@@ -613,13 +659,10 @@ let test_backend_hint_override () =
          ~entries:[ P4ir.Table.entry [ P4ir.Pattern.Exact 5L ] "hit" ]
          ())
   in
-  Nicsim.Engine.set_tuning ex { (Nicsim.Engine.tuning ex) with hint = Nicsim.Engine.Force_tree };
-  check_bool "exact stays Auto" true (Nicsim.Engine.backend_hint ex = Nicsim.Engine.Auto);
   check_string "exact kind unchanged" "exact-hash" (Nicsim.Engine.plan_kind ex)
 
 let test_plan_staleness () =
-  let eng = Nicsim.Engine.create (empty_lpm_table ()) in
-  Nicsim.Engine.set_tuning eng { (Nicsim.Engine.tuning eng) with hint = Nicsim.Engine.Force_learned };
+  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned (empty_lpm_table ()) in
   Nicsim.Engine.insert eng (lpm_entry ~len:16 0x0A0B0000L);
   check_string "learned from the start" "learned" (Nicsim.Engine.plan_kind eng);
   check_bool "/16 hit" true (fst (Nicsim.Engine.lookup eng (pkt_dst 0x0A0B0C0DL)) <> None);
@@ -652,8 +695,7 @@ let test_learned_remainder_store () =
      one far outlier then ends the key space with a sub-[learned_min_run]
      segment, which must be diverted to the sorted remainder store
      rather than earning (badly-fitting) coefficients. *)
-  let eng = Nicsim.Engine.create (empty_lpm_table ()) in
-  Nicsim.Engine.set_tuning eng { (Nicsim.Engine.tuning eng) with hint = Nicsim.Engine.Force_learned };
+  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned (empty_lpm_table ()) in
   for i = 0 to 159 do
     Nicsim.Engine.insert eng (lpm_entry ~len:32 (Int64.of_int (0x0A000000 + i)))
   done;
@@ -707,7 +749,7 @@ let test_tree_degeneracy_guard () =
   in
   let eng = Nicsim.Engine.create tab in
   check_string "auto refuses degenerate tree" "ternary-skip" (Nicsim.Engine.plan_kind eng);
-  Nicsim.Engine.set_tuning eng { (Nicsim.Engine.tuning eng) with hint = Nicsim.Engine.Force_tree };
+  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree tab in
   check_string "forced tree bypasses the guard" "tree" (Nicsim.Engine.plan_kind eng);
   check_bool "leaves actually degenerate" true
     (List.assoc "tree_max_leaf" (Nicsim.Engine.plan_stats eng) > 4 * 8);
@@ -900,7 +942,6 @@ let () =
         [ Alcotest.test_case "shaped insert ordering" `Quick test_shaped_insert_ordering;
           Alcotest.test_case "lpm plan = linear probe" `Quick test_lpm_plan_matches_linear;
           Alcotest.test_case "plan selector thresholds" `Quick test_plan_selector_thresholds;
-          Alcotest.test_case "tuning invalidates plan" `Quick test_tuning_invalidates_plan;
           Alcotest.test_case "backend hint override" `Quick test_backend_hint_override;
           Alcotest.test_case "plan staleness on mutation" `Quick test_plan_staleness;
           Alcotest.test_case "learned remainder store" `Quick test_learned_remainder_store;

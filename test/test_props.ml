@@ -99,22 +99,28 @@ let test_engine_matches_reference =
       | _ -> false)
 
 (* Random many-prefix-length LPM tables: enough groups to cross the
-   engine's compiled binary-search threshold. The plan-driven lookup must
-   agree with the linear reference probe on both the result and the
-   reported (modeled) access count. *)
-let lpm_plan_gen =
+   auto selector's four-length learned-index threshold. With [two_key],
+   half the tables carry a second, exact key (tcp.dport in 0..3) — the
+   nested LPM+exact shape the learned index cannot model, which keeps
+   the longest-first probe. *)
+let lpm_plan_gen ~two_key =
   let open QCheck2.Gen in
-  list_size (int_range 1 40) (pair (int_range 1 30) (map Int64.of_int int))
+  (if two_key then bool else return false)
+  >>= fun with_port ->
+  list_size (int_range 1 40) (triple (int_range 1 30) (map Int64.of_int int) (int_range 0 3))
   >>= fun raw ->
   let entries =
     List.map
-      (fun (len, v) ->
+      (fun (len, v, port) ->
         let v =
           Int64.logand
             (P4ir.Value.truncate ~width:32 v)
             (P4ir.Value.prefix_mask ~width:32 ~prefix_len:len)
         in
-        P4ir.Table.entry [ P4ir.Pattern.Lpm (v, len) ] "hit")
+        P4ir.Table.entry
+          (P4ir.Pattern.Lpm (v, len)
+          :: (if with_port then [ P4ir.Pattern.Exact (Int64.of_int port) ] else []))
+          "hit")
       raw
   in
   let entries =
@@ -127,17 +133,29 @@ let lpm_plan_gen =
   in
   return
     (P4ir.Table.make ~name:"t"
-       ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Lpm ]
+       ~keys:
+         (P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Lpm
+         ::
+         (if with_port then [ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Exact ]
+          else []))
        ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "fallback" ]
        ~default_action:"fallback" ~entries ())
 
+(* A probe packet for [lpm_plan_gen] tables: a 32-bit destination and a
+   port in the exact key's range (ignored by single-key tables). *)
+let lpm_probe_gen = QCheck2.Gen.(pair (map Int64.of_int int) (int_range 0 3))
+
+let lpm_probe_packet (dst, port) =
+  Nicsim.Packet.of_fields
+    [ (P4ir.Field.Ipv4_dst, P4ir.Value.truncate ~width:32 dst);
+      (P4ir.Field.Tcp_dport, Int64.of_int port) ]
+
 let test_lpm_plan_equals_linear =
-  qtest ~count:300 "lpm binary-search plan = linear probe"
-    QCheck2.Gen.(pair lpm_plan_gen (map Int64.of_int int))
+  qtest ~count:300 "auto LPM plan = linear probe"
+    QCheck2.Gen.(pair (lpm_plan_gen ~two_key:true) lpm_probe_gen)
     (fun (tab, probe) ->
-      let probe = P4ir.Value.truncate ~width:32 probe in
       let eng = Nicsim.Engine.create tab in
-      let pkt = Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, probe) ] in
+      let pkt = lpm_probe_packet probe in
       let plan_hit, plan_acc = Nicsim.Engine.lookup eng pkt in
       let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
       plan_acc = lin_acc
@@ -147,19 +165,17 @@ let test_lpm_plan_equals_linear =
       | Some a, Some b -> a.P4ir.Table.patterns = b.P4ir.Table.patterns
       | _ -> false)
 
-(* The learned-index plan is auto-selected only above
-   [Engine.learned_threshold] entries, so random small tables would
-   never exercise it: force it. Result entry AND modeled access count
-   must equal the longest-first linear probe on every table, including
+(* Auto selects the learned index only from four prefix lengths (or
+   [Engine.learned_threshold] entries), so force it to cover tables with
+   one to three lengths too. Result entry AND modeled access count must
+   equal the longest-first linear probe on every table, including
    miss-heavy probes outside the populated prefix ranges. *)
 let test_learned_plan_equals_linear =
   qtest ~count:300 "forced learned-index plan = linear probe"
-    QCheck2.Gen.(pair lpm_plan_gen (map Int64.of_int int))
+    QCheck2.Gen.(pair (lpm_plan_gen ~two_key:false) lpm_probe_gen)
     (fun (tab, probe) ->
-      let probe = P4ir.Value.truncate ~width:32 probe in
-      let eng = Nicsim.Engine.create tab in
-      Nicsim.Engine.set_tuning eng { (Nicsim.Engine.tuning eng) with hint = Nicsim.Engine.Force_learned };
-      let pkt = Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, probe) ] in
+      let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned tab in
+      let pkt = lpm_probe_packet probe in
       let plan_hit, plan_acc = Nicsim.Engine.lookup eng pkt in
       let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
       String.equal (Nicsim.Engine.plan_kind eng) "learned"
@@ -204,8 +220,7 @@ let test_tree_plan_equals_linear =
   qtest ~count:300 "forced decision-tree plan = skip probe"
     QCheck2.Gen.(pair ternary_plan_gen (int_range 0 0xFFFF))
     (fun (tab, probe) ->
-      let eng = Nicsim.Engine.create tab in
-      Nicsim.Engine.set_tuning eng { (Nicsim.Engine.tuning eng) with hint = Nicsim.Engine.Force_tree };
+      let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree tab in
       let pkt = Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, Int64.of_int probe) ] in
       let plan_hit, plan_acc = Nicsim.Engine.lookup eng pkt in
       let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in

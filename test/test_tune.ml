@@ -2,13 +2,11 @@
    (Pipeleon.Tune), the runtime bridge (Runtime.Autotune), and the
    controller's online autotune phase:
    - registry sanity (key order, defaults in domain, validation);
-   - the Host defaults mirror the nicsim constants (pipeleon cannot
-     depend on nicsim, so the mirror is enforced here);
    - qcheck: no Pareto-front point dominates another, and a singleton
      search space returns the start assignment bit-identically;
    - exploration dominates-or-matches the default and is deterministic;
    - the explorer and Autotune.signature share warm-cache entries;
-   - host-param application and the controller's autotune counters;
+   - the controller's autotune counters;
    - chaos seeds 1-3 stay bit-identical with autotuning on. *)
 
 module Tune = Pipeleon.Tune
@@ -38,6 +36,26 @@ let program n = P4ir.Program.linear "tune" (List.init n mk_table)
 
 (* --- registry --- *)
 
+(* Distinct fingerprints for synthetic points: [i mod 20] picks the cache
+   size and pipelet length, [i / 20] one of five (merge length, top-k)
+   pairs, so [i] in 0..99 gives 100 distinct assignments. *)
+let nth_dom key i =
+  match (Option.get (Tune.find_param key)).Tune.domain with
+  | Tune.Ints l -> Tune.Int (List.nth l (i mod List.length l))
+  | Tune.Floats l -> Tune.Float (List.nth l (i mod List.length l))
+  | Tune.Choices _ -> assert false
+
+let varied_assignment i =
+  let asg = Tune.default_assignment () in
+  let asg = Tune.set asg "candidate.cache_entries" (nth_dom "candidate.cache_entries" i) in
+  let asg =
+    Tune.set asg "optimizer.max_pipelet_len" (nth_dom "optimizer.max_pipelet_len" (i / 5))
+  in
+  let asg =
+    Tune.set asg "candidate.max_merge_len" (nth_dom "candidate.max_merge_len" (i / 20))
+  in
+  Tune.set asg "optimizer.top_k" (nth_dom "optimizer.top_k" (i / 60))
+
 let test_registry () =
   let keys = List.map (fun (p : Tune.param) -> p.Tune.key) Tune.params in
   check_bool "keys sorted and unique" true
@@ -54,20 +72,11 @@ let test_registry () =
   check_bool "find_param hit" true (Tune.find_param "optimizer.top_k" <> None);
   check_bool "find_param miss" true (Tune.find_param "no.such.key" = None);
   check_int "assignment is total" (List.length Tune.params)
-    (List.length (Tune.to_list (Tune.default_assignment ())))
-
-let test_host_defaults_mirror_nicsim () =
-  (* pipeleon does not depend on nicsim, so Tune carries the engine/exec
-     defaults as literals; this is the cross-check keeping them honest. *)
-  let asg = Tune.default_assignment () in
-  check_bool "engine.* defaults = Engine.default_tuning" true
-    (Runtime.Autotune.engine_tuning asg = Nicsim.Engine.default_tuning);
-  check_int "engine.learned_threshold literal" Nicsim.Engine.learned_threshold
-    (Tune.get_int asg "engine.learned_threshold");
-  check_int "engine.tree_threshold literal" Nicsim.Engine.tree_threshold
-    (Tune.get_int asg "engine.tree_threshold");
-  check_int "exec.soa_block literal" Nicsim.Exec.default_soa_block
-    (Tune.get_int asg "exec.soa_block")
+    (List.length (Tune.to_list (Tune.default_assignment ())));
+  check_int "100 distinct varied assignments" 100
+    (List.length
+       (List.sort_uniq compare
+          (List.init 100 (fun i -> Tune.fingerprint (varied_assignment i)))))
 
 let test_set_validates () =
   let asg = Tune.default_assignment () in
@@ -86,9 +95,9 @@ let test_set_validates () =
 
 let test_candidate_salt () =
   let d = Tune.default_assignment () in
-  let host = Tune.set d "engine.learned_threshold" (Tune.Int 8192) in
-  check_string "host params do not change the salt" (Tune.candidate_salt d)
-    (Tune.candidate_salt host);
+  let opt = Tune.set d "optimizer.max_pipelet_len" (Tune.Int 4) in
+  check_string "optimizer params do not change the salt" (Tune.candidate_salt d)
+    (Tune.candidate_salt opt);
   let cand = Tune.set d "candidate.cache_entries" (Tune.Int 512) in
   check_bool "candidate params do" true
     (Tune.candidate_salt d <> Tune.candidate_salt cand);
@@ -96,21 +105,6 @@ let test_candidate_salt () =
     (String.equal (Tune.fingerprint d) (Tune.fingerprint (Tune.default_assignment ())))
 
 (* --- Pareto front (qcheck) --- *)
-
-(* Distinct fingerprints for synthetic points: index three int-domain
-   params by [i]. *)
-let nth_dom key i =
-  match (Option.get (Tune.find_param key)).Tune.domain with
-  | Tune.Ints l -> Tune.Int (List.nth l (i mod List.length l))
-  | Tune.Floats _ | Tune.Choices _ -> assert false
-
-let varied_assignment i =
-  let asg = Tune.default_assignment () in
-  let asg = Tune.set asg "candidate.cache_entries" (nth_dom "candidate.cache_entries" i) in
-  let asg =
-    Tune.set asg "optimizer.max_pipelet_len" (nth_dom "optimizer.max_pipelet_len" (i / 5))
-  in
-  Tune.set asg "engine.learned_threshold" (nth_dom "engine.learned_threshold" (i / 20))
 
 let test_pareto_no_dominated =
   qtest ~count:300 "pareto front has no dominated points"
@@ -225,38 +219,6 @@ let test_explorer_shares_cache_with_tick () =
         -. ex.Tune.chosen.Tune.predicted_gain)
      < 1e-9)
 
-(* --- runtime bridge --- *)
-
-let test_hint_round_trip () =
-  List.iter
-    (fun h ->
-      check_bool "hint round trip" true
-        (Runtime.Autotune.hint_of_string (Runtime.Autotune.hint_to_string h) = h))
-    [ Nicsim.Engine.Auto; Nicsim.Engine.Force_linear; Nicsim.Engine.Force_waldvogel;
-      Nicsim.Engine.Force_learned; Nicsim.Engine.Force_tree ];
-  match (Option.get (Tune.find_param "engine.backend_hint")).Tune.domain with
-  | Tune.Choices l ->
-    List.iter (fun s -> ignore (Runtime.Autotune.hint_of_string s)) l
-  | Tune.Ints _ | Tune.Floats _ -> Alcotest.fail "backend_hint must be a choice param"
-
-let test_apply_host () =
-  let prog = program 4 in
-  let sim = Nicsim.Sim.create target prog in
-  let asg = Tune.default_assignment () in
-  let asg = Tune.set asg "exec.soa_block" (Tune.Int 128) in
-  let asg = Tune.set asg "engine.learned_threshold" (Tune.Int 1024) in
-  let asg = Tune.set asg "engine.backend_hint" (Tune.Choice "waldvogel") in
-  Runtime.Autotune.apply_host asg sim;
-  let ex = Nicsim.Sim.exec sim in
-  check_int "soa block applied" 128 (Nicsim.Exec.soa_block ex);
-  check_int "executor tuning applied" 1024
-    (Nicsim.Exec.engine_tuning ex).Nicsim.Engine.learned_threshold;
-  let eng = Nicsim.Exec.engine_exn ex "t0" in
-  check_int "pushed into live engines" 1024
-    (Nicsim.Engine.tuning eng).Nicsim.Engine.learned_threshold;
-  check_bool "hint applied" true
-    ((Nicsim.Exec.engine_tuning ex).Nicsim.Engine.hint = Nicsim.Engine.Force_waldvogel)
-
 let test_controller_autotune_counters () =
   let tel = Telemetry.create () in
   let prog = program 8 in
@@ -317,8 +279,6 @@ let () =
   Alcotest.run "tune"
     [ ( "registry",
         [ Alcotest.test_case "shape" `Quick test_registry;
-          Alcotest.test_case "host defaults mirror nicsim" `Quick
-            test_host_defaults_mirror_nicsim;
           Alcotest.test_case "set validates" `Quick test_set_validates;
           Alcotest.test_case "candidate salt" `Quick test_candidate_salt ] );
       ( "pareto",
@@ -330,9 +290,7 @@ let () =
           Alcotest.test_case "shares cache with tick" `Quick
             test_explorer_shares_cache_with_tick ] );
       ( "runtime",
-        [ Alcotest.test_case "hint round trip" `Quick test_hint_round_trip;
-          Alcotest.test_case "apply host" `Quick test_apply_host;
-          Alcotest.test_case "controller counters" `Quick test_controller_autotune_counters;
+        [ Alcotest.test_case "controller counters" `Quick test_controller_autotune_counters;
           Alcotest.test_case "off keeps default" `Quick
             test_controller_without_autotune_keeps_default ] );
       ( "oracles",
