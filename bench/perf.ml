@@ -2,10 +2,10 @@
 
    Times the table-engine lookup path by match kind (compiled plan
    against the same engine's straight-line reference probe), engine
-   construction, single-packet execution, and the window drivers
-   (sequential, parallel); then the optimizer fast path (candidate enumeration,
-   analytic evaluation, knapsack, end-to-end optimize — sequential vs
-   parallel vs warm-start) against the pre-fast-path search
+   construction, single-packet execution, and the window driver; then
+   the optimizer fast path (candidate enumeration, analytic evaluation,
+   knapsack, end-to-end optimize — cold vs warm-start) against the
+   pre-fast-path search
    ({!Opt_baseline}). Writes the numbers to a JSON artifact (default
    BENCH_nicsim.json) so CI can track them. *)
 
@@ -252,8 +252,7 @@ let hinted_lookup_bench ~name ~iters ~before_hint ~after_hint tab probe_value =
 
 (* --- window fixtures --- *)
 
-(* Exact + LPM + ternary pipeline, no cache tables (so the parallel
-   driver takes its fast path rather than falling back). *)
+(* Exact + LPM + ternary pipeline, no cache tables. *)
 let window_program () =
   P4ir.Program.linear "perf"
     [ exact_table 1024; lpm_table ~nlens:12 ~per_len:64; ternary_table ~per_mask:32 ]
@@ -363,7 +362,7 @@ let run_suite ~smoke =
       iters = scale 100_000;
       note = None };
 
-  (* Window drivers. Fresh sim per mode; same seed, so identical traffic. *)
+  (* The window driver on a fresh sim. *)
   let packets = scale 100_000 in
   let windows = if smoke then 1 else 3 in
   let fresh_window_bench name run_of_sim =
@@ -374,10 +373,6 @@ let run_suite ~smoke =
   push
     (fresh_window_bench "run_window/seq" (fun sim src ->
          Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src));
-  push
-    (fresh_window_bench "run_window/parallel" (fun sim src ->
-         Nicsim.Sim.run_window ~domains:(Domain.recommended_domain_count ()) sim ~duration:1.0
-           ~packets ~source:src));
 
   (* --- compiled data path --- *)
 
@@ -416,53 +411,14 @@ let run_suite ~smoke =
          Nicsim.Sim.run_window_reference sim ~duration:1.0 ~packets ~source:src))
       .after_ns
   in
-  (* The same window, packet at a time through the scalar compiled walk
-     ([Compile.run]) with the simulator's own stats fold (histogram fill,
-     index-order sum, float sort): the before column of the soa row, so
-     the ratio isolates the vectorization win (columnar loads,
-     op-at-a-time regrouping, exact-probe prefetch) from the
-     compiled-vs-interp one. *)
-  let scalar_ns =
-    let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) (pipeline_program ()) in
-    let prog = Nicsim.Exec.program ex in
-    let c =
-      Nicsim.Compile.build ~target ~placement:Costmodel.Cost.all_asic
-        ~counters:(Nicsim.Exec.counters ex) ~telemetry:Telemetry.null
-        ~engine_of:(fun id ->
-          match P4ir.Program.table_of prog id with
-          | Some tab -> Nicsim.Exec.engine_exn ex tab.P4ir.Table.name
-          | None -> invalid_arg "engine_of: not a table")
-        prog
-    in
-    let src = pooled_source () in
-    let latencies = Array.make packets 0. in
-    let hist = Telemetry.Histogram.create () in
-    let seq = ref 0 in
-    (window_bench ~name:"pipe/scalar" ~packets ~windows (fun () ->
-         for i = 0 to packets - 1 do
-           incr seq;
-           latencies.(i) <-
-             Nicsim.Compile.run c ~tracer:None ~sampled:true ~seq:!seq
-               ~now:(float_of_int i /. float_of_int packets)
-               (src ())
-         done;
-         Telemetry.Histogram.clear hist;
-         Telemetry.Histogram.record_array hist ~n:packets latencies;
-         Stdx.Fsort.sort latencies;
-         (Telemetry.Histogram.sum hist, latencies.(packets * 99 / 100))))
-      .after_ns
-  in
-  let walk_row name before_ns =
-    let sim = Nicsim.Sim.create target (pipeline_program ()) in
-    let src = pooled_source () in
-    let b =
-      window_bench ~name ~packets ~windows (fun () ->
-          Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src)
-    in
-    { b with before_ns = Some before_ns }
-  in
-  push (walk_row "run_window/compiled" reference_ns);
-  push (walk_row "run_window/soa" scalar_ns);
+  push
+    (let sim = Nicsim.Sim.create target (pipeline_program ()) in
+     let src = pooled_source () in
+     let b =
+       window_bench ~name:"run_window/compiled" ~packets ~windows (fun () ->
+           Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src)
+     in
+     { b with before_ns = Some reference_ns });
 
   (* --- telemetry overhead --- *)
 
@@ -659,35 +615,6 @@ let run_suite ~smoke =
       iters = e2e_iters;
       note = None };
 
-  (* Parallel local search vs the (fast) sequential path. Domain spawn
-     costs are constant, so this only wins on multicore hosts with
-     enough hot pipelets. On a single-core host the row is informational
-     only (no before column): a sub-1.0x "speedup" there would just be
-     measuring spawn overhead the backend can never recover. *)
-  let par_cfg = { e2e_cfg with use_parallel = true } in
-  let par_after_ns =
-    time_ns ~iters:e2e_iters (fun () ->
-        Pipeleon.Optimizer.optimize ~config:par_cfg target e2e_prof e2e_prog)
-  in
-  push
-    (if Domain.recommended_domain_count () <= 1 then
-       { name = "optim/optimize-parallel";
-         unit_ = "optimize";
-         before_ns = None;
-         after_ns = par_after_ns;
-         iters = e2e_iters;
-         note = Some "skipped comparison: single-core host" }
-     else
-       { name = "optim/optimize-parallel";
-         unit_ = "optimize";
-         before_ns =
-           Some
-             (time_ns ~iters:e2e_iters (fun () ->
-                  Pipeleon.Optimizer.optimize ~config:e2e_cfg target e2e_prof e2e_prog));
-         after_ns = par_after_ns;
-         iters = e2e_iters;
-         note = None });
-
   (* Warm-start: second and later generations with an unchanged profile
      reuse cached candidate evaluations keyed by pipelet signature. *)
   let warm_cache = Pipeleon.Search.create_cache () in
@@ -710,7 +637,7 @@ let run_suite ~smoke =
       note = None };
 
   (* Design-space exploration (Pipeleon.Tune) on the 20-table pipeline
-     fixture the compiled/soa rows drive. The after column warm-starts
+     fixture the compiled row drives. The after column warm-starts
      every sweep from an already-populated evaluation cache (what the
      controller's repeated autotune rounds pay); the before column pays
      cold candidate enumeration per sweep. The row also guards the
@@ -862,9 +789,7 @@ let run ~smoke ~out =
   let benches = run_suite ~smoke in
   report ~smoke ~out benches;
   (* Guard the headline claims: the fast paths must beat their baselines,
-     else the artifact records a regression loudly. The parallel row is
-     exempt — domain-spawn overhead makes it a multicore-host-only win.
-     The disabled-telemetry row has its own budget: instrumentation that
+     else the artifact records a regression loudly. The disabled-telemetry row has its own budget: instrumentation that
      nobody turned on may cost at most 2% of the window path. *)
   List.iter
     (fun b ->
@@ -892,14 +817,6 @@ let run ~smoke ~out =
         if s < floor_ then
           Printf.printf "WARNING: %s below the %.2fx rule-scale floor (%.2fx)\n" b.name
             floor_ s
-      | Some s when b.name = "run_window/soa" ->
-        (* The burst-vectorization claim: >= 1.5x over the per-packet
-           compiled walk (its before column) at full scale. Smoke windows
-           are too small to amortize batch fills, so the floor there only
-           guards against an outright regression. *)
-        let floor_ = if smoke then 1.1 else 1.5 in
-        if s < floor_ then
-          Printf.printf "WARNING: %s below the %.1fx soa floor (%.2fx)\n" b.name floor_ s
       | Some s when b.name = "run_window/compiled" ->
         (* The compiled data path's headline claim: >= 5x over the
            reference interpreter's window at full scale; at smoke scale warmup and
@@ -907,7 +824,7 @@ let run ~smoke ~out =
         let floor_ = if smoke then 2.0 else 5.0 in
         if s < floor_ then
           Printf.printf "WARNING: %s below the %.0fx compiled floor (%.2fx)\n" b.name floor_ s
-      | Some s when s < 1.0 && b.name <> "optim/optimize-parallel" ->
+      | Some s when s < 1.0 ->
         Printf.printf "WARNING: %s slower than baseline (%.2fx)\n" b.name s
       | _ -> ())
     benches

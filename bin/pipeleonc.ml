@@ -320,17 +320,16 @@ let driver_arg =
     let parse s =
       match Fuzz.Oracle.driver_of_string s with
       | Some d -> Ok d
-      | None -> Error (`Msg ("unknown driver: " ^ s ^ " (interp|compiled|parallel)"))
+      | None -> Error (`Msg ("unknown driver: " ^ s ^ " (interp|compiled)"))
     in
     Arg.conv (parse, fun fmt d -> Format.pp_print_string fmt (Fuzz.Oracle.driver_to_string d))
   in
   Arg.(value & opt drv_conv Fuzz.Oracle.Interp
        & info [ "driver" ] ~docv:"DRIVER"
            ~doc:"Execution path carrying the packets under test: interp (the \
-                 reference interpreter, default), compiled (one-packet bursts through \
-                 the data path, the burst-vectorized walk — in chaos mode each deploy \
-                 and rollback also exercises recompilation), or parallel (the sharded \
-                 window's replica shape through the same data path).")
+                 reference interpreter, default) or compiled (one-packet bursts through \
+                 the data path's compiled walk — in chaos mode each deploy and \
+                 rollback also exercises recompilation).")
 
 let autotune_flag =
   Arg.(value & flag
@@ -372,12 +371,6 @@ let fuzz_cmd =
     Arg.(value & opt (some dir) None
          & info [ "replay" ] ~docv:"DIR" ~doc:"Re-run a repro bundle instead of fuzzing.")
   in
-  let parallel_arg =
-    Arg.(value & flag
-         & info [ "optimizer-parallel" ]
-             ~doc:"Run the optimizer's local search across domains (the fast path); \
-                   plans must stay identical to the sequential reference.")
-  in
   let rules_arg =
     Arg.(value & opt (some int) None
          & info [ "rules" ] ~docv:"N"
@@ -386,8 +379,7 @@ let fuzz_cmd =
                    sim-diff exercises the large-table engine backends — learned-index \
                    LPM and decision-tree ternary (docs/PERF.md \"Rule-scale backends\").")
   in
-  let run mode seed budget packets out mutant replay parallel telemetry driver target rules
-      autotune =
+  let run mode seed budget packets out mutant replay telemetry driver target rules autotune =
     let mutate =
       Option.map
         (fun name ->
@@ -398,17 +390,10 @@ let fuzz_cmd =
             exit 2)
         mutant
     in
-    let optimizer_config =
-      if parallel then
-        Some
-          { Fuzz.Driver.default_optimizer_config with
-            Pipeleon.Optimizer.use_parallel = true }
-      else None
-    in
     match replay with
     | Some dir -> (
       match
-        Fuzz.Driver.replay ?optimizer_config ~autotune ?mutate ~telemetry ~driver ~target
+        Fuzz.Driver.replay ~autotune ?mutate ~telemetry ~driver ~target
           mode ~dir
       with
       | None ->
@@ -434,7 +419,7 @@ let fuzz_cmd =
           rules
       in
       report_findings
-        (Fuzz.Driver.run ?out_dir ?optimizer_config ~autotune ?mutate ?params
+        (Fuzz.Driver.run ?out_dir ~autotune ?mutate ?params
            ~n_packets:packets ~telemetry ~driver ~target mode ~seed ~budget)
   in
   Cmd.v
@@ -444,7 +429,7 @@ let fuzz_cmd =
           packet streams; replay them through independent executions; shrink and \
           persist any divergence.")
     Term.(const run $ mode_arg $ seed_arg $ fuzz_budget_arg ~default:200 $ fuzz_packets_arg
-          $ fuzz_out_arg $ mutant_arg $ replay_arg $ parallel_arg $ telemetry_flag
+          $ fuzz_out_arg $ mutant_arg $ replay_arg $ telemetry_flag
           $ driver_arg $ target_arg $ rules_arg $ autotune_flag)
 
 let chaos_cmd =

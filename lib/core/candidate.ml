@@ -72,8 +72,8 @@ let segmentations_uncached ~opts n =
 
 (* The result depends only on (n, max_cache_len, max_merge_len), and the
    same pipelet lengths recur across pipelets and re-optimization epochs,
-   so keep a process-wide cache. Mutex-guarded: the parallel local
-   search enumerates from worker domains. *)
+   so keep a process-wide cache. Mutex-guarded: [Fleet.tick_all] runs
+   controller ticks, and so their searches, on several domains. *)
 let seg_cache : (int * int * int, seg list list) Hashtbl.t = Hashtbl.create 16
 let seg_cache_mutex = Mutex.create ()
 

@@ -5,7 +5,6 @@ type config = {
   max_pipelet_len : int;
   enable_groups : bool;
   use_greedy_global : bool;
-  use_parallel : bool;
 }
 
 let default_config =
@@ -14,8 +13,7 @@ let default_config =
     candidate_opts = Candidate.default_options;
     max_pipelet_len = 8;
     enable_groups = true;
-    use_greedy_global = false;
-    use_parallel = false }
+    use_greedy_global = false }
 
 type warm = {
   warm_cache : Search.eval_cache;
@@ -46,12 +44,8 @@ let optimize ?(config = default_config) ?(generation = 0) ?warm ?(exclusions = [
     match cache with Some c -> Search.cache_stats c | None -> (0, 0)
   in
   let candidates =
-    if config.use_parallel then
-      Search.local_optimize_parallel ~opts:config.candidate_opts ~name_prefix ?cache
-        ?signature ~exclusions target prof prog top
-    else
-      Search.local_optimize ~opts:config.candidate_opts ~name_prefix ?cache ?signature
-        ~exclusions target prof prog top
+    Search.local_optimize ~opts:config.candidate_opts ~name_prefix ?cache ?signature
+      ~exclusions target prof prog top
   in
   let cache_hits, cache_misses =
     match cache with

@@ -8,15 +8,10 @@ type config = {
   max_pipelet_len : int;
   enable_groups : bool;  (** cross-pipelet group caching (§5.4.4) *)
   use_greedy_global : bool;  (** ablation: greedy instead of knapsack *)
-  use_parallel : bool;
-      (** evaluate hot pipelets across OCaml 5 domains
-          ({!Search.local_optimize_parallel}); plans are bit-identical to
-          the sequential path *)
 }
 
 val default_config : config
-(** top 20%, default budget, groups on, knapsack global search,
-    sequential local search. *)
+(** top 20%, default budget, groups on, knapsack global search. *)
 
 type warm = {
   warm_cache : Search.eval_cache;

@@ -139,71 +139,6 @@ let local_optimize ?opts ?name_prefix ?cache ?signature ?(exclusions = []) targe
       { hot; evaluated })
     hots
 
-let local_optimize_parallel ?opts ?name_prefix ?cache ?signature ?(exclusions = [])
-    ?domains target prof prog hots =
-  let hots_arr = Array.of_list hots in
-  let n = Array.length hots_arr in
-  let requested =
-    match domains with Some d -> d | None -> Domain.recommended_domain_count ()
-  in
-  let ndom = max 1 (min requested n) in
-  if ndom < 2 || n < 2 then
-    local_optimize ?opts ?name_prefix ?cache ?signature ~exclusions target prof prog hots
-  else begin
-    ignore name_prefix;
-    (* Pipelet table extraction and warm-cache probes stay on this
-       domain — probing everything up front lets only the misses fan
-       out, and keeps the hit/miss accounting in pipelet order. *)
-    let originals_arr =
-      Array.map (fun (h : Hotspot.hot) -> Pipelet.tables prog h.pipelet) hots_arr
-    in
-    let keys =
-      Array.init n (fun i ->
-          Option.map
-            (fun sign ->
-              sign hots_arr.(i) originals_arr.(i)
-              ^ exclusion_key exclusions originals_arr.(i))
-            signature)
-    in
-    let results = Array.make n None in
-    let miss_idx = ref [] in
-    for i = n - 1 downto 0 do
-      match cache_probe cache keys.(i) with
-      | Some ev -> results.(i) <- Some ev
-      | None -> miss_idx := i :: !miss_idx
-    done;
-    let misses = Array.of_list !miss_idx in
-    let nmiss = Array.length misses in
-    (* Evaluation is pure over immutable inputs (profile, program,
-       target) and allocates its own scratch context per pipelet, so
-       each domain computes exactly what the sequential path would.
-       Strided assignment; every result lands in its own slot, and the
-       final list is rebuilt in pipelet order — bit-identical plans. *)
-    let worker d () =
-      let j = ref d in
-      while !j < nmiss do
-        let i = misses.(!j) in
-        results.(i) <-
-          Some
-            (evaluate_pipelet ?opts ~exclusions target prof
-               ~reach_prob:hots_arr.(i).reach_prob originals_arr.(i));
-        j := !j + ndom
-      done
-    in
-    let spawned = Array.init (ndom - 1) (fun d -> Domain.spawn (worker (d + 1))) in
-    worker 0 ();
-    Array.iter Domain.join spawned;
-    Array.iter
-      (fun i ->
-        match (cache, keys.(i), results.(i)) with
-        | Some c, Some k, Some ev -> cache_store c k ev
-        | _ -> ())
-      misses;
-    List.init n (fun i ->
-        { hot = hots_arr.(i);
-          evaluated = (match results.(i) with Some ev -> ev | None -> []) })
-  end
-
 let global_optimize ?(use_greedy = false) ~budget ~headroom_mem ~headroom_upd candidates =
   let groups =
     List.map

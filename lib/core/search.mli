@@ -61,25 +61,6 @@ val local_optimize :
     folded into its cache key, so a warm cache never replays evaluations
     computed under a different blacklist. *)
 
-val local_optimize_parallel :
-  ?opts:Candidate.options ->
-  ?name_prefix:string ->
-  ?cache:eval_cache ->
-  ?signature:(Hotspot.hot -> P4ir.Table.t list -> string) ->
-  ?exclusions:exclusion list ->
-  ?domains:int ->
-  Costmodel.Target.t ->
-  Profile.t ->
-  P4ir.Program.t ->
-  Hotspot.hot list ->
-  pipelet_candidates list
-(** [local_optimize] fanned out across OCaml 5 domains, one stride per
-    domain over the cache-miss pipelets. Evaluation is pure and RNG-free
-    and results are merged in pipelet order, so the output is
-    bit-identical to the sequential path. [domains] defaults to
-    [Domain.recommended_domain_count ()]; with one domain or fewer than
-    two pipelets it falls back to [local_optimize]. *)
-
 val global_optimize :
   ?use_greedy:bool ->
   budget:Costmodel.Resource.budget ->

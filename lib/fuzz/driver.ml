@@ -15,10 +15,10 @@ let mode_of_string = function
   | "chaos" -> Some Chaos
   | _ -> None
 
-let default_optimizer_config = { Pipeleon.Optimizer.default_config with top_k = 1.0 }
+(* Fuzzing wants every pipelet rewritten, not just the profitable fifth. *)
+let optimizer_config = { Pipeleon.Optimizer.default_config with top_k = 1.0 }
 
-let check ?(optimizer_config = default_optimizer_config) ?(autotune = false) ?mutate
-    ?telemetry ?driver target mode (case : Shrink.case) =
+let check ?(autotune = false) ?mutate ?telemetry ?driver target mode (case : Shrink.case) =
   match mode with
   | Sim_diff -> Oracle.sim_diff ?telemetry ?driver target case.program case.packets
   | Roundtrip -> Oracle.roundtrip ?telemetry ?driver target case.program case.packets
@@ -66,13 +66,12 @@ let case_rng ~seed i =
   Stdx.Prng.create
     Int64.(add (mul (of_int (seed + 1)) 0x9E3779B97F4A7C15L) (of_int i))
 
-let run ?(params = Gen.default_params) ?(n_packets = 64) ?out_dir ?optimizer_config
-    ?autotune ?mutate ?max_shrink_steps ?telemetry ?driver
+let run ?(params = Gen.default_params) ?(n_packets = 64) ?out_dir ?autotune ?mutate ?max_shrink_steps ?telemetry ?driver
     ?(target = Costmodel.Target.bluefield2) mode ~seed ~budget =
   let findings = ref [] in
   for i = 0 to budget - 1 do
     let case = Gen.case ~params ~n_packets (case_rng ~seed i) in
-    let checker = check ?optimizer_config ?autotune ?mutate ?telemetry ?driver target mode in
+    let checker = check ?autotune ?mutate ?telemetry ?driver target mode in
     match checker case with
     | None -> ()
     | Some first ->
@@ -116,7 +115,7 @@ let summary report =
     (Printf.sprintf "divergences=%d cases=%d\n" (List.length report.findings) report.budget);
   Buffer.contents buf
 
-let replay ?optimizer_config ?autotune ?mutate ?telemetry ?driver
+let replay ?autotune ?mutate ?telemetry ?driver
     ?(target = Costmodel.Target.bluefield2) mode ~dir =
-  check ?optimizer_config ?autotune ?mutate ?telemetry ?driver target mode
+  check ?autotune ?mutate ?telemetry ?driver target mode
     (Repro.load_case ~dir)

@@ -17,16 +17,11 @@ val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 (** ["sim-diff"], ["optim-equiv"], ["serialize-roundtrip"], ["chaos"]. *)
 
-val default_optimizer_config : Pipeleon.Optimizer.config
-(** {!Pipeleon.Optimizer.default_config} with [top_k = 1.0]: fuzzing
-    wants every pipelet rewritten, not just the profitable fifth. *)
-
 val case_rng : seed:int -> int -> Stdx.Prng.t
 (** The derived generator for case [i] of a run with [seed]: any single
     case regenerates without replaying the cases before it. *)
 
 val check :
-  ?optimizer_config:Pipeleon.Optimizer.config ->
   ?autotune:bool ->
   ?mutate:Mutate.t ->
   ?telemetry:bool ->
@@ -35,7 +30,9 @@ val check :
   mode ->
   Shrink.case ->
   Oracle.divergence option
-(** One case through the oracle for [mode]. [mutate] only affects
+(** One case through the oracle for [mode]. [Optim_equiv] optimizes
+    with {!Pipeleon.Optimizer.default_config} at [top_k = 1.0], so every
+    pipelet is rewritten. [mutate] only affects
     [Optim_equiv], where it corrupts the optimized program first.
     [autotune] (default [false]) turns on online design-space
     exploration: [Chaos] runs the controller with per-tick exploration
@@ -71,7 +68,6 @@ val run :
   ?params:Gen.params ->
   ?n_packets:int ->
   ?out_dir:string ->
-  ?optimizer_config:Pipeleon.Optimizer.config ->
   ?autotune:bool ->
   ?mutate:Mutate.t ->
   ?max_shrink_steps:int ->
@@ -92,7 +88,6 @@ val summary : report -> string
     beyond [out_dir] as given). *)
 
 val replay :
-  ?optimizer_config:Pipeleon.Optimizer.config ->
   ?autotune:bool ->
   ?mutate:Mutate.t ->
   ?telemetry:bool ->

@@ -27,17 +27,15 @@ let mk_exec ~telemetry target prog =
       (Telemetry.create ~trace_capacity:1024 ~trace_sample_every:7 ());
   ex
 
-type exec_driver = Interp | Compiled | Parallel
+type exec_driver = Interp | Compiled
 
 let driver_to_string = function
   | Interp -> "interp"
   | Compiled -> "compiled"
-  | Parallel -> "parallel"
 
 let driver_of_string = function
   | "interp" -> Some Interp
   | "compiled" -> Some Compiled
-  | "parallel" -> Some Parallel
   | _ -> None
 
 (* One lane through the burst entry at an explicit sequence number. *)
@@ -48,7 +46,7 @@ let run_lane ex ~seq pkt =
 
 (* One packet through a live executor, observed the same way Refsim
    reports: final field values, drop flag, egress, action trace. The
-   driver picks which execution path carries the packet — they all claim
+   driver picks which execution path carries the packet — both claim
    bit-identity with [run_packet], and this observation is where the
    fuzzer holds them to it. *)
 let exec_obs ?(driver = Interp) ex flow : Refsim.obs =
@@ -64,20 +62,10 @@ let exec_obs ?(driver = Interp) ex flow : Refsim.obs =
     ignore (Nicsim.Exec.run_packet ex ~now:0. pkt);
     Nicsim.Exec.set_tracer ex None
   | Compiled ->
-    (* A burst of one through the data path: the struct-of-arrays walk,
-       or the scalar compiled walk for the random programs that mix in
-       cache tables. *)
+    (* A burst of one through the data path's compiled walk. *)
     Nicsim.Exec.set_tracer ex hook;
     run_lane ex ~seq pkt;
-    Nicsim.Exec.set_tracer ex None
-  | Parallel ->
-    (* The sharded window's shape: a replica executes at the parent's
-       next global sequence number, then merges back. *)
-    let r = Nicsim.Exec.replicate ex in
-    Nicsim.Exec.set_tracer r hook;
-    run_lane r ~seq pkt;
-    Nicsim.Exec.set_tracer r None;
-    Nicsim.Exec.merge_replica ex r);
+    Nicsim.Exec.set_tracer ex None);
   { Refsim.fields = List.map (fun f -> (f, Nicsim.Packet.get pkt f)) Refsim.observed_fields;
     dropped = Nicsim.Packet.is_dropped pkt;
     egress = Nicsim.Packet.egress_port pkt;

@@ -13,19 +13,16 @@ val supported : P4ir.Program.t -> bool
     metadata, so programs already rewritten by Pipeleon are compared
     engine-vs-engine ([replay_diff]) instead. *)
 
-type exec_driver = Interp | Compiled | Parallel
+type exec_driver = Interp | Compiled
 (** Which execution path carries each packet of a differential check:
-    the DAG interpreter ({!Nicsim.Exec.run_packet}), a one-lane burst
-    through the data path ({!Nicsim.Exec.run_batch}), or the sharded
-    window's replica shape ({!Nicsim.Exec.replicate}, a one-lane
-    [run_batch] at the parent's next global sequence number, then
-    [merge_replica]). All three claim bit-identical packet outcomes;
-    fuzzing under each driver holds them to it against the reference
-    interpreter. *)
+    the DAG interpreter ({!Nicsim.Exec.run_packet}) or a one-lane burst
+    through the data path ({!Nicsim.Exec.run_batch}). Both claim
+    bit-identical packet outcomes; fuzzing under each driver holds them
+    to it against the reference interpreter. *)
 
 val driver_to_string : exec_driver -> string
 val driver_of_string : string -> exec_driver option
-(** ["interp"], ["compiled"], ["parallel"]. *)
+(** ["interp"], ["compiled"]. *)
 
 val exec_obs : ?driver:exec_driver -> Nicsim.Exec.t -> Gen.flow -> Refsim.obs
 (** One packet through a live executor, observed the way {!Refsim}

@@ -12,10 +12,10 @@
     {!Exec.run_packet}: identical latencies bit for bit, identical
     profile counters (the cells alias the same registry slots the
     interpreter's hash probes reach), identical telemetry counters,
-    spans, and sampling, and identical flow-cache fill behaviour.
-    {!Exec} owns compiled instances, their staleness, and the burst
-    entry ({!Exec.run_batch}); this module is engine-level machinery
-    below it. *)
+    spans, and sampling, and identical flow-cache fill behaviour. It is
+    the only compiled walk. {!Exec} owns compiled instances, their
+    staleness, and the burst entry ({!Exec.run_batch}); this module is
+    engine-level machinery below it. *)
 
 type t
 
@@ -42,11 +42,27 @@ val build :
     {!tables_rebuilt}. *)
 
 val run :
-  t -> tracer:tracer option -> sampled:bool -> seq:int -> now:float -> Packet.t -> float
-(** One packet through the op array; returns the latency,
-    bit-identical to {!Exec.run_packet} under the same (sampled, seq,
-    now) inputs and engine state. The packet is mutated. After the
-    call, {!drop_observed} tells whether a table action dropped the
+  t ->
+  tracer:tracer option ->
+  sampled:bool ->
+  seq:int ->
+  nows:float array ->
+  out:float array ->
+  pos:int ->
+  int ->
+  Packet.t ->
+  unit
+(** [run p ~tracer ~sampled ~seq ~nows ~out ~pos i pkt] walks one packet
+    through the op array at timestamp [nows.(i)] and writes its latency
+    to [out.(pos + i)], bit-identical to {!Exec.run_packet} under the
+    same (sampled, seq, now) inputs and engine state. The packet is
+    mutated. The timestamp and latency travel through the caller's
+    arrays because a float argument or result of a non-inlined call is
+    boxed; all arguments are required for the same reason. Steady-state
+    calls allocate nothing: fills allocate only on cache misses, spans
+    only on traced packets, exactly when the interpreter does. The
+    arrays are not bounds-checked; {!Exec.run_batch} checks them. After
+    the call, {!drop_observed} tells whether a table action dropped the
     packet during this walk (the interpreter's drop-accounting event). *)
 
 val drop_observed : t -> bool
@@ -55,54 +71,6 @@ val drop_observed : t -> bool
     already dropped — the interpreter only counts the former. *)
 
 val num_ops : t -> int
-
-(** {2 Burst-vectorized walk}
-
-    The struct-of-arrays execution of the same op array: one
-    {!Packet.Batch} column per interned field, each fused op run across
-    every live lane before the walk advances (lanes are regrouped by
-    program counter, SIMT-style), and single-key exact tables hash the
-    whole burst and touch their open-addressing slots before probing — a
-    software prefetch. See docs/PERF.md "Burst-vectorized walk". *)
-
-val soa_capable : t -> bool
-(** Whether {!run_burst} accepts this program: no cache-role tables
-    (fills and LRU recency are packet-order-sensitive) and every
-    interned field narrower than 62 bits (so int columns are exact).
-    {!Exec.run_batch} falls back to the per-packet compiled loop
-    when false. *)
-
-val soa_layout : t -> P4ir.Field.t array
-(** The interned-field column layout, in column order (a copy). *)
-
-val run_burst :
-  t ->
-  tracer:tracer option ->
-  seqs:int array ->
-  sampled:bool array ->
-  nows:float array ->
-  pos:int ->
-  base:int ->
-  n:int ->
-  out:float array ->
-  Packet.t array ->
-  int
-(** [run_burst p ~tracer ~seqs ~sampled ~nows ~pos ~base ~n ~out pkts]
-    runs packets [pkts.(base .. base+n-1)] through the op array as one
-    burst; lane [i]'s sampled/seq/now inputs come from
-    [sampled.(base+i)]/[seqs.(base+i)]/[nows.(base+i)], its latency
-    lands in [out.(pos + base + i)], and the packets are mutated.
-    [base] lets a caller walk a large batch in L1-sized blocks without
-    slicing its arrays ({!Exec.run_batch}). Returns the number
-    of in-walk drops observed (the sum
-    {!drop_observed} would give per packet). Bit-identical to [n] calls
-    of {!run} in lane order: same latency float sequences, counter
-    cells, telemetry counters, spans and tracer callbacks (buffered per
-    lane and replayed in lane order). All arguments are required — the
-    hot path cannot afford optional-argument boxing. Steady-state calls
-    allocate nothing beyond telemetry when tracing is live.
-    @raise Invalid_argument if {!soa_capable} is false or the arrays are
-    too small. *)
 
 val tables_reused : t -> int
 (** Tables whose compiled artifact was carried over from [reuse]. *)

@@ -94,33 +94,11 @@ type xindex = {
   xhash : int array;  (* per-slot mixing hash (occupancy lives in xent) *)
   xvals : int64 array array;  (* per-slot key values *)
   xent : P4ir.Table.entry option array;  (* preallocated [Some entry] *)
-  xkeyi : int array;
-      (* Single-key slots only: the key as a tagged int, so a probe whose
-         key is a nonnegative native int (burst-walk columns are masked
-         to < 62 bits) resolves each slot with one int load instead of
-         chasing [xvals]'s singleton-array indirection. -1 = empty slot,
-         -2 = occupied but not representable (multi-key, negative, or
-         >= 2^62 — values no such probe key can ever equal). *)
-}
-
-(* Read-only window onto a single-key exact index for the burst walk
-   ({!Compile.run_burst}): the walk hashes a whole burst of keys first,
-   touching the slot arrays as a software prefetch, then probes. The
-   arrays alias the live [xindex], so a view is only valid as long as
-   that index is — [exact_view] hands out a cached view tied to the
-   current index and rebuilds both after any control-plane mutation. *)
-type exact_view = {
-  ev_mask : int;  (* capacity - 1, capacity a power of two *)
-  ev_hash : int array;  (* per-slot mixing hash *)
-  ev_vals : int64 array array;  (* per-slot key values (singleton arrays) *)
-  ev_ent : P4ir.Table.entry option array;  (* occupancy: [Some] iff filled *)
-  ev_keyi : int array;  (* per-slot tagged-int key; -1 empty, -2 unrepresentable *)
 }
 
 type exact_store = {
   etbl : (int, slot list) Hashtbl.t;
   mutable eidx : xindex option;  (* compiled probe index; None = stale *)
-  mutable eview : exact_view option;  (* burst-walk view of [eidx] *)
 }
 
 type backend =
@@ -899,7 +877,7 @@ let create ?(hint = Auto) (tab : P4ir.Table.t) =
     | _ when has_range tab -> Linear (ref tab.entries)
     | _ when all_exact tab ->
       Exact_hash
-        { etbl = Hashtbl.create (max 64 (List.length tab.entries)); eidx = None; eview = None }
+        { etbl = Hashtbl.create (max 64 (List.length tab.entries)); eidx = None }
     | _ ->
       let lpm_ordered =
         P4ir.Match_kind.equal (P4ir.Table.effective_kind tab) P4ir.Match_kind.Lpm
@@ -1025,29 +1003,19 @@ let build_xindex (ex : exact_store) =
     { xmask = !cap - 1;
       xhash = Array.make !cap 0;
       xvals = Array.make !cap [||];
-      xent = Array.make !cap None;
-      xkeyi = Array.make !cap (-1) }
+      xent = Array.make !cap None }
   in
   Hashtbl.iter
     (fun h bucket ->
       List.iter
         (fun (s : slot) ->
-          let keyi =
-            if Array.length s.masked = 1 then begin
-              let v = s.masked.(0) in
-              let i = Int64.to_int v in
-              if i >= 0 && Int64.equal (Int64.of_int i) v then i else -2
-            end
-            else -2
-          in
           let rec place j =
             match idx.xent.(j) with
             | Some _ -> place ((j + 1) land idx.xmask)
             | None ->
               idx.xhash.(j) <- h;
               idx.xvals.(j) <- s.masked;
-              idx.xent.(j) <- Some s.entry;
-              idx.xkeyi.(j) <- keyi
+              idx.xent.(j) <- Some s.entry
           in
           place (h land idx.xmask))
         bucket)
@@ -1105,30 +1073,6 @@ let exact_probe t =
            let vals = read_values t pkt in
            xindex_find idx vals (hash_exact vals))
   | Exact_lru _ | Shaped _ | Linear _ -> None
-
-(* The view is cached on the store and keyed to the index it aliases by
-   physical equality on the entry array, so steady-state bursts get it
-   without allocating; any mutation clears [eidx] and the next call
-   rebuilds index and view together. *)
-let exact_view t =
-  match t.backend with
-  | Exact_hash ex when Array.length t.fields = 1 ->
-    let idx = match ex.eidx with Some idx -> idx | None -> build_xindex ex in
-    (match ex.eview with
-     | Some v when v.ev_ent == idx.xent ->
-       ex.eview (* the stored option itself: rebuilding [Some v] here
-                   would allocate once per table per burst *)
-     | _ ->
-       let v =
-         { ev_mask = idx.xmask;
-           ev_hash = idx.xhash;
-           ev_vals = idx.xvals;
-           ev_ent = idx.xent;
-           ev_keyi = idx.xkeyi }
-       in
-       ex.eview <- Some v;
-       ex.eview)
-  | Exact_hash _ | Exact_lru _ | Shaped _ | Linear _ -> None
 
 let plan_probe t =
   match t.backend with
@@ -1321,7 +1265,7 @@ let copy t =
   let copy_group (g : group) = { g with tbl = Hashtbl.copy g.tbl } in
   let backend =
     match t.backend with
-    | Exact_hash ex -> Exact_hash { etbl = Hashtbl.copy ex.etbl; eidx = None; eview = None }
+    | Exact_hash ex -> Exact_hash { etbl = Hashtbl.copy ex.etbl; eidx = None }
     | Exact_lru lru -> Exact_lru (Lru.copy lru)
     | Linear entries -> Linear (ref !entries)
     | Shaped s ->

@@ -57,41 +57,6 @@ val exact_probe : t -> (Packet.t -> P4ir.Table.entry option) option
     stays valid across control-plane updates. [None] for cache, shaped
     and linear backends, which must keep going through {!lookup}. *)
 
-type exact_view = {
-  ev_mask : int;  (** capacity - 1, capacity a power of two *)
-  ev_hash : int array;  (** per-slot mixing hash *)
-  ev_vals : int64 array array;  (** per-slot key values (singleton arrays) *)
-  ev_ent : P4ir.Table.entry option array;  (** occupancy: [Some] iff filled *)
-  ev_keyi : int array;
-      (** Per-slot key as a tagged int: -1 marks an empty slot, -2 a slot
-          whose key is not a nonnegative native int. A probe whose key is
-          known nonnegative (burst-walk columns are masked to < 62 bits)
-          can scan this single array — key equality implies hash
-          equality, [-1] is the chain terminator, and [-2] can never
-          equal such a key — and only touch [ev_ent] on a hit. *)
-}
-(** Read-only window onto the compiled single-key exact index, exposed so
-    the burst walk ({!Compile.run_burst}) can hash a whole burst of keys
-    and touch the open-addressing slots (a software prefetch) before
-    probing, without a per-lane closure call. Slot occupancy is the entry
-    option itself; probing follows the same linear chain as
-    {!exact_probe}: start at [hash land ev_mask], a slot hits when its
-    [ev_hash] matches and its single [ev_vals] value equals the key (or,
-    for nonnegative int keys, when [ev_keyi] equals the key), advance by
-    [(j + 1) land ev_mask], stop at the first [None]. The hash is the
-    engine's single-key mixing hash — any consumer must reproduce it bit
-    for bit (see the constants note on [hash_exact1] in the
-    implementation). *)
-
-val exact_view : t -> exact_view option
-(** [Some view] iff this engine is a single-key exact-hash store (the
-    same condition under which {!exact_probe}'s fast path applies, minus
-    multi-key tables). Rebuilds the index if a control-plane mutation
-    made it stale, so like the probe closures a fresh view per burst
-    always sees live table state; the view is cached, so the
-    steady-state call allocates nothing. [None] for multi-key exact,
-    cache, shaped and linear backends. *)
-
 val plan_probe : t -> (Packet.t -> P4ir.Table.entry option) option
 (** [Some probe] iff this engine is a shaped (LPM/ternary) backend.
     [probe pkt] returns exactly what {!lookup} would — the same physical

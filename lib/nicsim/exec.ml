@@ -51,12 +51,6 @@ type t = {
      on the next use. *)
   mutable compiled : Compile.t option;
   mutable compiled_stale : bool;
-  (* Per-lane sampling decisions for the burst walk, grown on demand and
-     reused across bursts. *)
-  mutable soa_sampled : bool array;
-  (* L1 burst block of the struct-of-arrays walk; see the blocking note
-     above [run_batch]. Invisible in the results ([set_soa_block]). *)
-  mutable soa_blk : int;
 }
 
 let node_cat = Compile.node_cat
@@ -91,7 +85,7 @@ let create cfg prog =
     (P4ir.Program.tables prog);
   { cfg; prog; engines; node_engine; ctrs = Profile.Counter.create (); seen = 0; drops = 0;
     tracer = None; tel = Telemetry.null; tel_handles = None; compiled = None;
-    compiled_stale = true; soa_sampled = [||]; soa_blk = 64 }
+    compiled_stale = true }
 
 let program t = t.prog
 let config t = t.cfg
@@ -105,10 +99,6 @@ let engine_exn t name =
 
 let packets_seen t = t.seen
 let drops_seen t = t.drops
-
-let set_soa_block t n =
-  if n < 1 then invalid_arg "Exec.set_soa_block: block must be >= 1";
-  t.soa_blk <- n
 
 let reset_counters t =
   Profile.Counter.clear t.ctrs;
@@ -342,70 +332,29 @@ let compiled_tracer t =
   | None -> None
   | Some f -> Some (fun node name outcome -> f { node; name; outcome })
 
-(* --- the burst walk --- *)
-
-let soa_capable t = Compile.soa_capable (ensure_compiled t)
-
-(* L1-aware burst blocking. The op-major walk sweeps every per-lane
-   column once per op, so its working set grows with the burst: at 256
-   lanes the lane state plus each op's probe arrays overflow L1 and the
-   sweep pays the refills back from L2 on every op. 64 lanes keep the
-   whole lane state resident across the sweep while still amortizing
-   the per-op setup. Blocking is invisible in the results: counters are
-   commutative adds, spans and tracer events are buffered per lane and
-   replayed in lane order inside each block (so the global emission
-   order is still lane 0..n-1), latencies are per-lane, and engines are
-   read-only in a soa-capable program — a blocked run is bit-identical
-   to one whole-burst walk. *)
+(* Every burst takes the compiled walk; kept for the e2e benchmark
+   adapter, which reports the share of windows on another walk. *)
+let soa_capable _ = false
 
 (* Lane inputs ([seqs], [nows]) supplied by the caller, with its own
    reused scratch. Advances [seen] by [n] exactly as [n] per-packet calls
    would. *)
 let run_batch t ~seqs ~nows ~pos ~n ~out pkts =
   if pos < 0 || pos + n > Array.length out then invalid_arg "Exec.run_batch: out too small";
+  if n > Array.length seqs || n > Array.length nows || n > Array.length pkts then
+    invalid_arg "Exec.run_batch: burst larger than its input arrays";
   let c = ensure_compiled t in
   let tracer = compiled_tracer t in
-  if not (Compile.soa_capable c) then begin
-    (* Cache tables (or an over-wide field) in the pipeline: fall back to
-       the per-packet compiled walk, same observable behaviour. *)
-    let dropped = ref 0 in
-    for i = 0 to n - 1 do
-      t.seen <- t.seen + 1;
-      let pkt = Array.unsafe_get pkts i in
-      let seq = Array.unsafe_get seqs i in
-      out.(pos + i) <-
-        Compile.run c ~tracer ~sampled:(sampled_at t seq) ~seq
-          ~now:(Array.unsafe_get nows i) pkt;
-      if Compile.drop_observed c then t.drops <- t.drops + 1;
-      if Packet.is_dropped pkt then incr dropped
-    done;
-    !dropped
-  end
-  else begin
-    if Array.length t.soa_sampled < n then t.soa_sampled <- Array.make (max n 64) false;
-    let sampled = t.soa_sampled in
-    for i = 0 to n - 1 do
-      Array.unsafe_set sampled i (sampled_at t (Array.unsafe_get seqs i))
-    done;
-    t.seen <- t.seen + n;
-    let inwalk = ref 0 in
-    let b0 = ref 0 in
-    while !b0 < n do
-      let bn = min t.soa_blk (n - !b0) in
-      inwalk :=
-        !inwalk
-        + Compile.run_burst c ~tracer ~seqs ~sampled ~nows ~pos ~base:!b0 ~n:bn ~out
-            pkts;
-      b0 := !b0 + bn
-    done;
-    let inwalk = !inwalk in
-    t.drops <- t.drops + inwalk;
-    let dropped = ref 0 in
-    for i = 0 to n - 1 do
-      if Packet.is_dropped (Array.unsafe_get pkts i) then incr dropped
-    done;
-    !dropped
-  end
+  let dropped = ref 0 in
+  for i = 0 to n - 1 do
+    t.seen <- t.seen + 1;
+    let pkt = Array.unsafe_get pkts i in
+    let seq = Array.unsafe_get seqs i in
+    Compile.run c ~tracer ~sampled:(sampled_at t seq) ~seq ~nows ~out ~pos i pkt;
+    if Compile.drop_observed c then t.drops <- t.drops + 1;
+    if Packet.is_dropped pkt then incr dropped
+  done;
+  !dropped
 
 let replicate t =
   (* Distinct program nodes can share one engine by name; preserve that
@@ -423,9 +372,8 @@ let replicate t =
   Hashtbl.iter (fun name eng -> Hashtbl.replace engines name (copy_of eng)) t.engines;
   let node_engine = Hashtbl.create (Hashtbl.length t.node_engine) in
   Hashtbl.iter (fun id eng -> Hashtbl.replace node_engine id (copy_of eng)) t.node_engine;
-  (* Each replica gets a forked sink (fresh registry, no trace ring) so
-     worker domains never touch the parent's metrics; merge_replica folds
-     the shard registries back losslessly. *)
+  (* Each replica gets a forked sink (fresh registry, no trace ring), so
+     it never touches the parent's metrics. *)
   let tel = Telemetry.fork t.tel in
   { t with
     engines;
@@ -437,17 +385,9 @@ let replicate t =
     tel;
     tel_handles = build_tel_handles tel t.prog;
     (* The replica has its own engines, counters, and sink; it compiles
-       its own pipeline on first use. Scratch arrays are mutable state
-       and must not be shared across domains. *)
+       its own pipeline on first use. *)
     compiled = None;
-    compiled_stale = true;
-    soa_sampled = [||] }
-
-let merge_replica t r =
-  Profile.Counter.merge_into ~dst:t.ctrs ~src:r.ctrs;
-  t.seen <- t.seen + r.seen;
-  t.drops <- t.drops + r.drops;
-  Telemetry.merge_into ~dst:t.tel ~src:r.tel
+    compiled_stale = true }
 
 let replace_program t prog =
   let changed = ref 0 in

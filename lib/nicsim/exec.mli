@@ -54,35 +54,28 @@ val run_batch :
     through the compiled pipeline — the program flattened once
     ({!Compile}) into a linear op array with resolved successors,
     per-table action artifacts, pre-resolved counter cells and telemetry
-    handles. Lane [i] uses global sequence number [seqs.(i)] (keying
-    counter and trace sampling) and timestamp [nows.(i)], and its
-    latency lands in [out.(pos + i)]; returns the number of dropped
-    packets. When {!soa_capable}, the burst is scattered into a
-    struct-of-arrays {!Packet.Batch} and each fused op runs across every
-    live lane before the walk advances ({!Compile.run_burst}); otherwise
-    (cache-role tables, over-wide fields) each packet takes the scalar
-    compiled walk ({!Compile.run}). Either way the result is
-    bit-identical to {!run_packet} at the same sequence numbers — same
-    latency floats, profile counters, telemetry (hit/miss counters,
-    packets/drops, sampled spans), flow-cache fills, and tracer
-    callbacks in lane order. This executor's [packets_seen] advances by
-    [n] whatever the [seqs], so a sharded replica can reproduce the
-    sampling pattern of the sequential window. The pipeline compiles
-    lazily on first use and recompiles (reusing unchanged tables'
-    artifacts) after {!replace_program}, {!set_telemetry}, or
-    {!reset_counters}. All arguments are required: the per-burst path
-    cannot afford optional-argument boxing.
-    @raise Invalid_argument if [out] cannot hold the burst. *)
+    handles — one packet at a time in lane order ({!Compile.run}, the
+    only compiled walk). Lane [i] uses global sequence number
+    [seqs.(i)] (keying counter and trace sampling) and timestamp
+    [nows.(i)], and its latency lands in [out.(pos + i)]; returns the
+    number of dropped packets. The result is bit-identical to
+    {!run_packet} at the same sequence numbers — same latency floats,
+    profile counters, telemetry (hit/miss counters, packets/drops,
+    sampled spans), flow-cache fills, and tracer callbacks in lane
+    order. This executor's [packets_seen] advances by [n] whatever the
+    [seqs], so a caller can pin a lane to any window position. The
+    pipeline compiles lazily on first use and recompiles (reusing
+    unchanged tables' artifacts) after {!replace_program},
+    {!set_telemetry}, or {!reset_counters}. All arguments are required:
+    the per-burst path cannot afford optional-argument boxing, and a
+    steady-state burst allocates nothing.
+    @raise Invalid_argument if [out] cannot hold the burst or [seqs],
+    [nows] or the packet array is shorter than [n]. *)
 
 val soa_capable : t -> bool
-(** Whether {!run_batch} will actually take the vectorized path for the
-    current program (compiling it first if needed). *)
-
-val set_soa_block : t -> int -> unit
-(** Set the L1 burst block size of the struct-of-arrays walk (default
-    64). Blocking is invisible in the results, so any block size yields
-    bit-identical outputs; tests use it to prove exactly that.
-    @raise Invalid_argument when the block is < 1. *)
+(** Always [false]: the struct-of-arrays burst walk was removed and
+    every burst takes the scalar compiled walk. Kept for the e2e
+    benchmark adapter, which reports the share of windows it ran. *)
 
 val precompile : t -> int * int
 (** Force compilation of the data path now (normally lazy on the first
@@ -91,16 +84,12 @@ val precompile : t -> int * int
     [tables_reused] counts the per-table artifacts carried over. *)
 
 val replicate : t -> t
-(** Deep copy for a worker domain: engines are independently copied
-    (aliasing between program nodes preserved), counters start empty,
-    packet/drop counts start at zero, the tracer is not carried over. The
-    program, target, and placement are shared (immutable). Merge results
-    back with {!merge_replica}. *)
-
-val merge_replica : t -> t -> unit
-(** [merge_replica t r] folds replica [r]'s counters and packet/drop
-    counts into [t]. Counter merging is commutative, so the merge order
-    of replicas does not affect any observable state. *)
+(** Deep copy: engines are independently copied (aliasing between
+    program nodes preserved), counters start empty, packet/drop counts
+    start at zero, the tracer is not carried over, and telemetry goes to
+    a {!Telemetry.fork}ed sink. The program, target, and placement are
+    shared (immutable). A replica answers probes without disturbing the
+    original's engines or counters. *)
 
 val packets_seen : t -> int
 val drops_seen : t -> int

@@ -106,353 +106,3 @@ let pp fmt p =
   Format.fprintf fmt "pkt{src=%Lx dst=%Lx sport=%Ld dport=%Ld%s}" p.ipv4_src p.ipv4_dst
     p.tcp_sport p.tcp_dport
     (if p.dropped then " DROPPED" else "")
-
-type pkt = t
-
-(* Struct-of-arrays burst: one native-int column per interned field (the
-   compiled program resolves field -> column once, see Compile.build),
-   plus dropped/egress/latency columns and a live-lane bitmask. Every
-   interned field is at most 48 bits wide (Compile refuses wider ones),
-   so an int column round-trips the int64 field values exactly and
-   column stores are immediate — no write barrier, no boxing. *)
-module Batch = struct
-  type t = {
-    bfields : P4ir.Field.t array;  (* interned fields, column order *)
-    mutable cols : int array array;  (* one column per interned field *)
-    mutable dirty : Bytes.t;  (* per column: written since load? *)
-    mutable lat : float array;  (* per-lane latency accumulator *)
-    mutable bdropped : Bytes.t;  (* per lane, '\001' = dropped *)
-    mutable eg_port : int array;  (* per lane, valid iff eg_set *)
-    mutable eg_set : Bytes.t;
-    mutable live : int array;  (* bitmask, [lanes_per_word] lanes per word *)
-    mutable cap : int;
-    mutable len : int;  (* lanes loaded by the last [load] *)
-  }
-
-  (* 32 lanes per mask word keeps the bit arithmetic shift/mask only and
-     clear of the 63-bit int edge. *)
-  let lanes_per_word = 32
-
-  let mask_words cap = ((cap + lanes_per_word - 1) / lanes_per_word) + 1
-
-  let create ~fields cap =
-    let cap = max cap 1 in
-    { bfields = Array.copy fields;
-      cols = Array.map (fun _ -> Array.make cap 0) fields;
-      dirty = Bytes.make (max 1 (Array.length fields)) '\000';
-      lat = Array.make cap 0.;
-      bdropped = Bytes.make cap '\000';
-      eg_port = Array.make cap 0;
-      eg_set = Bytes.make cap '\000';
-      live = Array.make (mask_words cap) 0;
-      cap;
-      len = 0 }
-
-  let capacity t = t.cap
-  let length t = t.len
-  let fields t = Array.copy t.bfields
-
-  let ensure t n =
-    if n > t.cap then begin
-      let cap = max n (2 * t.cap) in
-      t.cols <- Array.map (fun _ -> Array.make cap 0) t.bfields;
-      t.lat <- Array.make cap 0.;
-      t.bdropped <- Bytes.make cap '\000';
-      t.eg_port <- Array.make cap 0;
-      t.eg_set <- Bytes.make cap '\000';
-      t.live <- Array.make (mask_words cap) 0;
-      t.cap <- cap
-    end
-
-  let is_live t ~lane =
-    t.live.(lane / lanes_per_word) land (1 lsl (lane mod lanes_per_word)) <> 0
-
-  let kill t ~lane =
-    let w = lane / lanes_per_word in
-    t.live.(w) <- t.live.(w) land lnot (1 lsl (lane mod lanes_per_word))
-
-  let live_count t =
-    let c = ref 0 in
-    Array.iter
-      (fun w ->
-        let w = ref w in
-        while !w <> 0 do
-          w := !w land (!w - 1);
-          incr c
-        done)
-      t.live;
-    !c
-
-  (* Column fill with the field match hoisted out of the lane loop: one
-     dispatch per column per burst instead of per lane, and the int64
-     reads stay unboxed (a [get] call would box its return per lane). *)
-  let load_col (pkts : pkt array) pos n (f : P4ir.Field.t) (col : int array) =
-    match f with
-    | P4ir.Field.Eth_src ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).eth_src)
-      done
-    | P4ir.Field.Eth_dst ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).eth_dst)
-      done
-    | P4ir.Field.Eth_type ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).eth_type)
-      done
-    | P4ir.Field.Ipv4_src ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).ipv4_src)
-      done
-    | P4ir.Field.Ipv4_dst ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).ipv4_dst)
-      done
-    | P4ir.Field.Ipv4_ttl ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).ipv4_ttl)
-      done
-    | P4ir.Field.Ipv4_proto ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).ipv4_proto)
-      done
-    | P4ir.Field.Ipv4_dscp ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).ipv4_dscp)
-      done
-    | P4ir.Field.Ipv4_len ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).ipv4_len)
-      done
-    | P4ir.Field.Tcp_sport ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).tcp_sport)
-      done
-    | P4ir.Field.Tcp_dport ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).tcp_dport)
-      done
-    | P4ir.Field.Tcp_flags ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).tcp_flags)
-      done
-    | P4ir.Field.Udp_sport ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).udp_sport)
-      done
-    | P4ir.Field.Udp_dport ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).udp_dport)
-      done
-    | P4ir.Field.Ingress_port ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).ingress_port)
-      done
-    | P4ir.Field.Next_tab_id ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set col i (Int64.to_int (Array.unsafe_get pkts (pos + i)).next_tab_id)
-      done
-    | P4ir.Field.Meta k ->
-      for i = 0 to n - 1 do
-        let m = (Array.unsafe_get pkts (pos + i)).meta in
-        Array.unsafe_set col i
-          (if k < Array.length m then Int64.to_int (Array.unsafe_get m k) else 0)
-      done
-
-  (* Write-back with the same hoisted dispatch. Only lanes whose value
-     actually changed store (a [set] of the loaded value is a no-op on
-     the packet), so a burst whose actions never wrote a column puts no
-     boxed int64 back — exactly the packets the per-packet walk would
-     not have written either. *)
-  let store_col (pkts : pkt array) pos n (f : P4ir.Field.t) (col : int array) =
-    match f with
-    | P4ir.Field.Eth_src ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.eth_src <> v then p.eth_src <- Int64.of_int v
-      done
-    | P4ir.Field.Eth_dst ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.eth_dst <> v then p.eth_dst <- Int64.of_int v
-      done
-    | P4ir.Field.Eth_type ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.eth_type <> v then p.eth_type <- Int64.of_int v
-      done
-    | P4ir.Field.Ipv4_src ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.ipv4_src <> v then p.ipv4_src <- Int64.of_int v
-      done
-    | P4ir.Field.Ipv4_dst ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.ipv4_dst <> v then p.ipv4_dst <- Int64.of_int v
-      done
-    | P4ir.Field.Ipv4_ttl ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.ipv4_ttl <> v then p.ipv4_ttl <- Int64.of_int v
-      done
-    | P4ir.Field.Ipv4_proto ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.ipv4_proto <> v then p.ipv4_proto <- Int64.of_int v
-      done
-    | P4ir.Field.Ipv4_dscp ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.ipv4_dscp <> v then p.ipv4_dscp <- Int64.of_int v
-      done
-    | P4ir.Field.Ipv4_len ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.ipv4_len <> v then p.ipv4_len <- Int64.of_int v
-      done
-    | P4ir.Field.Tcp_sport ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.tcp_sport <> v then p.tcp_sport <- Int64.of_int v
-      done
-    | P4ir.Field.Tcp_dport ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.tcp_dport <> v then p.tcp_dport <- Int64.of_int v
-      done
-    | P4ir.Field.Tcp_flags ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.tcp_flags <> v then p.tcp_flags <- Int64.of_int v
-      done
-    | P4ir.Field.Udp_sport ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.udp_sport <> v then p.udp_sport <- Int64.of_int v
-      done
-    | P4ir.Field.Udp_dport ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.udp_dport <> v then p.udp_dport <- Int64.of_int v
-      done
-    | P4ir.Field.Ingress_port ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.ingress_port <> v then p.ingress_port <- Int64.of_int v
-      done
-    | P4ir.Field.Next_tab_id ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        if Int64.to_int p.next_tab_id <> v then p.next_tab_id <- Int64.of_int v
-      done
-    | P4ir.Field.Meta k ->
-      for i = 0 to n - 1 do
-        let p = Array.unsafe_get pkts (pos + i) and v = Array.unsafe_get col i in
-        let cur =
-          if k < Array.length p.meta then Int64.to_int (Array.unsafe_get p.meta k) else 0
-        in
-        if cur <> v then begin
-          ensure_meta p k;
-          p.meta.(k) <- Int64.of_int v
-        end
-      done
-
-  (* Non-optional entry point: optional-argument calls box each supplied
-     argument in a [Some], which would put two small allocations on every
-     burst of the compiled drivers. *)
-  let load_sub t ~pos ~n pkts =
-    if pos < 0 || n < 0 || pos + n > Array.length pkts then
-      invalid_arg "Packet.Batch.load: lane range outside the packet array";
-    ensure t n;
-    t.len <- n;
-    (* Plain loop rather than [Array.iteri]: the iteri closure captures
-       [pkts]/[pos]/[n] and is rebuilt on every call, which costs a heap
-       block per burst in the compiled drivers. *)
-    let bf = t.bfields in
-    for fi = 0 to Array.length bf - 1 do
-      load_col pkts pos n (Array.unsafe_get bf fi) (Array.unsafe_get t.cols fi)
-    done;
-    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-    Array.fill t.live 0 (Array.length t.live) 0;
-    for i = 0 to n - 1 do
-      Array.unsafe_set t.lat i 0.;
-      let p = Array.unsafe_get pkts (pos + i) in
-      Bytes.unsafe_set t.bdropped i (if p.dropped then '\001' else '\000');
-      (match p.egress with
-       | Some port ->
-         Array.unsafe_set t.eg_port i port;
-         Bytes.unsafe_set t.eg_set i '\001'
-       | None -> Bytes.unsafe_set t.eg_set i '\000');
-      (* Every loaded lane starts live — a pre-dropped packet still
-         enters the walk (it halts at its first table op), as in the
-         per-packet drivers. *)
-      let w = i / lanes_per_word in
-      t.live.(w) <- t.live.(w) lor (1 lsl (i mod lanes_per_word))
-    done
-
-  let load t ?(pos = 0) ?n pkts =
-    let n = match n with Some n -> n | None -> Array.length pkts - pos in
-    load_sub t ~pos ~n pkts
-
-  let store_sub t ~pos ~n pkts =
-    if n > t.len then invalid_arg "Packet.Batch.store: more lanes than loaded";
-    if pos < 0 || pos + n > Array.length pkts then
-      invalid_arg "Packet.Batch.store: lane range outside the packet array";
-    (* Same closure-free loop as [load_sub]. *)
-    let bf = t.bfields in
-    for fi = 0 to Array.length bf - 1 do
-      if Bytes.get t.dirty fi = '\001' then
-        store_col pkts pos n (Array.unsafe_get bf fi) (Array.unsafe_get t.cols fi)
-    done;
-    for i = 0 to n - 1 do
-      let p = Array.unsafe_get pkts (pos + i) in
-      if Bytes.unsafe_get t.bdropped i = '\001' && not p.dropped then p.dropped <- true;
-      if Bytes.unsafe_get t.eg_set i = '\001' then begin
-        let port = Array.unsafe_get t.eg_port i in
-        match p.egress with
-        | Some q when q = port -> ()
-        | _ -> p.egress <- Some port
-      end
-    done
-
-  let store t ?(pos = 0) ?n pkts =
-    let n = match n with Some n -> n | None -> t.len in
-    store_sub t ~pos ~n pkts
-
-  let col_index t f =
-    let rec go i =
-      if i >= Array.length t.bfields then
-        invalid_arg "Packet.Batch: field not interned in this layout"
-      else if t.bfields.(i) = f then i
-      else go (i + 1)
-    in
-    go 0
-
-  let get t ~lane f = Int64.of_int t.cols.(col_index t f).(lane)
-
-  let set t ~lane f v =
-    let fi = col_index t f in
-    t.cols.(fi).(lane) <- Int64.to_int (P4ir.Value.truncate ~width:(P4ir.Field.width f) v);
-    Bytes.set t.dirty fi '\001'
-
-  let is_dropped t ~lane = Bytes.get t.bdropped lane = '\001'
-  let mark_dropped t ~lane = Bytes.set t.bdropped lane '\001'
-
-  let egress_port t ~lane =
-    if Bytes.get t.eg_set lane = '\001' then Some t.eg_port.(lane) else None
-
-  let set_egress t ~lane port =
-    t.eg_port.(lane) <- port;
-    Bytes.set t.eg_set lane '\001'
-
-  (* --- raw accessors for the compiled burst walk (Compile.run_burst).
-     The returned arrays alias live batch state and stay valid until the
-     next [ensure]/[load] growth; Compile re-reads them per burst. *)
-
-  let columns t = t.cols
-  let latencies t = t.lat
-  let dropped_bytes t = t.bdropped
-  let egress_raw t = (t.eg_port, t.eg_set)
-  let[@inline always] mark_col_dirty t fi = Bytes.unsafe_set t.dirty fi '\001'
-end

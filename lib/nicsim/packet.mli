@@ -24,93 +24,3 @@ val key_string : t -> P4ir.Field.t list -> string
 (** Concatenated field values; a hashable flow key. *)
 
 val pp : Format.formatter -> t -> unit
-
-type pkt = t
-(** Alias so {!Batch}'s signature can name the packet type. *)
-
-(** Struct-of-arrays packet burst for the burst-vectorized compiled walk
-    (see docs/PERF.md "Burst-vectorized walk").
-
-    A batch holds one native-int column per {e interned} field — the
-    field set a compiled program touches, resolved to column indices
-    once per program in [Compile.build] — plus dropped/egress/latency
-    columns and a live-lane bitmask. {!load} scatters an array of
-    packets into the columns; {!store} gathers the (dirty) columns back.
-    Interned fields must be at most 48 bits wide so int columns
-    round-trip the int64 field values exactly; [Compile.build] refuses
-    wider fields (none exist today). *)
-module Batch : sig
-  type t
-
-  val create : fields:P4ir.Field.t array -> int -> t
-  (** [create ~fields cap]: a batch over the given interned-field layout
-      with initial lane capacity [cap] (grown on demand by {!load}). *)
-
-  val capacity : t -> int
-  val length : t -> int
-  (** Lanes filled by the most recent {!load}. *)
-
-  val fields : t -> P4ir.Field.t array
-  (** The interned layout, in column order (a copy). *)
-
-  val load : t -> ?pos:int -> ?n:int -> pkt array -> unit
-  (** Scatter packets [pos..pos+n-1] into the columns (lane [i] holds
-      packet [pos+i]), reset latency to 0, capture dropped/egress state,
-      and mark every loaded lane live. Allocates nothing once the
-      capacity fits [n]. *)
-
-  val store : t -> ?pos:int -> ?n:int -> pkt array -> unit
-  (** Gather lanes back into packets [pos..pos+n-1]: columns written
-      since {!load} (tracked per column), the dropped flags, and egress
-      ports. A lane whose value never changed writes nothing back, so a
-      read-only walk allocates nothing here either. *)
-
-  val load_sub : t -> pos:int -> n:int -> pkt array -> unit
-  val store_sub : t -> pos:int -> n:int -> pkt array -> unit
-  (** {!load}/{!store} with required arguments: the optional-argument
-      forms box each supplied argument per call, which the per-burst
-      hot path cannot afford. *)
-
-  val get : t -> lane:int -> P4ir.Field.t -> P4ir.Value.t
-  (** Columnar read of one lane.
-      @raise Invalid_argument if the field is not in the layout. *)
-
-  val set : t -> lane:int -> P4ir.Field.t -> P4ir.Value.t -> unit
-  (** Columnar write of one lane; truncates to the field width like
-      {!Packet.set} and marks the column dirty.
-      @raise Invalid_argument if the field is not in the layout. *)
-
-  val is_dropped : t -> lane:int -> bool
-  val mark_dropped : t -> lane:int -> unit
-  val egress_port : t -> lane:int -> int option
-  val set_egress : t -> lane:int -> int -> unit
-
-  val is_live : t -> lane:int -> bool
-  (** Live-lane bitmask: set for every lane by {!load}, cleared by
-      {!kill} as lanes finish the walk (sink reached or dropped). *)
-
-  val kill : t -> lane:int -> unit
-  val live_count : t -> int
-
-  (** {2 Raw accessors for the compiled burst walk}
-
-      These alias live batch state (valid until the next {!load} that
-      grows the batch); [Compile.run_burst] re-reads them per burst so
-      its lane loops run on plain arrays with no per-lane calls. *)
-
-  val columns : t -> int array array
-  (** One int column per layout field, in layout order. *)
-
-  val latencies : t -> float array
-  (** Per-lane latency accumulator (unboxed float array). *)
-
-  val dropped_bytes : t -> Bytes.t
-  (** Per-lane dropped flags ('\001' = dropped). *)
-
-  val egress_raw : t -> int array * Bytes.t
-  (** Per-lane egress ports and their validity bytes. *)
-
-  val mark_col_dirty : t -> int -> unit
-  (** Mark the column at a layout index dirty (the walk writes columns
-      directly, bypassing {!set}). *)
-end

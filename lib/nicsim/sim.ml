@@ -5,18 +5,12 @@ type t = {
   mutable counter_baseline : Profile.Counter.t;
   mutable last_profile_time : float;
   mutable lat_scratch : float array;  (* reused latency buffer, one slot per packet *)
-  (* Per-sim scratch for the sequential window (the burst and its
-     per-lane seq/now inputs) and the sharded window's packet staging
-     and CSR shard layout — reused so a steady-state window loop
-     allocates nothing per window. *)
+  (* Per-sim scratch for the window (the burst and its per-lane seq/now
+     inputs), reused so a steady-state window loop allocates nothing per
+     window. *)
   mutable burst_scratch : Packet.t array;
   mutable seq_scratch : int array;
   mutable now_scratch : float array;
-  mutable par_pkts : Packet.t array;
-  mutable par_shard : int array;  (* packet index -> shard *)
-  mutable par_idx : int array;  (* CSR: packet indices grouped by shard *)
-  mutable par_off : int array;  (* CSR offsets, [domains + 1] entries *)
-  mutable par_cursor : int array;
   lat_hist : Telemetry.Histogram.t;  (* per-window latency histogram, reset in [finish] *)
   mutable deploy_fault : (unit -> string option) option;
       (* consulted after a reconfigure/hot_patch lands; Some reason vetoes
@@ -38,11 +32,6 @@ let create ?config ?telemetry tgt prog =
     burst_scratch = [||];
     seq_scratch = [||];
     now_scratch = [||];
-    par_pkts = [||];
-    par_shard = [||];
-    par_idx = [||];
-    par_off = [||];
-    par_cursor = [||];
     lat_hist = Telemetry.Histogram.create ();
     deploy_fault = None }
 
@@ -76,8 +65,8 @@ let scratch t packets =
   t.lat_scratch
 
 (* Fold a filled latency buffer into stats and advance the clock. The
-   summation runs in packet-index order so the sequential and sharded
-   windows and the reference produce bit-identical floats; the
+   summation runs in packet-index order so the window and the reference
+   produce bit-identical floats; the
    histogram fill rides the same pass (bucket increments, order-free).
    avg/p99 keep the original sorted-scratch computation bit for bit; the
    p50/p90/p99.9 trio is histogram-derived (<= 3.125% high). *)
@@ -162,7 +151,8 @@ let burst_buf t n =
   end;
   t.burst_scratch
 
-let run_sequential t ~duration ~packets ~source =
+let run_window t ~duration ~packets ~source =
+  if packets <= 0 then invalid_arg "Sim.run_window: packets must be positive";
   let start = t.clock in
   let latencies = scratch t packets in
   let pkts = burst_buf t (min burst packets) in
@@ -191,116 +181,6 @@ let run_sequential t ~duration ~packets ~source =
   done;
   Array.fill pkts 0 (Array.length pkts) idle_packet;
   finish t ~start ~duration ~packets ~drops:!drops latencies
-
-let has_cache_tables prog =
-  List.exists
-    (fun (_, (tab : P4ir.Table.t)) ->
-      match tab.role with P4ir.Table.Cache _ -> true | _ -> false)
-    (P4ir.Program.tables prog)
-
-(* RSS-style receive-side scaling: hash the flow 5-tuple so one flow
-   always lands on the same domain, like real NIC dispatchers do. *)
-let flow_shard pkt ~domains =
-  let h = ref 0x9E3779B97F4A7C15L in
-  let mix f = h := Stdx.Prng.mix64 (Int64.logxor !h (Packet.get pkt f)) in
-  mix P4ir.Field.Ipv4_src;
-  mix P4ir.Field.Ipv4_dst;
-  mix P4ir.Field.Ipv4_proto;
-  mix P4ir.Field.Tcp_sport;
-  mix P4ir.Field.Tcp_dport;
-  Int64.to_int (Int64.rem (Int64.shift_right_logical !h 1) (Int64.of_int domains))
-
-let run_sharded t ~domains ~duration ~packets ~source =
-  let start = t.clock in
-  let latencies = scratch t packets in
-  (* Per-sim scratch, grown on demand: the packet staging array and a
-     CSR shard layout — shard [s] owns indices
-     [par_idx.(par_off.(s) .. par_off.(s+1) - 1)]. *)
-  if Array.length t.par_pkts < packets then begin
-    t.par_pkts <- Array.make packets idle_packet;
-    t.par_shard <- Array.make packets 0;
-    t.par_idx <- Array.make packets 0
-  end;
-  if Array.length t.par_off < domains + 1 then begin
-    t.par_off <- Array.make (domains + 1) 0;
-    t.par_cursor <- Array.make domains 0
-  end;
-  let pkts = t.par_pkts in
-  let shard = t.par_shard and idx = t.par_idx in
-  let off = t.par_off and cursor = t.par_cursor in
-  (* Pull every packet up front, in index order — same source call
-     sequence as sequential — then shard deterministically by flow. *)
-  for i = 0 to packets - 1 do
-    pkts.(i) <- source ()
-  done;
-  Array.fill off 0 (domains + 1) 0;
-  for i = 0 to packets - 1 do
-    let s = flow_shard pkts.(i) ~domains in
-    shard.(i) <- s;
-    off.(s + 1) <- off.(s + 1) + 1
-  done;
-  for s = 0 to domains - 1 do
-    off.(s + 1) <- off.(s + 1) + off.(s);
-    cursor.(s) <- off.(s)
-  done;
-  for i = 0 to packets - 1 do
-    let s = shard.(i) in
-    idx.(cursor.(s)) <- i;
-    cursor.(s) <- cursor.(s) + 1
-  done;
-  let base_seen = Exec.packets_seen t.ex in
-  let run_shard s () =
-    (* Each replica compiles its own op array on first use — the
-       compiled pipeline holds engine handles, which are per-replica.
-       The lane buffers live inside the domain: replicas must not share
-       mutable scratch. Disjoint index sets make the shared
-       latency-buffer writes race-free, and each lane's global sequence
-       number pins sampling to the packet's window position, not to
-       arrival order within the shard. *)
-    let replica = Exec.replicate t.ex in
-    let lo = off.(s) and hi = off.(s + 1) in
-    let cap = min burst (max 1 (hi - lo)) in
-    let bpkts = Array.make cap idle_packet in
-    let seqs = Array.make cap 0 in
-    let nows = Array.make cap 0. in
-    let lout = Array.make cap 0. in
-    let j = ref lo in
-    while !j < hi do
-      let n = min cap (hi - !j) in
-      for k = 0 to n - 1 do
-        let i = idx.(!j + k) in
-        bpkts.(k) <- pkts.(i);
-        seqs.(k) <- base_seen + i + 1;
-        nows.(k) <- packet_time ~start ~duration ~packets i
-      done;
-      ignore (Exec.run_batch replica ~seqs ~nows ~pos:0 ~n ~out:lout bpkts);
-      for k = 0 to n - 1 do
-        latencies.(idx.(!j + k)) <- lout.(k)
-      done;
-      j := !j + n
-    done;
-    replica
-  in
-  let workers = Array.init (domains - 1) (fun k -> Domain.spawn (run_shard (k + 1))) in
-  let replica0 = run_shard 0 () in
-  let replicas = Array.append [| replica0 |] (Array.map Domain.join workers) in
-  Array.iter (fun r -> Exec.merge_replica t.ex r) replicas;
-  let drops = ref 0 in
-  for i = 0 to packets - 1 do
-    if Packet.is_dropped pkts.(i) then incr drops
-  done;
-  Array.fill pkts 0 packets idle_packet;
-  finish t ~start ~duration ~packets ~drops:!drops latencies
-
-let run_window ?(domains = 1) t ~duration ~packets ~source =
-  if packets <= 0 then invalid_arg "Sim.run_window: packets must be positive";
-  if domains <= 0 then invalid_arg "Sim.run_window: domains must be positive";
-  (* Cache-role tables mutate shared engine state per packet (LRU recency,
-     fills), which sharded replicas cannot reproduce faithfully; those
-     programs run sequentially. So do degenerate shardings. *)
-  if domains = 1 || packets < 2 * domains || has_cache_tables (Exec.program t.ex) then
-    run_sequential t ~duration ~packets ~source
-  else run_sharded t ~domains ~duration ~packets ~source
 
 let run_window_compiled ?soa:_ t ~duration ~packets ~source =
   run_window t ~duration ~packets ~source

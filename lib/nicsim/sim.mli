@@ -32,9 +32,7 @@ val set_telemetry : t -> Telemetry.t -> unit
     distribution into histogram [nicsim.latency], bumps counter
     [nicsim.windows], and sets gauges [nicsim.window.throughput_gbps] /
     [.avg_latency] / [.drop_fraction] and per-table occupancy
-    [nicsim.table.<name>.entries]. Traces are only collected by
-    sequential windows — sharded windows run on {!Telemetry.fork}ed
-    sinks, which carry no trace ring. *)
+    [nicsim.table.<name>.entries]. *)
 
 type window_stats = {
   window_start : float;
@@ -44,8 +42,7 @@ type window_stats = {
   avg_latency : float;  (** mean per-packet latency in latency units *)
   p99_latency : float;  (** exact, from the sorted sample *)
   p50_latency : float;
-      (** histogram-derived (log-bucketed, at most 3.125% high); identical
-          for any domain count because the histogram fill is bucketwise *)
+      (** histogram-derived (log-bucketed, at most 3.125% high) *)
   p90_latency : float;
   p999_latency : float;
   throughput_gbps : float;  (** sustained, capped at line rate *)
@@ -53,12 +50,7 @@ type window_stats = {
 }
 
 val run_window :
-  ?domains:int ->
-  t ->
-  duration:float ->
-  packets:int ->
-  source:(unit -> Packet.t) ->
-  window_stats
+  t -> duration:float -> packets:int -> source:(unit -> Packet.t) -> window_stats
 (** Simulate [packets] sample packets spread uniformly over [duration]
     emulated seconds (packet [i] is stamped [start + duration * i /
     packets], so cache token buckets and time series behave), then
@@ -66,29 +58,17 @@ val run_window :
 
     Packets run in bursts of 64 through the compiled data path,
     {!Exec.run_batch}: the program flattened at deploy time into a
-    linear op array ({!Compile}), walked op-at-a-time over a
-    struct-of-arrays burst when {!Exec.soa_capable} (see docs/PERF.md
-    "Burst-vectorized walk"), packet-at-a-time otherwise. The pipeline
+    linear op array ({!Compile}) and walked one packet at a time on the
+    caller's domain (see docs/PERF.md "Window execution"). The pipeline
     compiles lazily on first use; {!reconfigure} and {!hot_patch} keep
     it coherent. Burst, lane inputs and latency buffers are per-sim
     scratch, so a steady-state window loop allocates nothing per window
     (asserted by a [Gc.minor_words] test), and no packet outlives its
     window in that scratch.
 
-    With [domains > 1] (default 1) the window is sharded across OCaml
-    domains: packets are pulled from the source up front in index
-    order, assigned to domains by a deterministic hash of the flow
-    5-tuple (RSS-style), run through the same burst walk on independent
-    engine replicas, and merged order-independently. Programs with
-    cache-role tables (whose per-packet LRU mutation sharding cannot
-    reproduce) and degenerate shardings ([packets < 2 * domains]) run
-    sequentially. Shards run on {!Telemetry.fork}ed sinks, which carry no
-    trace ring, and replicas carry no tracer ({!Exec.replicate}), so
-    spans and tracer events come only from sequential windows.
-
-    Stats, counters, telemetry metrics and per-packet latencies are
-    bit-identical to {!run_window_reference}, whatever [domains].
-    @raise Invalid_argument if [domains <= 0] or [packets <= 0]. *)
+    Stats, counters, telemetry metrics, spans, tracer events and
+    per-packet latencies are bit-identical to {!run_window_reference}.
+    @raise Invalid_argument if [packets <= 0]. *)
 
 val run_window_reference :
   t -> duration:float -> packets:int -> source:(unit -> Packet.t) -> window_stats
@@ -104,7 +84,7 @@ val run_window_compiled :
   packets:int ->
   source:(unit -> Packet.t) ->
   window_stats
-(** {!run_window} with one domain. Kept for [e2e/workloads.ml]
+(** {!run_window} under its old name. Kept for [e2e/workloads.ml]
     [data_path]; [?soa] is ignored; removed when a benchmark PR
     repoints the adapter. *)
 

@@ -21,8 +21,7 @@ val fork : t -> int -> t
 
 val mix64 : int64 -> int64
 (** The raw splitmix64 finalizer: a bijective 64-bit mixing function.
-    Building block for allocation-free hash keys and deterministic
-    flow-to-domain sharding. *)
+    Building block for allocation-free hash keys. *)
 
 val next64 : t -> int64
 val float : t -> float

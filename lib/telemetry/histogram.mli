@@ -10,8 +10,8 @@
     Histograms with the same [sub_bits] merge losslessly: bucket counts
     add, so quantiles of a merged histogram are *bit-identical* to the
     quantiles of a single histogram fed the union of the samples, in any
-    merge order. That is what lets the shards of a sharded
-    {!Nicsim.Sim.run_window} combine without distorting the tail. *)
+    merge order. That is what lets a fleet rollup combine per-member
+    latency histograms without distorting the tail. *)
 
 type t
 

@@ -5,9 +5,9 @@
     Handles are registered once by name and then updated directly
     (field mutation, no table lookup), so instrumented hot paths pay an
     increment, not a hash probe. Registries are single-domain mutable;
-    for sharded execution give each domain its own registry
-    ({!merge_into} combines them losslessly — counters and histogram
-    buckets add, gauges take the shard's latest set value). *)
+    give each domain or fleet member its own registry ({!merge_into}
+    combines them losslessly — counters and histogram buckets add,
+    gauges take the source's latest set value). *)
 
 type t
 (** A registry. *)

@@ -22,12 +22,9 @@ let create ?metrics ?trace_capacity ?(trace_sample_every = 64) () =
 let enabled t = t.enabled
 let metrics t = t.metrics
 let trace t = t.trace
-let trace_sample_every t = t.trace_sample_every
 
 let should_trace t ~seq =
   t.enabled && t.trace <> None && seq mod t.trace_sample_every = 0
-
-let tracing_active t = t.enabled && t.trace <> None
 
 let add_span t s = match t.trace with Some ring -> Trace.add ring s | None -> ()
 
@@ -38,6 +35,3 @@ let fork t =
       metrics = Metrics.create ();
       trace = None;
       trace_sample_every = t.trace_sample_every }
-
-let merge_into ~dst ~src =
-  if dst.enabled && src.enabled then Metrics.merge_into ~dst:dst.metrics ~src:src.metrics

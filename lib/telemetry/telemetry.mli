@@ -8,10 +8,10 @@
     under 2% on the nicsim window benchmarks ([bench/main.exe perf],
     row [telemetry/disabled-overhead]).
 
-    For sharded execution (OCaml 5 domains), give each worker a
-    {!fork}ed sink and {!merge_into} the parent after joining: counters
-    and histogram buckets combine losslessly. Traces are only collected
-    on the sink that owns the ring buffer (forks do not trace). *)
+    A {!fork}ed sink keeps its own registry; fold it back with
+    {!Metrics.merge_into}, which combines counters and histogram buckets
+    losslessly. Traces are only collected on the sink that owns the ring
+    buffer (forks do not trace). *)
 
 module Histogram = Histogram
 module Metrics = Metrics
@@ -42,27 +42,15 @@ val metrics : t -> Metrics.t
 val trace : t -> Trace.t option
 (** The span ring, when tracing is on. *)
 
-val trace_sample_every : t -> int
-
 val should_trace : t -> seq:int -> bool
 (** Whether the packet with global sequence number [seq] is sampled for
     tracing: enabled, tracing on, and [seq mod trace_sample_every = 0].
-    Keyed on the global sequence number so batched and sharded window
-    drivers sample the same packets as the sequential one. *)
-
-val tracing_active : t -> bool
-(** The seq-independent part of {!should_trace} (enabled and the span
-    ring present): [should_trace t ~seq] is [tracing_active t && seq mod
-    trace_sample_every t = 0]. Burst drivers hoist this out of their
-    per-lane loops. *)
+    Keyed on the global sequence number so the compiled window samples
+    the same packets as the reference interpreter. *)
 
 val add_span : t -> Trace.span -> unit
 (** No-op when tracing is off. *)
 
 val fork : t -> t
-(** A domain-local shard of this sink: same enablement and sampling
-    cadence, a fresh registry, no trace ring. {!null} forks to {!null}. *)
-
-val merge_into : dst:t -> src:t -> unit
-(** Fold a fork's registry back ({!Metrics.merge_into}); a no-op when
-    either side is disabled. *)
+(** A separate sink for a replica: same enablement and sampling cadence,
+    a fresh registry, no trace ring. {!null} forks to {!null}. *)

@@ -789,8 +789,7 @@ let test_prng_fork_deterministic () =
        (Stdx.Prng.next64 (Stdx.Prng.fork c 0))
        (Stdx.Prng.next64 (Stdx.Prng.fork c 1)))
 
-(* --- windows: the burst walk, sequential and sharded, against the
-   reference interpreter --- *)
+(* --- windows: the compiled walk against the reference interpreter --- *)
 
 let stats_bits_equal (a : Nicsim.Sim.window_stats) (b : Nicsim.Sim.window_stats) =
   let f x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
@@ -803,8 +802,7 @@ let stats_bits_equal (a : Nicsim.Sim.window_stats) (b : Nicsim.Sim.window_stats)
   && f a.throughput_gbps b.throughput_gbps
   && f a.drop_fraction b.drop_fraction
 
-(* Exact + LPM + ternary pipeline (no caches, so the parallel driver
-   actually shards) with a drop entry some packets hit. *)
+(* Exact + LPM + ternary pipeline with a drop entry some packets hit. *)
 let driver_program () =
   let acl = acl_with_drop ~name:"acl" 9L in
   let lpm =
@@ -873,37 +871,6 @@ let test_window_batched_identical () =
   check_driver_identical "batched" (fun sim source ->
       Nicsim.Sim.run_window sim ~duration:1.0 ~packets:1000 ~source)
 
-let test_window_parallel_identical () =
-  check_driver_identical "parallel-3" (fun sim source ->
-      Nicsim.Sim.run_window ~domains:3 sim ~duration:1.0 ~packets:1000 ~source);
-  check_driver_identical "parallel-recommended" (fun sim source ->
-      Nicsim.Sim.run_window ~domains:(Domain.recommended_domain_count ()) sim ~duration:1.0
-        ~packets:1000 ~source)
-
-let test_window_parallel_cache_fallback () =
-  (* Programs with cache tables take the sequential fallback — and still
-     match the reference exactly, LRU state included. *)
-  let prog = P4ir.Program.linear "cp" [ cache_table ~capacity:16 () ] in
-  let target = Costmodel.Target.bluefield2 in
-  let mk () = Nicsim.Sim.create target prog in
-  let src seed =
-    let rng = Stdx.Prng.create seed in
-    fun () ->
-      Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, Int64.of_int (Stdx.Prng.int rng 64)) ]
-  in
-  let sim_a = mk () in
-  let stats_a =
-    Nicsim.Sim.run_window_reference sim_a ~duration:1.0 ~packets:400 ~source:(src 3L)
-  in
-  let sim_b = mk () in
-  let stats_b =
-    Nicsim.Sim.run_window ~domains:4 sim_b ~duration:1.0 ~packets:400 ~source:(src 3L)
-  in
-  check_bool "fallback stats identical" true (stats_bits_equal stats_a stats_b);
-  check_int "fallback cache contents identical"
-    (Nicsim.Engine.num_entries (Nicsim.Exec.engine_exn (Nicsim.Sim.exec sim_a) "cache"))
-    (Nicsim.Engine.num_entries (Nicsim.Exec.engine_exn (Nicsim.Sim.exec sim_b) "cache"))
-
 let () =
   Alcotest.run "nicsim"
     [ ( "packet",
@@ -949,8 +916,4 @@ let () =
           Alcotest.test_case "engine copy independent" `Quick test_engine_copy_independent;
           Alcotest.test_case "prng fork deterministic" `Quick test_prng_fork_deterministic;
           Alcotest.test_case "batched window bit-identical" `Quick
-            test_window_batched_identical;
-          Alcotest.test_case "parallel window bit-identical" `Quick
-            test_window_parallel_identical;
-          Alcotest.test_case "parallel cache fallback" `Quick
-            test_window_parallel_cache_fallback ] ) ]
+            test_window_batched_identical ] ) ]

@@ -280,13 +280,12 @@ let driver_fixture seed packets run =
   (window_stats_bits stats, Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)))
 
 let test_window_drivers_identical =
-  qtest ~count:20 "batched/parallel windows = sequential (bits + counters)"
+  qtest ~count:20 "batched windows = sequential (bits + counters)"
     QCheck2.Gen.(pair (map Int64.of_int int) (int_range 16 400))
     (fun (seed, packets) ->
       let seq = driver_fixture seed packets Nicsim.Sim.run_window_reference in
       let batched = driver_fixture seed packets (fun sim -> Nicsim.Sim.run_window sim) in
-      let par = driver_fixture seed packets (fun sim -> Nicsim.Sim.run_window ~domains:3 sim) in
-      seq = batched && seq = par)
+      seq = batched)
 
 let synth_gen =
   let open QCheck2.Gen in
@@ -351,36 +350,6 @@ let test_optimizer_preserves_semantics =
       in
       P4ir.Program.validate_exn result.Pipeleon.Optimizer.program;
       packets_agree prog result.Pipeleon.Optimizer.program 11L)
-
-let test_parallel_local_equals_sequential =
-  (* The parallel fan-out must be a pure reshuffling of work: identical
-     candidates, identical gains, in pipelet order. Structural equality
-     on [evaluated] compares floats bit-for-bit. *)
-  qtest ~count:20 "parallel local_optimize = sequential" synth_gen (fun (prog, prof) ->
-      let pipelets = Pipeleon.Pipelet.form prog in
-      let hots = Pipeleon.Hotspot.rank target prof prog pipelets in
-      let seq = Pipeleon.Search.local_optimize target prof prog hots in
-      let par = Pipeleon.Search.local_optimize_parallel ~domains:3 target prof prog hots in
-      List.length seq = List.length par
-      && List.for_all2
-           (fun (a : Pipeleon.Search.pipelet_candidates)
-                (b : Pipeleon.Search.pipelet_candidates) ->
-             a.hot.pipelet = b.hot.pipelet && a.evaluated = b.evaluated)
-           seq par)
-
-let test_parallel_optimizer_plan_identical =
-  qtest ~count:10 "use_parallel plan = sequential plan" synth_gen (fun (prog, prof) ->
-      let cfg k = { Pipeleon.Optimizer.default_config with top_k = 1.0; use_parallel = k } in
-      let s = Pipeleon.Optimizer.optimize ~config:(cfg false) target prof prog in
-      let p = Pipeleon.Optimizer.optimize ~config:(cfg true) target prof prog in
-      let gains (r : Pipeleon.Optimizer.result) =
-        ( r.plan.Pipeleon.Search.predicted_gain,
-          List.map
-            (fun ((h : Pipeleon.Hotspot.hot), (e : Pipeleon.Candidate.evaluated)) ->
-              (h.pipelet.Pipeleon.Pipelet.entry, e.combo, e.gain))
-            r.plan.Pipeleon.Search.choices )
-      in
-      gains s = gains p)
 
 let test_warm_start_gain_equal =
   qtest ~count:10 "warm-start re-optimization is gain-equal" synth_gen
@@ -564,8 +533,7 @@ let () =
       ("window-drivers", [ test_window_drivers_identical ]);
       ("costmodel", [ test_node_sum_equals_paths; test_reach_probs_bounded ]);
       ( "optimizer",
-        [ test_optimizer_preserves_semantics; test_parallel_local_equals_sequential;
-          test_parallel_optimizer_plan_identical; test_warm_start_gain_equal;
+        [ test_optimizer_preserves_semantics; test_warm_start_gain_equal;
           test_serialize_roundtrip_random ] );
       ( "frontends-and-deploys",
         [ test_emit_parse_fixpoint_random; test_hetero_materialize_random;

@@ -1,6 +1,6 @@
 (* Tests for the telemetry subsystem: histogram bucketing and quantile
-   error bounds, lossless merges (the property that makes sharded window
-   stats exact), the metrics registry, the trace ring, the sink facade,
+   error bounds, lossless merges (the property that makes fleet rollups
+   exact), the metrics registry, the trace ring, the sink facade,
    and the nicsim integration (driver-independent metrics, observe-only
    stats, deterministic trace sampling). *)
 
@@ -75,7 +75,7 @@ let prop_quantile_error_bound =
           && est <= exact *. (1. +. H.relative_error h +. 1e-9))
         [ 0.5; 0.9; 0.99; 1.0 ])
 
-(* The property behind exact sharded quantiles: recording a sample list
+(* The property behind exact merged quantiles: recording a sample list
    across k shard histograms and merging is indistinguishable — bucket
    by bucket, and therefore quantile by quantile — from recording into
    one histogram, whatever the split. *)
@@ -207,9 +207,8 @@ let test_null_sink () =
   check_bool "no ring" true (Telemetry.trace Telemetry.null = None);
   check_bool "never samples" false (Telemetry.should_trace Telemetry.null ~seq:0);
   check_bool "fork stays disabled" false (Telemetry.enabled (Telemetry.fork Telemetry.null));
-  (* add_span and merge_into must be harmless no-ops. *)
-  Telemetry.add_span Telemetry.null (span 0);
-  Telemetry.merge_into ~dst:Telemetry.null ~src:(Telemetry.create ())
+  (* add_span must be a harmless no-op. *)
+  Telemetry.add_span Telemetry.null (span 0)
 
 let test_should_trace_cadence () =
   let tel = Telemetry.create ~trace_capacity:16 ~trace_sample_every:5 () in
@@ -230,7 +229,7 @@ let test_fork_merge () =
   check_bool "fork registry is fresh" true
     (M.find_counter (Telemetry.metrics shard) "n" = None);
   M.inc ~by:3 (M.counter (Telemetry.metrics shard) "n");
-  Telemetry.merge_into ~dst:parent ~src:shard;
+  M.merge_into ~dst:(Telemetry.metrics parent) ~src:(Telemetry.metrics shard);
   check_bool "merge folds the shard back" true
     (M.find_counter (Telemetry.metrics parent) "n" = Some 5)
 
@@ -287,26 +286,21 @@ let metrics_equal name ma mb =
     (M.names ma)
 
 let test_sim_metrics_driver_independent () =
-  (* The reference interpreter and the burst walk, sequential and
-     sharded, must land the exact same counters and histogram buckets:
-     the walk only changes dispatch, and shards record into forked
-     registries merged losslessly. *)
+  (* The reference interpreter and the compiled walk must land the exact
+     same counters and histogram buckets: the walk only changes
+     dispatch. *)
   let seq = run_with_sink (fun sim source ->
       Nicsim.Sim.run_window_reference sim ~duration:1.0 ~packets:600 ~source)
   in
   let batched = run_with_sink (fun sim source ->
       Nicsim.Sim.run_window sim ~duration:1.0 ~packets:600 ~source)
   in
-  let parallel = run_with_sink (fun sim source ->
-      Nicsim.Sim.run_window ~domains:3 sim ~duration:1.0 ~packets:600 ~source)
-  in
   check_bool "packets counted" true (M.find_counter seq "nicsim.packets" = Some 600);
   check_bool "latency histogram filled" true
     (match M.find_histogram seq "nicsim.latency" with
     | Some h -> H.count h = 600
     | None -> false);
-  metrics_equal "batched" seq batched;
-  metrics_equal "parallel" seq parallel
+  metrics_equal "batched" seq batched
 
 let stats_bits (s : Nicsim.Sim.window_stats) =
   List.map Int64.bits_of_float
