@@ -122,6 +122,41 @@ let dst_packet rng =
   Nicsim.Packet.of_fields
     [ (P4ir.Field.Ipv4_dst, Int64.logand (Stdx.Prng.next64 rng) 0xFFFFFFFFL) ]
 
+(* --- flow-cache and range fixtures --- *)
+
+(* A two-key flow cache ([Ipv4_src], [Tcp_dport]) of [capacity] entries,
+   no fill rate limit; [key i] is the i-th distinct key. *)
+let cache_engine ~capacity =
+  let tab =
+    P4ir.Table.make ~name:"bc"
+      ~keys:
+        [ P4ir.Table.key P4ir.Field.Ipv4_src P4ir.Match_kind.Exact;
+          P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Exact ]
+      ~actions:[ P4ir.Action.nop "t:a"; P4ir.Action.nop "miss" ]
+      ~default_action:"miss"
+      ~role:
+        (P4ir.Table.Cache
+           { P4ir.Table.cached_tables = [ "t" ]; capacity; insert_limit = 0.; auto_insert = true })
+      ()
+  in
+  Nicsim.Engine.create tab
+
+let cache_key i = (Int64.of_int (0x0A000000 + (i * 7919)), Int64.of_int (i land 0xFFFF))
+
+let cache_fill_entry i =
+  let src, dport = cache_key i in
+  P4ir.Table.entry [ P4ir.Pattern.Exact src; P4ir.Pattern.Exact dport ] "t:a"
+
+(* Eight service ranges with overlapping, tied-priority rules — the
+   firewall's [service_acl] shape, which every untrusted packet crosses. *)
+let range_table () =
+  mk_table "br"
+    [ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Range ]
+    (List.map
+       (fun (lo, hi, priority) -> P4ir.Table.entry ~priority [ P4ir.Pattern.Range (lo, hi) ] "a")
+       [ (22L, 22L, 3); (80L, 80L, 2); (443L, 443L, 2); (8080L, 8090L, 2); (53L, 53L, 2);
+         (1024L, 49151L, 1); (49152L, 65535L, 1); (0L, 1023L, 0) ])
+
 (* --- rule-scale fixtures (learned-index LPM, decision-tree ternary) --- *)
 
 (* 16 prefix lengths (17..32) x n/16 prefixes each. The odd-multiplier
@@ -308,6 +343,57 @@ let run_suite ~smoke =
     (lookup_bench ~name:"engine-lookup/ternary-8mask" ~iters:lookup_iters ~vs_linear:true
        (ternary_table ~per_mask:64)
        dst_packet);
+
+  (* The compiled walk's flow-cache and range probes ([Engine.probe]),
+     after-only. cache-hit-2key: hits on a warm 2-key cache of 1024
+     entries. cache-churn: fills of keys not in a full 1024-entry cache,
+     each evicting the least recent entry (4096 keys cycle through it;
+     entries prebuilt so the row times the store, not entry
+     construction). range-8: probes of an 8-rule range table. *)
+  let warm = cache_engine ~capacity:1024 in
+  for i = 0 to 1023 do
+    ignore (Nicsim.Engine.cache_fill warm ~now:0. (cache_fill_entry i))
+  done;
+  push
+    (let probes =
+       probe_pool ~seed:7L ~size:1024 ~of_rng:(fun rng ->
+           let src, dport = cache_key (Stdx.Prng.int rng 1024) in
+           Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_src, src); (P4ir.Field.Tcp_dport, dport) ])
+     in
+     { name = "engine-lookup/cache-hit-2key";
+       unit_ = "lookup";
+       before_ns = None;
+       after_ns = time_ns ~iters:lookup_iters (fun () -> Nicsim.Engine.probe warm (probes ()));
+       iters = lookup_iters;
+       note = Some (Nicsim.Engine.plan_kind warm) });
+  push
+    (let churn = cache_engine ~capacity:1024 in
+     let fills = Array.init 4096 cache_fill_entry in
+     Array.iteri (fun i e -> if i < 1024 then ignore (Nicsim.Engine.cache_fill churn ~now:0. e)) fills;
+     let k = ref 1024 in
+     { name = "engine-lookup/cache-churn";
+       unit_ = "fill";
+       before_ns = None;
+       after_ns =
+         time_ns ~iters:lookup_iters (fun () ->
+             let e = fills.(!k land 4095) in
+             incr k;
+             Nicsim.Engine.cache_fill churn ~now:0. e);
+       iters = lookup_iters;
+       note = Some "every fill evicts" });
+  push
+    (let eng = Nicsim.Engine.create (range_table ()) in
+     let probes =
+       probe_pool ~seed:7L ~size:1024 ~of_rng:(fun rng ->
+           Nicsim.Packet.of_fields
+             [ (P4ir.Field.Tcp_dport, Int64.of_int (Stdx.Prng.int rng 65536)) ])
+     in
+     { name = "engine-lookup/range-8";
+       unit_ = "lookup";
+       before_ns = None;
+       after_ns = time_ns ~iters:lookup_iters (fun () -> Nicsim.Engine.probe eng (probes ()));
+       iters = lookup_iters;
+       note = Some (Nicsim.Engine.plan_kind eng) });
 
   (* Rule-scale rows: the learned-index LPM plan vs the longest-first
      probe, and the decision-tree ternary plan vs the skip probe, at

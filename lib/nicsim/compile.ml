@@ -57,14 +57,6 @@ type op_table = {
   t_tab : P4ir.Table.t;
   t_name : string;
   t_eng : Engine.t;
-  t_probe : (Packet.t -> P4ir.Table.entry option) option;
-      (* allocation-free exact probe ({!Engine.exact_probe}); one memory
-         access by construction, same entries as [Engine.lookup] *)
-  t_splan : (Packet.t -> P4ir.Table.entry option) option;
-      (* shaped plan probe ({!Engine.plan_probe}): learned / tree /
-         straight probe per the table's backend selection; leaves
-         the modeled access count in [Engine.last_accesses] instead of
-         allocating a result tuple *)
   t_core : Costmodel.Cost.core;
   t_factor : float;
   t_cat : string;
@@ -120,10 +112,6 @@ type t = {
      mutable float field: float fields of a mixed record are boxed, so
      every [<-] would allocate; floatarray stores are unboxed. *)
   s_lat : floatarray;
-  mutable s_acc : int;
-      (* access count of the lookup in flight: a side channel out of the
-         probe/lookup branch, so the probe arm never builds a result
-         tuple (an int store is immediate — no write barrier) *)
   mutable s_pc : int;
   mutable s_core : Costmodel.Cost.core;
   mutable s_dropped : bool;
@@ -363,8 +351,6 @@ let build ?reuse ~target ~placement ~counters ~telemetry ~engine_of prog =
               t_tab = tab;
               t_name = tab.name;
               t_eng = eng;
-              t_probe = Engine.exact_probe eng;
-              t_splan = Engine.plan_probe eng;
               t_core = core;
               t_factor = factor;
               t_cat = node_cat tab;
@@ -405,7 +391,6 @@ let build ?reuse ~target ~placement ~counters ~telemetry ~engine_of prog =
     reused = !reused;
     rebuilt = !rebuilt;
     s_lat = Float.Array.make 1 0.;
-    s_acc = 0;
     s_pc = -1;
     s_core = Costmodel.Cost.Asic;
     s_dropped = false;
@@ -479,23 +464,10 @@ let run p ~tracer ~sampled ~seq ~nows ~out ~pos i pkt =
     | Op_table tb ->
       if tb.t_core != p.s_core then Float.Array.unsafe_set lb 0 (Float.Array.unsafe_get lb 0 +. p.migration);
       let l0 = Float.Array.unsafe_get lb 0 in
-      let result =
-        match tb.t_probe with
-        | Some probe ->
-          p.s_acc <- 1;
-          probe pkt
-        | None -> (
-          match tb.t_splan with
-          | Some probe ->
-            let r = probe pkt in
-            p.s_acc <- Engine.last_accesses tb.t_eng;
-            r
-          | None ->
-            let r, a = Engine.lookup tb.t_eng pkt in
-            p.s_acc <- a;
-            r)
-      in
-      let accesses = p.s_acc in
+      (* One allocation-free probe for every backend; the access count
+         comes back through the engine, not a result tuple. *)
+      let result = Engine.probe tb.t_eng pkt in
+      let accesses = Engine.last_accesses tb.t_eng in
       (* Runtime association order matches the interpreter:
          (accesses *. l_mat) *. factor. *)
       Float.Array.unsafe_set lb 0 (Float.Array.unsafe_get lb 0 +. (float_of_int accesses *. p.l_mat *. tb.t_factor));
@@ -512,14 +484,15 @@ let run p ~tracer ~sampled ~seq ~nows ~out ~pos i pkt =
                path below. *)
             tb.t_memo_info
           else begin
-            let i =
-              match Hashtbl.find_opt tb.t_art.ta_acts e.P4ir.Table.action with
-              | Some i -> i
-              | None ->
-                (* Same failure the interpreter's find_action_exn raises. *)
-                ignore (P4ir.Table.find_action_exn tb.t_tab e.P4ir.Table.action);
-                assert false
-            in
+            (* [mem] then [find]: [find_opt]'s [Some] would allocate on
+               every action change. *)
+            let acts = tb.t_art.ta_acts and name = e.P4ir.Table.action in
+            if not (Hashtbl.mem acts name) then begin
+              (* Same failure the interpreter's find_action_exn raises. *)
+              ignore (P4ir.Table.find_action_exn tb.t_tab name);
+              assert false
+            end;
+            let i = Hashtbl.find acts name in
             tb.t_memo_entry <- e;
             tb.t_memo_info <- i;
             i

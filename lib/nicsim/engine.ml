@@ -9,10 +9,20 @@ type shape_elem =
 (* One stored entry together with its pre-masked key values: hash tables
    are keyed by a 63-bit mixing hash of the masked values, and the masked
    arrays disambiguate the (rare) hash collisions. This keeps the probe
-   path free of the string keys the engine used to build per lookup. *)
+   path free of string keys. *)
 type slot = {
   masked : int64 array;  (* one per key, already masked *)
   entry : P4ir.Table.entry;
+}
+
+(* A shaped group's slot also carries the [Some entry] its straight probe
+   returns, preallocated at insert so the probe allocates nothing. Only
+   shaped groups pay for it: the exact store's probe answers from its
+   own index. *)
+type gslot = {
+  gmasked : int64 array;
+  gentry : P4ir.Table.entry;
+  ghit : P4ir.Table.entry option;  (* [Some gentry] *)
 }
 
 type group = {
@@ -20,7 +30,7 @@ type group = {
   masks : int64 array;  (* per-key mask, precomputed from the shape *)
   total_prefix : int;  (* for LPM ordering: longer prefixes probed first *)
   mutable max_priority : int;
-  tbl : (int, slot list) Hashtbl.t;
+  tbl : (int, gslot list) Hashtbl.t;
 }
 
 (* Learned-index LPM plan (single-LPM-key tables). The prefix set is
@@ -98,14 +108,55 @@ type xindex = {
 
 type exact_store = {
   etbl : (int, slot list) Hashtbl.t;
+  mutable ecount : int;  (* live entries, tracked exactly *)
   mutable eidx : xindex option;  (* compiled probe index; None = stale *)
+}
+
+(* Flow-cache store (§3.2.2): the exact store's mixing hash over key
+   values, an open-addressed index of node ids (linear probing,
+   backward-shift delete) and an index-linked recency list. Node arrays
+   start small and grow geometrically up to [ccap]; a hit touches only
+   int arrays and returns the node's preallocated [Some entry]. *)
+type cache_store = {
+  ccap : int;  (* most live entries; a fill beyond it evicts the tail *)
+  mutable ckeys : int64 array array;  (* per node: key values *)
+  mutable chash : int array;  (* per node: mixing hash of the key *)
+  mutable cent : P4ir.Table.entry option array;  (* per node: [Some entry]; None = free *)
+  mutable cprev : int array;  (* per node: next more recent node, -1 at the head *)
+  mutable cnext : int array;  (* per node: next less recent node (free list too) *)
+  mutable chead : int;  (* most recent node, -1 when empty *)
+  mutable ctail : int;  (* least recent node, -1 when empty *)
+  mutable cfree : int;  (* free-node list through [cnext], -1 when empty *)
+  mutable cused : int;  (* nodes handed out so far *)
+  mutable clen : int;  (* live entries *)
+  mutable cidx : int array;  (* open-addressed node ids, -1 = empty; power-of-two length *)
+}
+
+(* Range tables scan their entries in [P4ir.Table.lookup]'s winner order
+   (priority desc, specificity desc, insertion order), so the first
+   match is the answer. Per (entry, key) cell: a masked compare
+   [v land hi = lo] for exact/LPM/ternary patterns, or an unsigned range
+   test with both bounds pre-flipped by [min_int] into signed order. *)
+type scan = {
+  sc_nk : int;  (* keys per entry *)
+  sc_range : bool array;  (* n*nk: range cell? *)
+  sc_lo : int64 array;  (* n*nk: masked value, or flipped low bound *)
+  sc_hi : int64 array;  (* n*nk: mask, or flipped high bound *)
+  sc_ent : P4ir.Table.entry option array;  (* per sorted entry: [Some entry] *)
+  sc_acc : int;  (* modeled accesses: the reference scan's [max 1 n] *)
+}
+
+type linear = {
+  mutable lentries : P4ir.Table.entry list;  (* insertion order *)
+  mutable lcount : int;
+  mutable lscan : scan option;  (* compiled scan; None = stale *)
 }
 
 type backend =
   | Exact_hash of exact_store
-  | Exact_lru of P4ir.Table.entry Lru.t
+  | Cache_lru of cache_store
   | Shaped of shaped
-  | Linear of P4ir.Table.entry list ref
+  | Linear of linear
 
 type t = {
   table : P4ir.Table.t;
@@ -132,29 +183,6 @@ let has_range (tab : P4ir.Table.t) =
   List.exists
     (fun (k : P4ir.Table.key) -> P4ir.Match_kind.equal k.kind P4ir.Match_kind.Range)
     tab.keys
-
-(* String keys survive only for the LRU cache store, whose map is keyed
-   by strings; the hash engines use the allocation-free mixing hash. *)
-let exact_key_of_entry (e : P4ir.Table.entry) =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun p ->
-      match p with
-      | P4ir.Pattern.Exact v ->
-        Buffer.add_int64_le buf v;
-        Buffer.add_char buf '|'
-      | _ -> invalid_arg "Engine: non-exact pattern in exact table")
-    e.patterns;
-  Buffer.contents buf
-
-let exact_key_of_values values =
-  let buf = Buffer.create 32 in
-  Array.iter
-    (fun v ->
-      Buffer.add_int64_le buf v;
-      Buffer.add_char buf '|')
-    values;
-  Buffer.contents buf
 
 (* --- hashing --- *)
 
@@ -200,25 +228,28 @@ let[@inline always] hash_exact1 (v : int64) =
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_int (Int64.shift_right_logical z 1)
 
+let rec arrays_equal_from (a : int64 array) (b : int64 array) i n =
+  i >= n
+  || Int64.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && arrays_equal_from a b (i + 1) n
+
 let arrays_equal (a : int64 array) (b : int64 array) =
   let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i >= n || (Int64.equal a.(i) b.(i) && go (i + 1)) in
-  go 0
+  n = Array.length b && arrays_equal_from a b 0 n
 
-(* Does [slot] hold the masked projection of [vals]? *)
-let slot_matches (masks : int64 array) (vals : int64 array) (s : slot) =
-  let n = Array.length masks in
-  let rec go i =
-    i >= n
-    || Int64.equal s.masked.(i) (Int64.logand vals.(i) masks.(i)) && go (i + 1)
-  in
-  go 0
+(* Do the stored masked values [cm] equal the masked projection of
+   [vals] on keys [i, n)? A top-level recursion, not a closure, so the
+   probes calling it allocate nothing. *)
+let rec masked_match (cm : int64 array) (masks : int64 array) (vals : int64 array) i n =
+  i >= n
+  || Int64.equal (Array.unsafe_get cm i)
+       (Int64.logand (Array.unsafe_get vals i) (Array.unsafe_get masks i))
+     && masked_match cm masks vals (i + 1) n
 
-let rec bucket_find masks vals = function
+let rec gbucket_find masks vals = function
   | [] -> None
-  | s :: rest -> if slot_matches masks vals s then Some s else bucket_find masks vals rest
+  | s :: rest ->
+    if masked_match s.gmasked masks vals 0 (Array.length masks) then s.ghit
+    else gbucket_find masks vals rest
 
 let exact_slot_matches (vals : int64 array) (s : slot) = arrays_equal s.masked vals
 
@@ -229,25 +260,22 @@ let rec exact_bucket_find vals = function
 (* Two entries with the same masked key collapse to one slot; keep the
    one the reference list scan would pick — higher priority, ties to the
    earlier insertion. (Same shape means same masks, so specificity cannot
-   break the tie either.) *)
-let bucket_keep bucket (slot : slot) =
-  let rec go acc = function
-    | [] -> slot :: bucket
-    | (s : slot) :: rest ->
-      if arrays_equal s.masked slot.masked then
-        if s.entry.priority >= slot.entry.priority then bucket
-        else List.rev_append acc (slot :: rest)
-      else go (s :: acc) rest
-  in
-  go [] bucket
-
-(* True iff the store grew (the slot's masked key was new): collapsing
-   onto an existing slot keeps the live-entry count unchanged. *)
-let hash_insert tbl key slot =
+   break the tie either.) True iff the store grew (the slot's masked key
+   was new): collapsing onto an existing slot keeps the live-entry count
+   unchanged. *)
+let hash_insert ~masked ~priority tbl key slot =
   let bucket = match Hashtbl.find_opt tbl key with Some b -> b | None -> [] in
-  let bucket' = bucket_keep bucket slot in
+  let rec keep acc = function
+    | [] -> (slot :: bucket, true)
+    | s :: rest ->
+      if arrays_equal (masked s) (masked slot) then
+        if priority s >= priority slot then (bucket, false)
+        else (List.rev_append acc (slot :: rest), false)
+      else keep (s :: acc) rest
+  in
+  let bucket', grew = keep [] bucket in
   Hashtbl.replace tbl key bucket';
-  List.length bucket' > List.length bucket
+  grew
 
 (* --- shapes --- *)
 
@@ -346,14 +374,20 @@ let shaped_insert s (tab : P4ir.Table.t) (e : P4ir.Table.entry) =
   in
   let values = Array.of_list (entry_values e) in
   let masked = Array.mapi (fun i v -> Int64.logand v g.masks.(i)) values in
-  if hash_insert g.tbl (hash_masked masked g.masks) { masked; entry = e } then
-    s.nentries <- s.nentries + 1;
+  if
+    hash_insert
+      ~masked:(fun s -> s.gmasked)
+      ~priority:(fun s -> s.gentry.priority)
+      g.tbl (hash_masked masked g.masks)
+      { gmasked = masked; gentry = e; ghit = Some e }
+  then s.nentries <- s.nentries + 1;
   invalidate_plan s
 
+(* [Hashtbl.mem] then [find] rather than [find_opt] (whose [Some]
+   allocates) or [find] under a handler (a miss raises, twice as slow). *)
 let group_probe (g : group) vals =
-  match Hashtbl.find_opt g.tbl (hash_masked vals g.masks) with
-  | None -> None
-  | Some bucket -> bucket_find g.masks vals bucket
+  let h = hash_masked vals g.masks in
+  if Hashtbl.mem g.tbl h then gbucket_find g.masks vals (Hashtbl.find g.tbl h) else None
 
 (* --- learned-index LPM plan --- *)
 
@@ -416,12 +450,12 @@ let build_learned t s =
     Hashtbl.iter
       (fun _ bucket ->
         List.iter
-          (fun (s0 : slot) ->
+          (fun s0 ->
             let k = !nit in
-            it_lo.(k) <- s0.masked.(0);
-            it_hi.(k) <- Int64.add s0.masked.(0) span;
+            it_lo.(k) <- s0.gmasked.(0);
+            it_hi.(k) <- Int64.add s0.gmasked.(0) span;
             it_len.(k) <- len;
-            it_ent.(k) <- Some s0.entry;
+            it_ent.(k) <- s0.ghit;
             it_acc.(k) <- i + 1;
             incr nit)
           bucket)
@@ -641,12 +675,12 @@ let build_tree s =
     Hashtbl.iter
       (fun _ bucket ->
         List.iter
-          (fun (s0 : slot) ->
+          (fun s0 ->
             let k = !na in
-            a_masked.(k) <- s0.masked;
+            a_masked.(k) <- s0.gmasked;
             a_rank.(k) <- i;
-            a_ent.(k) <- Some s0.entry;
-            a_prio.(k) <- s0.entry.priority;
+            a_ent.(k) <- s0.ghit;
+            a_prio.(k) <- s0.gentry.priority;
             incr na)
           bucket)
       s.groups.(i).tbl
@@ -802,18 +836,12 @@ let build_tree s =
     t_maxleaf = !maxleaf }
 
 (* Leaf scan: first candidate whose masked projection of the packet
-   values matches. Top-level recursion keeps the probe allocation-free. *)
-let rec tree_cand_match (cm : int64 array) (masks : int64 array) (vals : int64 array) k nk =
-  k >= nk
-  || Int64.equal (Array.unsafe_get cm k)
-       (Int64.logand (Array.unsafe_get vals k) (Array.unsafe_get masks k))
-     && tree_cand_match cm masks vals (k + 1) nk
-
+   values matches. *)
 let rec tree_scan (tr : tree) (vals : int64 array) i stop =
   if i >= stop then None
   else begin
     let masks = tr.t_masks.(Array.unsafe_get tr.c_rank i) in
-    if tree_cand_match (Array.unsafe_get tr.c_masked i) masks vals 0 (Array.length masks) then
+    if masked_match (Array.unsafe_get tr.c_masked i) masks vals 0 (Array.length masks) then
       Array.unsafe_get tr.c_ent i
     else tree_scan tr vals (i + 1) stop
   end
@@ -855,29 +883,292 @@ let select_plan t s =
      | Force_learned -> if learned_applicable t s then P_learned (build_learned t s) else auto ()
      | Force_tree -> if (not s.lpm_ordered) && s.ngroups > 0 then P_tree (build_tree s) else auto ())
 
+(* --- flow-cache store --- *)
+
+let cache_initial_nodes = 8
+
+(* Open-addressing slots for [n] keys: a power of two keeping the load
+   factor at most 1/2, so linear-probe chains stay short. *)
+let index_size n =
+  let s = ref 8 in
+  while !s < 2 * n do
+    s := 2 * !s
+  done;
+  !s
+
+(* Back to the initial small arrays, as [Hashtbl.reset] would. *)
+let cache_reset c =
+  let n = min c.ccap cache_initial_nodes in
+  c.ckeys <- Array.make n [||];
+  c.chash <- Array.make n 0;
+  c.cent <- Array.make n None;
+  c.cprev <- Array.make n (-1);
+  c.cnext <- Array.make n (-1);
+  c.chead <- -1;
+  c.ctail <- -1;
+  c.cfree <- -1;
+  c.cused <- 0;
+  c.clen <- 0;
+  c.cidx <- Array.make (index_size n) (-1)
+
+let cache_make cap =
+  let c =
+    { ccap = cap; ckeys = [||]; chash = [||]; cent = [||]; cprev = [||]; cnext = [||];
+      chead = -1; ctail = -1; cfree = -1; cused = 0; clen = 0; cidx = [||] }
+  in
+  cache_reset c;
+  c
+
+(* The node holding key [vals] (mixing hash [h]), probing from index
+   slot [j]; -1 if absent. [cfind1] is the single-key form. *)
+let rec cfind c (vals : int64 array) h j =
+  let n = Array.unsafe_get c.cidx j in
+  if n < 0 then -1
+  else if Array.unsafe_get c.chash n = h && arrays_equal (Array.unsafe_get c.ckeys n) vals then n
+  else cfind c vals h ((j + 1) land (Array.length c.cidx - 1))
+
+let rec cfind1 c (v : int64) h j =
+  let n = Array.unsafe_get c.cidx j in
+  if n < 0 then -1
+  else if
+    Array.unsafe_get c.chash n = h
+    && Int64.equal (Array.unsafe_get (Array.unsafe_get c.ckeys n) 0) v
+  then n
+  else cfind1 c v h ((j + 1) land (Array.length c.cidx - 1))
+
+let cache_unlink c n =
+  let p = c.cprev.(n) and q = c.cnext.(n) in
+  if p >= 0 then c.cnext.(p) <- q else c.chead <- q;
+  if q >= 0 then c.cprev.(q) <- p else c.ctail <- p
+
+let cache_push_front c n =
+  c.cprev.(n) <- -1;
+  c.cnext.(n) <- c.chead;
+  if c.chead >= 0 then c.cprev.(c.chead) <- n else c.ctail <- n;
+  c.chead <- n
+
+let cache_touch c n =
+  if c.chead <> n then begin
+    cache_unlink c n;
+    cache_push_front c n
+  end
+
+let rec cidx_place c n j =
+  if c.cidx.(j) < 0 then c.cidx.(j) <- n
+  else cidx_place c n ((j + 1) land (Array.length c.cidx - 1))
+
+(* Backward-shift delete: walk the probe run after the hole and pull
+   back every node whose home slot lies at or before the hole, so the
+   index never needs tombstones. *)
+let rec cidx_shift c hole k =
+  let mask = Array.length c.cidx - 1 in
+  let m = c.cidx.(k) in
+  if m >= 0 then
+    if (k - (c.chash.(m) land mask)) land mask >= (k - hole) land mask then begin
+      c.cidx.(hole) <- m;
+      c.cidx.(k) <- -1;
+      cidx_shift c k ((k + 1) land mask)
+    end
+    else cidx_shift c hole ((k + 1) land mask)
+
+let rec cidx_slot c n j =
+  if c.cidx.(j) = n then j else cidx_slot c n ((j + 1) land (Array.length c.cidx - 1))
+
+let cache_remove c n =
+  let mask = Array.length c.cidx - 1 in
+  let j = cidx_slot c n (c.chash.(n) land mask) in
+  c.cidx.(j) <- -1;
+  cidx_shift c j ((j + 1) land mask);
+  cache_unlink c n;
+  c.ckeys.(n) <- [||];
+  c.cent.(n) <- None;
+  c.cnext.(n) <- c.cfree;
+  c.cfree <- n;
+  c.clen <- c.clen - 1
+
+(* Double the node arrays (up to [ccap]) and rebuild the index. *)
+let cache_grow c =
+  let old = Array.length c.cent in
+  let n = min c.ccap (2 * old) in
+  let extend a z =
+    let b = Array.make n z in
+    Array.blit a 0 b 0 old;
+    b
+  in
+  c.ckeys <- extend c.ckeys [||];
+  c.chash <- extend c.chash 0;
+  c.cent <- extend c.cent None;
+  c.cprev <- extend c.cprev (-1);
+  c.cnext <- extend c.cnext (-1);
+  c.cidx <- Array.make (index_size n) (-1);
+  for m = 0 to c.cused - 1 do
+    if Option.is_some c.cent.(m) then cidx_place c m (c.chash.(m) land (Array.length c.cidx - 1))
+  done
+
+let cache_alloc c =
+  if c.cfree >= 0 then begin
+    let n = c.cfree in
+    c.cfree <- c.cnext.(n);
+    n
+  end
+  else begin
+    if c.cused = Array.length c.cent then cache_grow c;
+    let n = c.cused in
+    c.cused <- n + 1;
+    n
+  end
+
+(* Insert or refresh [keys] -> [e] as the most recent entry; true iff
+   the least recent entry was evicted to make room. Evicting before the
+   insert picks the same victim as inserting first and trimming the
+   tail, and never grows the arrays past [ccap]. *)
+let cache_put c (keys : int64 array) e =
+  let h = hash_exact keys in
+  let n = cfind c keys h (h land (Array.length c.cidx - 1)) in
+  if n >= 0 then begin
+    c.cent.(n) <- Some e;
+    cache_touch c n;
+    false
+  end
+  else begin
+    let evict = c.clen >= c.ccap in
+    if evict then cache_remove c c.ctail;
+    let n = cache_alloc c in
+    c.ckeys.(n) <- keys;
+    c.chash.(n) <- h;
+    c.cent.(n) <- Some e;
+    cidx_place c n (h land (Array.length c.cidx - 1));
+    cache_push_front c n;
+    c.clen <- c.clen + 1;
+    evict
+  end
+
+(* Least recent first: replaying the list through [cache_put] rebuilds
+   the same recency order. *)
+let cache_entries c =
+  let rec walk n acc =
+    if n < 0 then acc
+    else walk c.cnext.(n) (match c.cent.(n) with Some e -> e :: acc | None -> acc)
+  in
+  walk c.chead []
+
+let cache_copy c =
+  { c with
+    ckeys = Array.copy c.ckeys;
+    chash = Array.copy c.chash;
+    cent = Array.copy c.cent;
+    cprev = Array.copy c.cprev;
+    cnext = Array.copy c.cnext;
+    cidx = Array.copy c.cidx }
+
+let exact_values (patterns : P4ir.Pattern.t list) =
+  Array.of_list
+    (List.map
+       (function
+         | P4ir.Pattern.Exact v -> v
+         | _ -> invalid_arg "Engine: non-exact pattern in exact table")
+       patterns)
+
+(* --- compiled range scan --- *)
+
+let build_scan t l =
+  let widths = Array.map P4ir.Field.width t.fields in
+  let nk = Array.length widths in
+  let ents = Array.of_list l.lentries in
+  let n = Array.length ents in
+  let spec =
+    Array.map
+      (fun (e : P4ir.Table.entry) ->
+        List.fold_left (fun acc p -> acc + P4ir.Pattern.specificity p) 0 e.patterns)
+      ents
+  in
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      match compare ents.(b).priority ents.(a).priority with
+      | 0 -> compare spec.(b) spec.(a)
+      | c -> c)
+    order;
+  let sc_range = Array.make (n * nk) false in
+  let sc_lo = Array.make (n * nk) 0L in
+  let sc_hi = Array.make (n * nk) 0L in
+  Array.iteri
+    (fun i src ->
+      List.iteri
+        (fun k (p : P4ir.Pattern.t) ->
+          let c = (i * nk) + k in
+          let masked mask v =
+            sc_lo.(c) <- Int64.logand v mask;
+            sc_hi.(c) <- mask
+          in
+          match p with
+          | P4ir.Pattern.Exact v ->
+            masked (P4ir.Value.truncate ~width:widths.(k) Int64.minus_one) v
+          | P4ir.Pattern.Lpm (v, len) ->
+            masked (P4ir.Value.prefix_mask ~width:widths.(k) ~prefix_len:len) v
+          | P4ir.Pattern.Ternary (v, mask) -> masked mask v
+          | P4ir.Pattern.Range (lo, hi) ->
+            sc_range.(c) <- true;
+            sc_lo.(c) <- Int64.logxor lo Int64.min_int;
+            sc_hi.(c) <- Int64.logxor hi Int64.min_int)
+        ents.(src).patterns)
+    order;
+  let sc =
+    { sc_nk = nk;
+      sc_range;
+      sc_lo;
+      sc_hi;
+      sc_ent = Array.map (fun i -> Some ents.(i)) order;
+      sc_acc = max 1 n }
+  in
+  l.lscan <- Some sc;
+  sc
+
+let rec scan_cells sc (vals : int64 array) base k =
+  k >= sc.sc_nk
+  || (let v = Array.unsafe_get vals k and c = base + k in
+      if Array.unsafe_get sc.sc_range c then begin
+        let fv = Int64.logxor v Int64.min_int in
+        Int64.compare (Array.unsafe_get sc.sc_lo c) fv <= 0
+        && Int64.compare fv (Array.unsafe_get sc.sc_hi c) <= 0
+      end
+      else Int64.equal (Int64.logand v (Array.unsafe_get sc.sc_hi c)) (Array.unsafe_get sc.sc_lo c))
+     && scan_cells sc vals base (k + 1)
+
+let rec scan_from sc (vals : int64 array) i =
+  if i >= Array.length sc.sc_ent then None
+  else if scan_cells sc vals (i * sc.sc_nk) 0 then Array.unsafe_get sc.sc_ent i
+  else scan_from sc vals (i + 1)
+
 (* --- engine construction --- *)
 
 let raw_insert t (e : P4ir.Table.entry) =
   match t.backend with
   | Exact_hash ex ->
     let masked = Array.of_list (entry_values e) in
-    ignore (hash_insert ex.etbl (hash_exact masked) { masked; entry = e });
+    if
+      hash_insert
+        ~masked:(fun s -> s.masked)
+        ~priority:(fun s -> s.entry.priority)
+        ex.etbl (hash_exact masked) { masked; entry = e }
+    then ex.ecount <- ex.ecount + 1;
     ex.eidx <- None
-  | Exact_lru lru -> ignore (Lru.put lru (exact_key_of_entry e) e)
-  | Linear entries -> entries := !entries @ [ e ]
+  | Cache_lru c -> ignore (cache_put c (exact_values e.patterns) e)
+  | Linear l ->
+    l.lentries <- l.lentries @ [ e ];
+    l.lcount <- l.lcount + 1;
+    l.lscan <- None
   | Shaped s -> shaped_insert s t.table e
 
 let create ?(hint = Auto) (tab : P4ir.Table.t) =
   let backend =
     match tab.role with
-    | P4ir.Table.Cache meta when all_exact tab ->
-      let lru = Lru.create ~capacity:(max 1 meta.capacity) in
-      List.iter (fun e -> ignore (Lru.put lru (exact_key_of_entry e) e)) tab.entries;
-      Exact_lru lru
-    | _ when has_range tab -> Linear (ref tab.entries)
+    | P4ir.Table.Cache meta when all_exact tab -> Cache_lru (cache_make (max 1 meta.capacity))
+    | _ when has_range tab ->
+      Linear { lentries = tab.entries; lcount = List.length tab.entries; lscan = None }
     | _ when all_exact tab ->
       Exact_hash
-        { etbl = Hashtbl.create (max 64 (List.length tab.entries)); eidx = None }
+        { etbl = Hashtbl.create (max 64 (List.length tab.entries)); ecount = 0; eidx = None }
     | _ ->
       let lpm_ordered =
         P4ir.Match_kind.equal (P4ir.Table.effective_kind tab) P4ir.Match_kind.Lpm
@@ -908,8 +1199,8 @@ let create ?(hint = Auto) (tab : P4ir.Table.t) =
       token_time = 0. }
   in
   (match backend with
-   | Exact_hash _ | Shaped _ -> List.iter (raw_insert t) tab.entries
-   | Exact_lru _ | Linear _ -> ());
+   | Exact_hash _ | Cache_lru _ | Shaped _ -> List.iter (raw_insert t) tab.entries
+   | Linear _ -> ());
   t
 
 (* Fill the reusable key buffer with the packet's key-field values. *)
@@ -919,51 +1210,47 @@ let read_values t pkt =
   done;
   t.scratch
 
-let linear_lookup t entries pkt =
-  let read f = Packet.get pkt f in
-  let tab = { t.table with P4ir.Table.entries } in
-  (P4ir.Table.lookup tab read, max 1 (List.length entries))
-
 (* Longest-prefix groups first; the first hit is the answer. *)
-let lpm_linear_probe s vals =
-  let rec probe i =
-    if i >= s.ngroups then (None, max 1 s.ngroups)
-    else
-      let g = s.groups.(i) in
-      match group_probe g vals with
-      | Some slot -> (Some slot.entry, i + 1)
-      | None -> probe (i + 1)
-  in
-  probe 0
+let rec lpm_probe_from t s vals i =
+  if i >= s.ngroups then begin
+    t.last_acc <- max 1 s.ngroups;
+    None
+  end
+  else
+    match group_probe (Array.unsafe_get s.groups i) vals with
+    | Some _ as r ->
+      t.last_acc <- i + 1;
+      r
+    | None -> lpm_probe_from t s vals (i + 1)
 
 (* Ternary: the model probes every mask group; highest priority wins.
    [skip] elides hash probes that cannot change the winner (the group's
    max priority does not beat the current best) — the reported access
    count still charges every group, as the hardware would. *)
-let ternary_probe ~skip s vals =
-  let best = ref None in
-  for i = 0 to s.ngroups - 1 do
-    let g = s.groups.(i) in
-    let skippable =
-      skip
-      && match !best with
-         | Some (b : P4ir.Table.entry) -> b.priority >= g.max_priority
-         | None -> false
+let rec ternary_probe_from ~skip s vals i (best : P4ir.Table.entry option) =
+  if i >= s.ngroups then best
+  else begin
+    let g = Array.unsafe_get s.groups i in
+    let best =
+      match best with
+      | Some b when skip && b.priority >= g.max_priority -> best
+      | _ -> (
+        match group_probe g vals with
+        | Some e as r -> (
+          match best with Some b when b.priority >= e.priority -> best | _ -> r)
+        | None -> best)
     in
-    if not skippable then
-      match group_probe g vals with
-      | Some slot -> (
-        match !best with
-        | Some (b : P4ir.Table.entry) when b.priority >= slot.entry.priority -> ()
-        | _ -> best := Some slot.entry)
-      | None -> ()
-  done;
-  (!best, max 1 s.ngroups)
+    ternary_probe_from ~skip s vals (i + 1) best
+  end
 
-(* One plan-directed probe. Leaves the access count in [t.last_acc]
-   instead of returning a tuple: the learned and tree paths return a
-   preallocated entry option, so the compiled walk stays allocation-free
-   through here. *)
+(* The straight probe; the access count goes to [t.last_acc]. *)
+let straight_probe ~skip t s vals =
+  if s.lpm_ordered then lpm_probe_from t s vals 0
+  else begin
+    t.last_acc <- max 1 s.ngroups;
+    ternary_probe_from ~skip s vals 0 None
+  end
+
 let shaped_probe t s pkt =
   if s.plan_stale then select_plan t s;
   match s.plan with
@@ -972,38 +1259,14 @@ let shaped_probe t s pkt =
     let vals = read_values t pkt in
     t.last_acc <- tr.t_acc;
     tree_descend tr vals 0
-  | P_none ->
-    let vals = read_values t pkt in
-    let r, a =
-      if s.lpm_ordered then lpm_linear_probe s vals else ternary_probe ~skip:true s vals
-    in
-    t.last_acc <- a;
-    r
-
-let shaped_lookup ~use_plan t s pkt =
-  if use_plan then begin
-    let r = shaped_probe t s pkt in
-    (r, t.last_acc)
-  end
-  else begin
-    let vals = read_values t pkt in
-    if s.lpm_ordered then lpm_linear_probe s vals else ternary_probe ~skip:false s vals
-  end
+  | P_none -> straight_probe ~skip:true t s (read_values t pkt)
 
 (* --- compiled exact-probe index --- *)
 
 let build_xindex (ex : exact_store) =
-  let n = Hashtbl.fold (fun _ bucket acc -> acc + List.length bucket) ex.etbl 0 in
-  (* Load factor <= 1/2 keeps linear-probe chains short. *)
-  let cap = ref 8 in
-  while !cap < 2 * n do
-    cap := !cap * 2
-  done;
+  let cap = index_size ex.ecount in
   let idx =
-    { xmask = !cap - 1;
-      xhash = Array.make !cap 0;
-      xvals = Array.make !cap [||];
-      xent = Array.make !cap None }
+    { xmask = cap - 1; xhash = Array.make cap 0; xvals = Array.make cap [||]; xent = Array.make cap None }
   in
   Hashtbl.iter
     (fun h bucket ->
@@ -1057,34 +1320,50 @@ let xindex_find1 idx (v : int64) =
   let h = hash_exact1 v in
   xfind1_from idx v h (h land idx.xmask)
 
-let exact_probe t =
+(* --- the probe --- *)
+
+let probe t pkt =
   match t.backend with
   | Exact_hash ex ->
-    Some
-      (if Array.length t.fields = 1 then begin
-         let field = t.fields.(0) in
-         fun pkt ->
-           let idx = match ex.eidx with Some idx -> idx | None -> build_xindex ex in
-           xindex_find1 idx (Packet.get pkt field)
-       end
-       else
-         fun pkt ->
-           let idx = match ex.eidx with Some idx -> idx | None -> build_xindex ex in
-           let vals = read_values t pkt in
-           xindex_find idx vals (hash_exact vals))
-  | Exact_lru _ | Shaped _ | Linear _ -> None
-
-let plan_probe t =
-  match t.backend with
-  | Shaped s -> Some (fun pkt -> shaped_probe t s pkt)
-  | Exact_hash _ | Exact_lru _ | Linear _ -> None
+    t.last_acc <- 1;
+    let idx = match ex.eidx with Some idx -> idx | None -> build_xindex ex in
+    if Array.length t.fields = 1 then
+      xindex_find1 idx (Packet.get pkt (Array.unsafe_get t.fields 0))
+    else begin
+      let vals = read_values t pkt in
+      xindex_find idx vals (hash_exact vals)
+    end
+  | Cache_lru c ->
+    t.last_acc <- 1;
+    let n =
+      if Array.length t.fields = 1 then begin
+        let v = Packet.get pkt (Array.unsafe_get t.fields 0) in
+        let h = hash_exact1 v in
+        cfind1 c v h (h land (Array.length c.cidx - 1))
+      end
+      else begin
+        let vals = read_values t pkt in
+        let h = hash_exact vals in
+        cfind c vals h (h land (Array.length c.cidx - 1))
+      end
+    in
+    if n < 0 then None
+    else begin
+      cache_touch c n;
+      Array.unsafe_get c.cent n
+    end
+  | Linear l ->
+    let sc = match l.lscan with Some sc -> sc | None -> build_scan t l in
+    t.last_acc <- sc.sc_acc;
+    scan_from sc (read_values t pkt) 0
+  | Shaped s -> shaped_probe t s pkt
 
 let last_accesses t = t.last_acc
 
 let plan_kind t =
   match t.backend with
   | Exact_hash _ -> "exact-hash"
-  | Exact_lru _ -> "exact-lru"
+  | Cache_lru _ -> "exact-lru"
   | Linear _ -> "linear"
   | Shaped s ->
     if s.plan_stale then select_plan t s;
@@ -1095,7 +1374,7 @@ let plan_kind t =
 
 let plan_stats t =
   match t.backend with
-  | Exact_hash _ | Exact_lru _ | Linear _ -> []
+  | Exact_hash _ | Cache_lru _ | Linear _ -> []
   | Shaped s ->
     if s.plan_stale then select_plan t s;
     (match s.plan with
@@ -1109,7 +1388,7 @@ let plan_stats t =
          ("tree_max_leaf", tr.t_maxleaf) ]
      | P_none -> [])
 
-let lookup_gen ~use_plan t pkt =
+let lookup t pkt =
   match t.backend with
   | Exact_hash ex ->
     let vals = read_values t pkt in
@@ -1122,14 +1401,19 @@ let lookup_gen ~use_plan t pkt =
         | None -> None)
     in
     (res, 1)
-  | Exact_lru lru ->
-    let vals = read_values t pkt in
-    (Lru.find lru (exact_key_of_values vals), 1)
-  | Linear entries -> linear_lookup t !entries pkt
-  | Shaped s -> shaped_lookup ~use_plan t s pkt
+  | Linear l ->
+    let tab = { t.table with P4ir.Table.entries = l.lentries } in
+    (P4ir.Table.lookup tab (Packet.get pkt), max 1 l.lcount)
+  | Cache_lru _ | Shaped _ ->
+    let r = probe t pkt in
+    (r, t.last_acc)
 
-let lookup t pkt = lookup_gen ~use_plan:true t pkt
-let lookup_linear t pkt = lookup_gen ~use_plan:false t pkt
+let lookup_linear t pkt =
+  match t.backend with
+  | Shaped s ->
+    let r = straight_probe ~skip:false t s (read_values t pkt) in
+    (r, t.last_acc)
+  | Exact_hash _ | Cache_lru _ | Linear _ -> lookup t pkt
 
 let validate_entry t e =
   (* Reuse Table.make's validation by round-tripping through add_entry. *)
@@ -1145,57 +1429,51 @@ let delete t ~patterns =
   let removed = ref false in
   (match t.backend with
    | Exact_hash ex ->
-     let vals =
-       Array.of_list
-         (List.map
-            (function
-              | P4ir.Pattern.Exact v -> v
-              | _ -> invalid_arg "Engine.delete: non-exact pattern for exact table")
-            patterns)
-     in
+     let vals = exact_values patterns in
      let key = hash_exact vals in
      (match Hashtbl.find_opt ex.etbl key with
       | Some bucket ->
         let survivors = List.filter (fun s -> not (exact_slot_matches vals s)) bucket in
-        if List.length survivors < List.length bucket then begin
+        let gone = List.length bucket - List.length survivors in
+        if gone > 0 then begin
           removed := true;
+          ex.ecount <- ex.ecount - gone;
           ex.eidx <- None;
           if survivors = [] then Hashtbl.remove ex.etbl key
           else Hashtbl.replace ex.etbl key survivors
         end
       | None -> ())
-   | Exact_lru lru ->
-     let key =
-       exact_key_of_values
-         (Array.of_list
-            (List.map
-               (function
-                 | P4ir.Pattern.Exact v -> v
-                 | _ -> invalid_arg "Engine.delete: non-exact pattern for exact table")
-               patterns))
-     in
-     if Lru.mem lru key then begin
-       Lru.remove lru key;
+   | Cache_lru c ->
+     let vals = exact_values patterns in
+     let h = hash_exact vals in
+     let n = cfind c vals h (h land (Array.length c.cidx - 1)) in
+     if n >= 0 then begin
+       cache_remove c n;
        removed := true
      end
-   | Linear entries ->
-     let before = List.length !entries in
-     entries := List.filter (fun e -> not (matches e)) !entries;
-     removed := List.length !entries < before
+   | Linear l ->
+     let survivors = List.filter (fun e -> not (matches e)) l.lentries in
+     let n = List.length survivors in
+     if n < l.lcount then begin
+       removed := true;
+       l.lentries <- survivors;
+       l.lcount <- n;
+       l.lscan <- None
+     end
    | Shaped s ->
      for i = 0 to s.ngroups - 1 do
        let g = s.groups.(i) in
        let victims =
          Hashtbl.fold
            (fun k bucket acc ->
-             if List.exists (fun (s0 : slot) -> matches s0.entry) bucket then (k, bucket) :: acc
+             if List.exists (fun s0 -> matches s0.gentry) bucket then (k, bucket) :: acc
              else acc)
            g.tbl []
        in
        List.iter
          (fun (k, bucket) ->
            removed := true;
-           let survivors = List.filter (fun (s0 : slot) -> not (matches s0.entry)) bucket in
+           let survivors = List.filter (fun s0 -> not (matches s0.gentry)) bucket in
            s.nentries <- s.nentries - (List.length bucket - List.length survivors);
            if survivors = [] then Hashtbl.remove g.tbl k else Hashtbl.replace g.tbl k survivors)
          victims
@@ -1206,23 +1484,32 @@ let delete t ~patterns =
   if !removed then t.updates <- t.updates + 1;
   !removed
 
-let load_entries t new_entries =
-  List.iter (validate_entry t) new_entries;
+(* Drop every entry, back to the initial empty store. *)
+let invalidate t =
   match t.backend with
   | Exact_hash ex ->
     Hashtbl.reset ex.etbl;
-    ex.eidx <- None;
-    List.iter (raw_insert t) new_entries
-  | Exact_lru lru ->
-    Lru.clear lru;
-    List.iter (fun e -> ignore (Lru.put lru (exact_key_of_entry e) e)) new_entries
-  | Linear entries -> entries := new_entries
+    ex.ecount <- 0;
+    ex.eidx <- None
+  | Cache_lru c -> cache_reset c
+  | Linear l ->
+    l.lentries <- [];
+    l.lcount <- 0;
+    l.lscan <- None
   | Shaped s ->
     s.groups <- [||];
     s.ngroups <- 0;
     s.nentries <- 0;
-    invalidate_plan s;
-    List.iter (fun e -> shaped_insert s t.table e) new_entries
+    invalidate_plan s
+
+let load_entries t new_entries =
+  List.iter (validate_entry t) new_entries;
+  invalidate t;
+  match t.backend with
+  | Linear l ->
+    l.lentries <- new_entries;
+    l.lcount <- List.length new_entries
+  | Exact_hash _ | Cache_lru _ | Shaped _ -> List.iter (raw_insert t) new_entries
 
 let replace_all t new_entries =
   load_entries t new_entries;
@@ -1232,27 +1519,26 @@ let entries t =
   match t.backend with
   | Exact_hash ex ->
     Hashtbl.fold (fun _ bucket acc -> List.map (fun s -> s.entry) bucket @ acc) ex.etbl []
-  | Exact_lru lru ->
-    let acc = ref [] in
-    Lru.iter (fun _ e -> acc := e :: !acc) lru;
-    !acc
-  | Linear entries -> !entries
+  | Cache_lru c -> cache_entries c
+  | Linear l -> l.lentries
   | Shaped s ->
     let acc = ref [] in
     for i = 0 to s.ngroups - 1 do
       Hashtbl.iter
-        (fun _ bucket -> List.iter (fun (s0 : slot) -> acc := s0.entry :: !acc) bucket)
+        (fun _ bucket -> List.iter (fun s0 -> acc := s0.gentry :: !acc) bucket)
         s.groups.(i).tbl
     done;
     !acc
 
 let num_entries t =
   match t.backend with
-  | Shaped s -> s.nentries  (* tracked exactly; avoids building the list *)
-  | Exact_hash _ | Exact_lru _ | Linear _ -> List.length (entries t)
+  | Exact_hash ex -> ex.ecount
+  | Cache_lru c -> c.clen
+  | Linear l -> l.lcount
+  | Shaped s -> s.nentries
 
 let shape_groups t =
-  match t.backend with Shaped s -> s.ngroups | Exact_hash _ | Exact_lru _ | Linear _ -> 0
+  match t.backend with Shaped s -> s.ngroups | Exact_hash _ | Cache_lru _ | Linear _ -> 0
 
 let update_count t = t.updates
 
@@ -1265,9 +1551,9 @@ let copy t =
   let copy_group (g : group) = { g with tbl = Hashtbl.copy g.tbl } in
   let backend =
     match t.backend with
-    | Exact_hash ex -> Exact_hash { etbl = Hashtbl.copy ex.etbl; eidx = None }
-    | Exact_lru lru -> Exact_lru (Lru.copy lru)
-    | Linear entries -> Linear (ref !entries)
+    | Exact_hash ex -> Exact_hash { etbl = Hashtbl.copy ex.etbl; ecount = ex.ecount; eidx = None }
+    | Cache_lru c -> Cache_lru (cache_copy c)
+    | Linear l -> Linear { lentries = l.lentries; lcount = l.lcount; lscan = l.lscan }
     | Shaped s ->
       Shaped
         { groups = Array.init s.ngroups (fun i -> copy_group s.groups.(i));
@@ -1281,7 +1567,7 @@ let copy t =
 
 let cache_fill t ~now e =
   match (t.table.role, t.backend) with
-  | P4ir.Table.Cache meta, Exact_lru lru ->
+  | P4ir.Table.Cache meta, Cache_lru c ->
     (* Token bucket: [insert_limit] tokens/sec, burst of one second. *)
     let limit = meta.insert_limit in
     if limit > 0. then begin
@@ -1293,21 +1579,6 @@ let cache_fill t ~now e =
     if limit > 0. && t.tokens < 1. then `Rate_limited
     else begin
       if limit > 0. then t.tokens <- t.tokens -. 1.;
-      match Lru.put lru (exact_key_of_entry e) e with
-      | Some _ -> `Full_replace
-      | None -> `Inserted
+      if cache_put c (exact_values e.P4ir.Table.patterns) e then `Full_replace else `Inserted
     end
   | _ -> invalid_arg "Engine.cache_fill: not a cache table"
-
-let invalidate t =
-  match t.backend with
-  | Exact_lru lru -> Lru.clear lru
-  | Exact_hash ex ->
-    Hashtbl.reset ex.etbl;
-    ex.eidx <- None
-  | Linear entries -> entries := []
-  | Shaped s ->
-    s.groups <- [||];
-    s.ngroups <- 0;
-    s.nentries <- 0;
-    invalidate_plan s

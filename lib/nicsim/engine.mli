@@ -4,9 +4,11 @@
     ternary tables are implemented as one hash table per distinct prefix
     length / mask — exactly the implementation the paper's cost model
     assumes (§3.1: "LPM and ternary match are usually implemented using
-    multiple hash tables"). Lookups report how many memory accesses they
-    performed so the executor can charge latency. Cache-role tables use
-    an LRU store with a token-bucket insertion limit (§3.2.2). *)
+    multiple hash tables"); range tables are a linear scan. Lookups
+    report how many memory accesses they performed so the executor can
+    charge latency. Cache-role tables are flow caches (§3.2.2): an
+    int-hash exact store with LRU eviction at [capacity] and a
+    token-bucket insertion limit. *)
 
 type t
 
@@ -31,52 +33,49 @@ val create : ?hint:backend_hint -> P4ir.Table.t -> t
 val def : t -> P4ir.Table.t
 (** The table definition this engine was built from. *)
 
+val probe : t -> Packet.t -> P4ir.Table.entry option
+(** The compiled data path's lookup, one call for every backend: the
+    match result, with the modeled access count left in
+    {!last_accesses} instead of a result tuple. A hit returns a
+    preallocated [Some entry] (the same physical entry {!lookup}
+    returns), so a steady-state probe allocates nothing:
+    - exact tables probe an open-addressing index over the mixing hash
+      (one access);
+    - flow caches probe their own index and move the hit to the front
+      of the recency list, exactly as {!lookup} does (one access);
+    - range tables scan their entries pre-sorted in
+      {!P4ir.Table.lookup}'s winner order (priority, then specificity,
+      then insertion order), so the first match wins ([max 1 n]
+      accesses);
+    - LPM and ternary tables run their compiled plan (see
+      {!backend_hint}).
+
+    Every index, scan and plan reads live table state: {!insert},
+    {!delete}, {!replace_all}, {!load_entries} and {!invalidate} mark
+    it stale and the next probe rebuilds it. *)
+
+val last_accesses : t -> int
+(** Modeled memory accesses of the most recent {!probe} or {!lookup}.
+    Meaningful immediately after the call. *)
+
 val lookup : t -> Packet.t -> P4ir.Table.entry option * int
-(** Match result plus the number of memory accesses performed. A miss in
-    a shaped table costs one access per probed hash table. Shaped tables
-    are probed through a compiled plan chosen per table (see
-    {!backend_hint}): learned-index LPM, a ternary decision tree, or the
-    straight probe. Whatever the plan, the reported access count
-    stays that of the modeled hardware — the longest-first linear probe
-    for LPM, one probe per mask group for ternary — so the cost model is
-    unaffected by host-side shortcuts. *)
+(** The interpreter's reference lookup: match result plus the number of
+    memory accesses performed. Exact tables go through the hash store,
+    range tables through {!P4ir.Table.lookup}; caches and LPM/ternary
+    tables answer as {!probe}. A miss in a shaped table costs one
+    access per probed hash table. Whatever the plan, the reported
+    access count stays that of the modeled hardware — the longest-first
+    linear probe for LPM, one probe per mask group for ternary — so the
+    cost model is unaffected by host-side shortcuts. *)
 
 val lookup_linear : t -> Packet.t -> P4ir.Table.entry option * int
 (** {!lookup} with the compiled plan disabled: always the straight-line
     reference probe. Used by tests and the differential fuzzer to check
     the plan against the model it compiles. *)
 
-val exact_probe : t -> (Packet.t -> P4ir.Table.entry option) option
-(** [Some probe] iff this engine is an exact-hash store (every key
-    [Exact], not cache-role). [probe pkt] returns exactly what {!lookup}
-    would — the same physical entry objects, always one memory access —
-    through an open-addressing index that allocates nothing per probe.
-    The probe reads live table state: {!insert}, {!delete},
-    {!replace_all}, {!load_entries} and {!invalidate} mark the index
-    stale and the next probe rebuilds it, so a captured probe closure
-    stays valid across control-plane updates. [None] for cache, shaped
-    and linear backends, which must keep going through {!lookup}. *)
-
-val plan_probe : t -> (Packet.t -> P4ir.Table.entry option) option
-(** [Some probe] iff this engine is a shaped (LPM/ternary) backend.
-    [probe pkt] returns exactly what {!lookup} would — the same physical
-    entries — through the table's compiled plan, leaving the modeled
-    access count in {!last_accesses} instead of allocating a result
-    tuple. The learned-index and decision-tree plans return preallocated
-    entry options, so those probes allocate nothing. Like
-    {!exact_probe}, the closure reads live state: any control-plane
-    mutation marks the plan stale and the next
-    probe rebuilds it. [None] for exact, cache and linear backends. *)
-
-val last_accesses : t -> int
-(** Modeled memory accesses of the most recent {!plan_probe} (or
-    {!lookup}) on a shaped backend. Meaningful immediately after a
-    probe; pairs with {!plan_probe} to keep the compiled walk free of
-    result tuples. *)
-
 val plan_kind : t -> string
 (** Which backend the table is currently running, building the plan
-    first if stale: ["exact-hash"], ["exact-lru"], ["linear"],
+    first if stale: ["exact-hash"], ["exact-lru"] (flow cache), ["linear"],
     ["learned"], ["tree"], ["lpm-linear"] or ["ternary-skip"]. For tests and diagnostics. *)
 
 val plan_stats : t -> (string * int) list
@@ -114,7 +113,12 @@ val load_entries : t -> P4ir.Table.entry list -> unit
     live reconfiguration, which is not control-plane update traffic. *)
 
 val entries : t -> P4ir.Table.entry list
+(** Live entries. A flow cache lists them least recent first, so
+    {!create} or {!load_entries} on the list rebuilds the same recency
+    order (and evicts the same victims). *)
+
 val num_entries : t -> int
+(** Live entry count, kept exactly: O(1), no list built. *)
 
 val shape_groups : t -> int
 (** Number of live hash-table groups in a shaped (LPM/ternary) backend;
@@ -136,8 +140,11 @@ val cache_fill :
   t -> now:float -> P4ir.Table.entry -> [ `Inserted | `Rate_limited | `Full_replace ]
 (** Data-plane cache fill (only meaningful for cache-role tables): subject
     to the [insert_limit] token bucket; LRU eviction on overflow
-    ([`Full_replace] reports that an eviction happened).
+    ([`Full_replace] reports that an eviction happened; refilling a
+    cached key replaces its entry, moves it to the front and reports
+    [`Inserted]).
     @raise Invalid_argument on a non-cache table. *)
 
 val invalidate : t -> unit
-(** Drop all dynamic entries of a cache (entry-update invalidation). *)
+(** Drop every entry (a cache's entry-update invalidation), back to the
+    initial small store. *)

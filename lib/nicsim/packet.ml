@@ -84,7 +84,13 @@ let set p (f : P4ir.Field.t) v =
 let is_dropped p = p.dropped
 let mark_dropped p = p.dropped <- true
 let egress_port p = p.egress
-let set_egress p port = p.egress <- Some port
+(* Shared [Some port] cells for the usual small ports: an option is
+   immutable, and a fresh one per forwarded packet was the compiled
+   walk's last per-packet allocation outside the header stores. *)
+let some_port = Array.init 64 Option.some
+
+let set_egress p port =
+  p.egress <- (if port >= 0 && port < Array.length some_port then some_port.(port) else Some port)
 
 let of_fields ?size_bytes fields =
   let p = create ?size_bytes () in

@@ -122,6 +122,28 @@ let acl_route_prog () =
   in
   P4ir.Program.linear "drv" [ acl; route ]
 
+(* A range table with overlapping rules, tied priorities and equal
+   specificity in front of an exact table: the compiled walk scans it in
+   winner order, the reference through [P4ir.Table.lookup]. *)
+let range_prog () =
+  let svc =
+    P4ir.Table.make ~name:"svc"
+      ~keys:[ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Range ]
+      ~actions:
+        [ P4ir.Action.make "lo" [ P4ir.Action.Set_field (P4ir.Field.Meta 7, 1L) ];
+          P4ir.Action.make "hi" [ P4ir.Action.Set_field (P4ir.Field.Meta 7, 2L) ];
+          P4ir.Action.nop "def" ]
+      ~default_action:"def"
+      ~entries:
+        [ P4ir.Table.entry ~priority:1 [ P4ir.Pattern.Range (0L, 2L) ] "lo";
+          P4ir.Table.entry ~priority:1 [ P4ir.Pattern.Range (1L, 3L) ] "hi";
+          P4ir.Table.entry ~priority:2 [ P4ir.Pattern.Range (2L, 2L) ] "hi";
+          P4ir.Table.entry ~priority:2 [ P4ir.Pattern.Range (2L, 2L) ] "lo";
+          P4ir.Table.entry [ P4ir.Pattern.Range (0L, 0xFFFFL) ] "lo" ]
+      ()
+  in
+  P4ir.Program.linear "range-fix" [ svc; mk_table 1 ~entries:[ 1L; 2L ] ]
+
 let drop_source seed =
   let rng = Stdx.Prng.create seed in
   let flows =
@@ -160,7 +182,8 @@ let test_compiled_window_identity () =
       check_bool "interp = compiled" true (interp = compiled))
     [ P4ir.Program.linear "lin" (chain 3);
       branching_prog ();
-      per_action_prog () ]
+      per_action_prog ();
+      range_prog () ]
 
 (* Mid-burst drops: a packet halts at its dropping table while the rest
    of the burst keeps walking; drop accounting and latencies must match
@@ -206,7 +229,7 @@ let test_compiled_batch_latencies () =
               ~out pkts)
       in
       check_bool "per-packet latency bits + drops + counters" true (interp = compiled))
-    [ P4ir.Program.linear "lin" (chain 3); branching_prog (); acl_route_prog () ]
+    [ P4ir.Program.linear "lin" (chain 3); branching_prog (); acl_route_prog (); range_prog () ]
 
 (* Telemetry under the compiled walk: spans must come out in the exact
    per-packet order. *)
@@ -351,6 +374,91 @@ let switch_alloc_fixture () =
   in
   ("switch", prog, pool)
 
+(* The firewall's shape: a one-key flow cache over an exact table, whose
+   hits skip it, then a range table, a two-length LPM table, a two-mask
+   ternary table and a route whose action is [dec_ttl; forward]. The
+   first two windows fill the cache (and run the pooled packets' TTL
+   down to zero), so the measured window probes every backend on its
+   hit path, with the cache's action alternating between flows. *)
+let firewall_alloc_fixture () =
+  let allow = P4ir.Action.nop "allow" in
+  let peers =
+    P4ir.Table.make ~name:"peers"
+      ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_src P4ir.Match_kind.Exact ]
+      ~actions:[ P4ir.Action.nop "trusted"; allow ]
+      ~default_action:"allow"
+      ~entries:[ P4ir.Table.entry [ P4ir.Pattern.Exact 3L ] "trusted" ]
+      ()
+  in
+  let flow = Pipeleon.Cache.build ~name:"flow" [ peers ] in
+  let svc =
+    P4ir.Table.make ~name:"svc"
+      ~keys:[ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Range ]
+      ~actions:[ allow; P4ir.Action.nop "deny" ]
+      ~default_action:"deny"
+      ~entries:
+        [ P4ir.Table.entry ~priority:2 [ P4ir.Pattern.Range (80L, 80L) ] "allow";
+          P4ir.Table.entry ~priority:1 [ P4ir.Pattern.Range (1024L, 65535L) ] "allow" ]
+      ()
+  in
+  let bogon =
+    P4ir.Table.make ~name:"bogon"
+      ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_src P4ir.Match_kind.Lpm ]
+      ~actions:[ allow; P4ir.Action.nop "deny" ]
+      ~default_action:"allow"
+      ~entries:
+        [ P4ir.Table.entry [ P4ir.Pattern.Lpm (0x0A000000L, 8) ] "deny";
+          P4ir.Table.entry [ P4ir.Pattern.Lpm (0xC0A80000L, 16) ] "deny" ]
+      ()
+  in
+  let dpi =
+    P4ir.Table.make ~name:"dpi"
+      ~keys:
+        [ P4ir.Table.key P4ir.Field.Ipv4_src P4ir.Match_kind.Ternary;
+          P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Ternary ]
+      ~actions:[ allow; P4ir.Action.nop "deny" ]
+      ~default_action:"allow"
+      ~entries:
+        [ P4ir.Table.entry ~priority:3 [ P4ir.Pattern.Ternary (0L, 0L); P4ir.Pattern.Ternary (6667L, 0xFFFFL) ] "deny";
+          P4ir.Table.entry ~priority:2
+            [ P4ir.Pattern.Ternary (0xCB007100L, 0xFFFFFF00L); P4ir.Pattern.Ternary (0L, 0L) ]
+            "deny" ]
+      ()
+  in
+  let route =
+    P4ir.Table.make ~name:"route"
+      ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Exact ]
+      ~actions:[ P4ir.Action.make "uplink" [ P4ir.Action.Dec_ttl; P4ir.Action.Forward 1 ] ]
+      ~default_action:"uplink" ()
+  in
+  let prog = P4ir.Program.empty "firewall-alloc" in
+  let add prog node = P4ir.Program.add_node prog node in
+  let prog, route_id = add prog (P4ir.Program.Table (route, P4ir.Program.Uniform None)) in
+  let prog, dpi_id = add prog (P4ir.Program.Table (dpi, P4ir.Program.Uniform (Some route_id))) in
+  let prog, bogon_id = add prog (P4ir.Program.Table (bogon, P4ir.Program.Uniform (Some dpi_id))) in
+  let prog, svc_id = add prog (P4ir.Program.Table (svc, P4ir.Program.Uniform (Some bogon_id))) in
+  let prog, peers_id = add prog (P4ir.Program.Table (peers, P4ir.Program.Uniform (Some svc_id))) in
+  let prog, flow_id =
+    add prog
+      (P4ir.Program.Table
+         ( flow,
+           P4ir.Program.Per_action
+             (List.map
+                (fun (a : P4ir.Action.t) ->
+                  (a.name, Some (if String.equal a.name "miss" then peers_id else svc_id)))
+                flow.actions) ))
+  in
+  let prog = P4ir.Program.with_root prog (Some flow_id) in
+  P4ir.Program.validate_exn prog;
+  let pool =
+    Array.init 256 (fun i ->
+        Nicsim.Packet.of_fields
+          [ (P4ir.Field.Ipv4_src, Int64.of_int (i mod 64));
+            (P4ir.Field.Ipv4_dst, Int64.of_int i);
+            (P4ir.Field.Tcp_dport, [| 80L; 443L; 2048L; 6667L |].(i mod 4)) ])
+  in
+  ("firewall", prog, pool)
+
 (* One window = 128 bursts of 64. The budget admits the window's stats
    record and a couple of boxed floats but not even one small allocation
    per burst (128 * 3 words would blow it), let alone per packet. *)
@@ -362,7 +470,7 @@ let test_window_allocation_free () =
         (Printf.sprintf "%s: per-window minor words = %.0f (budget 256)" name per_window)
         true
         (per_window < 256.))
-    [ linear_alloc_fixture (); switch_alloc_fixture () ]
+    [ linear_alloc_fixture (); switch_alloc_fixture (); firewall_alloc_fixture () ]
 
 let () =
   Alcotest.run "batch"

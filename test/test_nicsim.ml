@@ -1,4 +1,4 @@
-(* Tests for the SmartNIC simulator: packets, LRU, match engines, the
+(* Tests for the SmartNIC simulator: packets, flow-cache LRU order, match engines, the
    run-to-completion executor, and the multicore throughput model. *)
 
 let check_bool = Alcotest.(check bool)
@@ -27,34 +27,6 @@ let test_packet_copy_independent () =
   Nicsim.Packet.set q P4ir.Field.Tcp_sport 443L;
   check_bool "copy independent" true
     (Int64.equal (Nicsim.Packet.get p P4ir.Field.Tcp_sport) 80L)
-
-(* --- LRU --- *)
-
-let test_lru_eviction_order () =
-  let lru = Nicsim.Lru.create ~capacity:2 in
-  ignore (Nicsim.Lru.put lru "a" 1);
-  ignore (Nicsim.Lru.put lru "b" 2);
-  ignore (Nicsim.Lru.find lru "a");  (* refresh a *)
-  let evicted = Nicsim.Lru.put lru "c" 3 in
-  check_bool "b evicted" true (evicted = Some "b");
-  check_bool "a kept" true (Nicsim.Lru.find lru "a" = Some 1);
-  check_int "len" 2 (Nicsim.Lru.length lru)
-
-let test_lru_overwrite_no_evict () =
-  let lru = Nicsim.Lru.create ~capacity:2 in
-  ignore (Nicsim.Lru.put lru "a" 1);
-  ignore (Nicsim.Lru.put lru "b" 2);
-  check_bool "overwrite" true (Nicsim.Lru.put lru "a" 9 = None);
-  check_bool "value updated" true (Nicsim.Lru.find lru "a" = Some 9)
-
-let test_lru_remove_clear () =
-  let lru = Nicsim.Lru.create ~capacity:4 in
-  ignore (Nicsim.Lru.put lru "a" 1);
-  Nicsim.Lru.remove lru "a";
-  check_bool "removed" true (Nicsim.Lru.find lru "a" = None);
-  ignore (Nicsim.Lru.put lru "b" 2);
-  Nicsim.Lru.clear lru;
-  check_int "cleared" 0 (Nicsim.Lru.length lru)
 
 (* --- Engines --- *)
 
@@ -157,7 +129,7 @@ let test_engine_insert_delete () =
 let cache_table ?(capacity = 2) ?(insert_limit = 0.) () =
   P4ir.Table.make ~name:"cache"
     ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Exact ]
-    ~actions:[ P4ir.Action.nop "t:a"; P4ir.Action.nop "miss" ]
+    ~actions:[ P4ir.Action.nop "t:a"; P4ir.Action.nop "t:b"; P4ir.Action.nop "miss" ]
     ~default_action:"miss"
     ~role:
       (P4ir.Table.Cache
@@ -184,6 +156,161 @@ let test_cache_fill_rate_limit () =
   check_bool "refills with time" true (fill 1.0 4L = `Inserted);
   check_bool "capped at burst" true (fill 1.0 5L = `Inserted);
   check_bool "exhausted again" true (fill 1.0 6L = `Rate_limited)
+
+(* --- flow-cache LRU order --- *)
+
+let cache_entry ?(action = "t:a") v = P4ir.Table.entry [ P4ir.Pattern.Exact v ] action
+let cache_hit eng v = Option.map (fun (e : P4ir.Table.entry) -> e.action) (Nicsim.Engine.probe eng (pkt_dst v))
+let cache_keys eng =
+  List.map
+    (fun (e : P4ir.Table.entry) ->
+      match e.patterns with [ P4ir.Pattern.Exact v ] -> v | _ -> Alcotest.fail "cache key")
+    (Nicsim.Engine.entries eng)
+
+let test_lru_eviction_order () =
+  let eng = Nicsim.Engine.create (cache_table ()) in
+  ignore (Nicsim.Engine.cache_fill eng ~now:0. (cache_entry 1L));
+  ignore (Nicsim.Engine.cache_fill eng ~now:0. (cache_entry 2L));
+  ignore (cache_hit eng 1L);  (* refresh 1 *)
+  check_bool "3 evicts" true (Nicsim.Engine.cache_fill eng ~now:0. (cache_entry 3L) = `Full_replace);
+  check_bool "2 evicted" true (cache_hit eng 2L = None);
+  check_bool "1 kept" true (cache_hit eng 1L = Some "t:a");
+  check_int "len" 2 (Nicsim.Engine.num_entries eng)
+
+let test_lru_overwrite_no_evict () =
+  let eng = Nicsim.Engine.create (cache_table ()) in
+  ignore (Nicsim.Engine.cache_fill eng ~now:0. (cache_entry 1L));
+  ignore (Nicsim.Engine.cache_fill eng ~now:0. (cache_entry 2L));
+  check_bool "overwrite" true
+    (Nicsim.Engine.cache_fill eng ~now:0. (cache_entry ~action:"t:b" 1L) = `Inserted);
+  check_bool "value updated" true (cache_hit eng 1L = Some "t:b");
+  check_int "len" 2 (Nicsim.Engine.num_entries eng)
+
+let test_lru_remove_clear () =
+  let eng = Nicsim.Engine.create (cache_table ~capacity:4 ()) in
+  ignore (Nicsim.Engine.cache_fill eng ~now:0. (cache_entry 1L));
+  check_bool "removed" true
+    (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Exact 1L ]);
+  check_bool "gone" true (cache_hit eng 1L = None);
+  ignore (Nicsim.Engine.cache_fill eng ~now:0. (cache_entry 2L));
+  Nicsim.Engine.invalidate eng;
+  check_int "cleared" 0 (Nicsim.Engine.num_entries eng);
+  check_bool "cleared miss" true (cache_hit eng 2L = None)
+
+(* [entries] lists a cache least recent first, so a copy and an engine
+   rebuilt from that list (the controller's rollback snapshot) keep the
+   recency order and evict the same victim as the original. *)
+let test_lru_rebuild_same_victim () =
+  let eng = Nicsim.Engine.create (cache_table ~capacity:3 ()) in
+  List.iter (fun v -> ignore (Nicsim.Engine.cache_fill eng ~now:0. (cache_entry v))) [ 1L; 2L; 3L ];
+  ignore (cache_hit eng 1L);
+  check_bool "least recent first" true (cache_keys eng = [ 2L; 3L; 1L ]);
+  let copied = Nicsim.Engine.copy eng in
+  let rebuilt =
+    Nicsim.Engine.create { (cache_table ~capacity:3 ()) with entries = Nicsim.Engine.entries eng }
+  in
+  List.iter
+    (fun (name, e) ->
+      check_bool (name ^ " evicts") true
+        (Nicsim.Engine.cache_fill e ~now:0. (cache_entry 4L) = `Full_replace);
+      check_bool (name ^ " victim is 2") true (cache_keys e = [ 3L; 1L; 4L ]))
+    [ ("original", eng); ("copy", copied); ("rebuilt", rebuilt) ]
+
+(* A list-based LRU, most recent first: the reference the engine's
+   index-linked store must agree with after every step. *)
+type lru_model = { cap : int; mutable items : (int64 * string) list }
+
+let model_touch m k a = m.items <- (k, a) :: List.remove_assoc k m.items
+
+let model_find m k =
+  match List.assoc_opt k m.items with
+  | None -> None
+  | Some a ->
+    model_touch m k a;
+    Some a
+
+let model_fill m k a =
+  if List.mem_assoc k m.items then begin
+    model_touch m k a;
+    `Inserted
+  end
+  else if List.length m.items < m.cap then begin
+    m.items <- (k, a) :: m.items;
+    `Inserted
+  end
+  else begin
+    m.items <- (k, a) :: List.filteri (fun i _ -> i < m.cap - 1) m.items;
+    `Full_replace
+  end
+
+type lru_op =
+  | Fill of int * bool
+  | Hit of int * bool  (* probe or reference lookup *)
+  | Delete of int
+  | Invalidate
+  | Copy  (* continue on a copy; the original is cleared *)
+  | Rebuild  (* continue on an engine created from [entries] *)
+
+let lru_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (6, map2 (fun k b -> Fill (k, b)) (int_range 0 11) bool);
+        (6, map2 (fun k b -> Hit (k, b)) (int_range 0 11) bool);
+        (2, map (fun k -> Delete k) (int_range 0 11));
+        (1, pure Invalidate);
+        (1, pure Copy);
+        (1, pure Rebuild) ])
+
+let test_lru_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"engine cache = list LRU model"
+       QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 0 80) lru_op_gen))
+       (fun (cap, ops) ->
+         let tab = cache_table ~capacity:cap () in
+         let eng = ref (Nicsim.Engine.create tab) in
+         let m = { cap; items = [] } in
+         List.for_all
+           (fun op ->
+             let step_ok =
+               match op with
+               | Fill (k, b) ->
+                 let k = Int64.of_int k and a = if b then "t:a" else "t:b" in
+                 Nicsim.Engine.cache_fill !eng ~now:0. (cache_entry ~action:a k) = model_fill m k a
+               | Hit (k, via_probe) ->
+                 let k = Int64.of_int k in
+                 let got =
+                   if via_probe then cache_hit !eng k
+                   else
+                     Option.map
+                       (fun (e : P4ir.Table.entry) -> e.action)
+                       (fst (Nicsim.Engine.lookup !eng (pkt_dst k)))
+                 in
+                 got = model_find m k
+               | Delete k ->
+                 let k = Int64.of_int k in
+                 let had = List.mem_assoc k m.items in
+                 m.items <- List.remove_assoc k m.items;
+                 Nicsim.Engine.delete !eng ~patterns:[ P4ir.Pattern.Exact k ] = had
+               | Invalidate ->
+                 Nicsim.Engine.invalidate !eng;
+                 m.items <- [];
+                 true
+               | Copy ->
+                 let old = !eng in
+                 eng := Nicsim.Engine.copy old;
+                 Nicsim.Engine.invalidate old;
+                 true
+               | Rebuild ->
+                 eng := Nicsim.Engine.create { tab with entries = Nicsim.Engine.entries !eng };
+                 true
+             in
+             step_ok
+             && Nicsim.Engine.num_entries !eng = List.length m.items
+             && List.map
+                  (fun (e : P4ir.Table.entry) -> (List.hd e.patterns, e.action))
+                  (Nicsim.Engine.entries !eng)
+                = List.rev_map (fun (k, a) -> (P4ir.Pattern.Exact k, a)) m.items)
+           ops))
 
 (* --- Exec --- *)
 
@@ -879,7 +1006,9 @@ let () =
       ( "lru",
         [ Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "overwrite" `Quick test_lru_overwrite_no_evict;
-          Alcotest.test_case "remove/clear" `Quick test_lru_remove_clear ] );
+          Alcotest.test_case "remove/clear" `Quick test_lru_remove_clear;
+          Alcotest.test_case "copy/rebuild evict same victim" `Quick test_lru_rebuild_same_victim;
+          test_lru_model ] );
       ( "engine",
         [ Alcotest.test_case "exact" `Quick test_engine_exact;
           Alcotest.test_case "lpm longest first" `Quick test_engine_lpm_longest_first;

@@ -497,17 +497,114 @@ let test_knapsack_beats_greedy =
       let gr = Pipeleon.Knapsack.greedy ~groups ~mem_budget:500 ~upd_budget:15. in
       dp.Pipeleon.Knapsack.total_gain >= gr.Pipeleon.Knapsack.total_gain -. 1e-9)
 
+(* --- compiled range scan --- *)
+
+(* Mixed-kind rule sets with a range key, so the table runs the linear
+   backend: small value domains, priorities from {0,1,2} and patterns
+   that often tie on specificity, so equal-priority overlaps (which the
+   fuzz generator never makes) are the common case. The compiled scan
+   must return the very entry [P4ir.Table.lookup] returns — ties
+   included — before and after control-plane edits. *)
+let range_keys =
+  [| P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Range;
+     P4ir.Table.key P4ir.Field.Ipv4_proto P4ir.Match_kind.Ternary;
+     P4ir.Table.key P4ir.Field.Ipv4_dscp P4ir.Match_kind.Lpm;
+     P4ir.Table.key P4ir.Field.Tcp_sport P4ir.Match_kind.Exact;
+     P4ir.Table.key P4ir.Field.Udp_dport P4ir.Match_kind.Range |]
+
+let range_pattern_gen (k : P4ir.Table.key) =
+  QCheck2.Gen.(
+    let v = map Int64.of_int (int_range 0 15) in
+    match k.kind with
+    | P4ir.Match_kind.Range -> map2 (fun lo w -> P4ir.Pattern.Range (lo, Int64.add lo (Int64.of_int w))) v (int_range (-1) 6)
+    | P4ir.Match_kind.Ternary ->
+      map2 (fun x m -> P4ir.Pattern.Ternary (x, Int64.of_int m)) v (oneofl [ 0; 3; 12; 15 ])
+    | P4ir.Match_kind.Lpm ->
+      (* dscp is 6 bits wide *)
+      map2 (fun x len -> P4ir.Pattern.Lpm (Int64.shift_left x 2, len)) v (int_range 0 6)
+    | P4ir.Match_kind.Exact -> map (fun x -> P4ir.Pattern.Exact x) v)
+
+let range_table_gen =
+  QCheck2.Gen.(
+    let* extra = list_size (int_range 0 3) (int_range 1 4) in
+    let keys =
+      range_keys.(0) :: List.sort_uniq compare (List.map (fun i -> range_keys.(i)) extra)
+    in
+    let entry_gen =
+      let* patterns = flatten_l (List.map range_pattern_gen keys) in
+      let* priority = int_range 0 2 in
+      let* action = oneofl [ "a"; "b" ] in
+      return (P4ir.Table.entry ~priority patterns action)
+    in
+    let* entries = list_size (int_range 0 12) entry_gen in
+    let* edits = list_size (int_range 0 4) (pair bool entry_gen) in
+    return
+      ( P4ir.Table.make ~name:"r" ~keys
+          ~actions:[ P4ir.Action.nop "a"; P4ir.Action.nop "b"; P4ir.Action.nop "miss" ]
+          ~default_action:"miss" ~entries (),
+        edits ))
+
+let range_packet (tab : P4ir.Table.t) vals =
+  Nicsim.Packet.of_fields
+    (List.mapi (fun i (k : P4ir.Table.key) -> (k.field, Int64.of_int (List.nth vals i))) tab.keys)
+
+let test_range_scan_equals_reference =
+  qtest ~count:300 "range scan = reference lookup (ties included)"
+    QCheck2.Gen.(pair range_table_gen (list_size (pure 24) (list_size (pure 5) (int_range 0 23))))
+    (fun ((tab, edits), probes) ->
+      let eng = Nicsim.Engine.create tab in
+      let agree () =
+        let live = { tab with P4ir.Table.entries = Nicsim.Engine.entries eng } in
+        List.for_all
+          (fun vals ->
+            let pkt = range_packet tab vals in
+            let expect = P4ir.Table.lookup live (Nicsim.Packet.get pkt) in
+            let got = Nicsim.Engine.probe eng pkt in
+            let same =
+              match (got, expect) with
+              | None, None -> true
+              | Some a, Some b -> a == b
+              | _ -> false
+            in
+            same
+            && Nicsim.Engine.last_accesses eng = max 1 (Nicsim.Engine.num_entries eng)
+            && fst (Nicsim.Engine.lookup eng pkt) = got)
+          probes
+      in
+      agree ()
+      && List.for_all
+           (fun (is_insert, (e : P4ir.Table.entry)) ->
+             if is_insert then Nicsim.Engine.insert eng e
+             else ignore (Nicsim.Engine.delete eng ~patterns:e.patterns);
+             agree ())
+           edits)
+
 (* --- LRU --- *)
 
 let test_lru_capacity =
   qtest ~count:100 "LRU never exceeds capacity"
     QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 0 100) (int_range 0 30)))
     (fun (cap, ops) ->
-      let lru = Nicsim.Lru.create ~capacity:cap in
+      let tab =
+        P4ir.Table.make ~name:"cache"
+          ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Exact ]
+          ~actions:[ P4ir.Action.nop "t:a"; P4ir.Action.nop "miss" ]
+          ~default_action:"miss"
+          ~role:
+            (P4ir.Table.Cache
+               { P4ir.Table.cached_tables = [ "t" ];
+                 capacity = cap;
+                 insert_limit = 0.;
+                 auto_insert = true })
+          ()
+      in
+      let eng = Nicsim.Engine.create tab in
       List.for_all
         (fun k ->
-          ignore (Nicsim.Lru.put lru (string_of_int k) k);
-          Nicsim.Lru.length lru <= cap)
+          ignore
+            (Nicsim.Engine.cache_fill eng ~now:0.
+               (P4ir.Table.entry [ P4ir.Pattern.Exact (Int64.of_int k) ] "t:a"));
+          Nicsim.Engine.num_entries eng <= cap)
         ops)
 
 (* --- reorder --- *)
@@ -529,7 +626,8 @@ let () =
         [ test_truncate_idempotent; test_lpm_equals_ternary; test_prefix_mask_popcount ] );
       ( "engines",
         [ test_engine_matches_reference; test_lpm_plan_equals_linear;
-          test_learned_plan_equals_linear; test_tree_plan_equals_linear ] );
+          test_learned_plan_equals_linear; test_tree_plan_equals_linear;
+          test_range_scan_equals_reference ] );
       ("window-drivers", [ test_window_drivers_identical ]);
       ("costmodel", [ test_node_sum_equals_paths; test_reach_probs_bounded ]);
       ( "optimizer",
