@@ -724,8 +724,8 @@ let run_suite ~smoke =
 
   (* Design-space exploration (Pipeleon.Tune) on the 20-table pipeline
      fixture the compiled row drives. The after column warm-starts
-     every sweep from an already-populated evaluation cache (what the
-     controller's repeated autotune rounds pay); the before column pays
+     every sweep from an already-populated evaluation cache (what a
+     repeated offline sweep over one cache pays); the before column pays
      cold candidate enumeration per sweep. The row also guards the
      quality floor: the chosen assignment's modeled latency must
      dominate-or-match the default assignment's — explore can only ever

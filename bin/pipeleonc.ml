@@ -84,7 +84,6 @@ let tune_cmd =
       let value_json = function
         | Pipeleon.Tune.Int v -> Int (Int64.of_int v)
         | Pipeleon.Tune.Float v -> Float v
-        | Pipeleon.Tune.Choice s -> String s
       in
       let point_json (p : Pipeleon.Tune.point) =
         let o = p.Pipeleon.Tune.objectives in
@@ -331,15 +330,6 @@ let driver_arg =
                  the data path's compiled walk — in chaos mode each deploy and \
                  rollback also exercises recompilation).")
 
-let autotune_flag =
-  Arg.(value & flag
-       & info [ "autotune" ]
-           ~doc:"Turn on online design-space exploration (Pipeleon.Tune): chaos \
-                 controllers explore the tunable registry every tick and adopt \
-                 improvements; optim-equiv picks each case's optimizer config by a \
-                 small exploration first. The oracles' bit-identity requirements \
-                 are unchanged.")
-
 let report_findings report =
   print_string (Fuzz.Driver.summary report);
   if report.Fuzz.Driver.findings <> [] then exit 1
@@ -378,6 +368,21 @@ let fuzz_cmd =
                    tables, 24-bit values, pooled ternary masks, no range tables) so \
                    sim-diff exercises the large-table engine backends — learned-index \
                    LPM and decision-tree ternary (docs/PERF.md \"Rule-scale backends\").")
+  in
+  let autotune_arg =
+    let autotune_flag =
+      Arg.(value & flag
+           & info [ "autotune" ]
+               ~doc:"Pick each case's optimizer config by a small design-space \
+                     exploration (Pipeleon.Tune) before proving the rewrite. Needs \
+                     --mode optim-equiv.")
+    in
+    let needs_optim_equiv mode autotune =
+      if autotune && mode <> Fuzz.Driver.Optim_equiv then
+        `Error (true, "--autotune needs --mode optim-equiv")
+      else `Ok autotune
+    in
+    Term.(ret (const needs_optim_equiv $ mode_arg $ autotune_flag))
   in
   let run mode seed budget packets out mutant replay telemetry driver target rules autotune =
     let mutate =
@@ -430,7 +435,7 @@ let fuzz_cmd =
           persist any divergence.")
     Term.(const run $ mode_arg $ seed_arg $ fuzz_budget_arg ~default:200 $ fuzz_packets_arg
           $ fuzz_out_arg $ mutant_arg $ replay_arg $ telemetry_flag
-          $ driver_arg $ target_arg $ rules_arg $ autotune_flag)
+          $ driver_arg $ target_arg $ rules_arg $ autotune_arg)
 
 let chaos_cmd =
   let remediations_arg =
@@ -443,11 +448,11 @@ let chaos_cmd =
   in
   (* Chaos cases cost a whole control loop each (several ticks, deploys,
      rollbacks), so the default budget is far below fuzz's. *)
-  let run seed budget packets out telemetry driver remediations target autotune =
+  let run seed budget packets out telemetry driver remediations target =
     let out_dir = if out = "none" then None else Some out in
     if not remediations then
       report_findings
-        (Fuzz.Driver.run ?out_dir ~n_packets:packets ~telemetry ~autotune ~driver ~target
+        (Fuzz.Driver.run ?out_dir ~n_packets:packets ~telemetry ~driver ~target
            Fuzz.Driver.Chaos ~seed ~budget)
     else begin
       (* One sink across all cases, so the remediation counters aggregate
@@ -458,7 +463,7 @@ let chaos_cmd =
       let divergences = ref 0 in
       for i = 0 to budget - 1 do
         let case = Fuzz.Gen.case ~n_packets:packets (Fuzz.Driver.case_rng ~seed i) in
-        match Fuzz.Chaos.check ~autotune ~driver ~sink target case with
+        match Fuzz.Chaos.check ~driver ~sink target case with
         | None -> ()
         | Some d ->
           incr divergences;
@@ -476,11 +481,6 @@ let chaos_cmd =
         (count "rollback") (count "retry") (count "update_repair");
       Printf.printf "reversals: cache_evict=%d merge_split=%d shed=%d\n"
         (count "cache_evict") (count "merge_split") (count "shed");
-      if autotune then begin
-        let c name = Option.value ~default:0 (Telemetry.Metrics.find_counter m name) in
-        Printf.printf "autotune: explores=%d adopted=%d\n"
-          (c "runtime.autotune.explores") (c "runtime.autotune.adopted")
-      end;
       Printf.printf "divergences=%d cases=%d\n" !divergences budget;
       if !divergences > 0 then exit 1
     end
@@ -494,8 +494,7 @@ let chaos_cmd =
           layout with forwarding bit-identical to the reference interpreter \
           throughout. Equivalent to `fuzz --mode chaos`.")
     Term.(const run $ seed_arg $ fuzz_budget_arg ~default:25 $ fuzz_packets_arg
-          $ fuzz_out_arg $ telemetry_flag $ driver_arg $ remediations_arg $ target_arg
-          $ autotune_flag)
+          $ fuzz_out_arg $ telemetry_flag $ driver_arg $ remediations_arg $ target_arg)
 
 (* --- fleet: many controllers as one deployment (lib/fleet) --- *)
 
@@ -612,14 +611,14 @@ let fleet_run_cmd =
 let fleet_chaos_cmd =
   (* Each case costs nics fleet members plus nics solo twins, every one a
      full chaos control loop — the default budget is tiny. *)
-  let run seed budget packets nics driver target autotune =
+  let run seed budget packets nics driver target =
     let sink = Telemetry.create () in
     Printf.printf "fleet chaos seed=%d budget=%d nics=%d packets/case=%d\n" seed budget
       nics packets;
     let divergences = ref 0 in
     for i = 0 to budget - 1 do
       let case = Fuzz.Gen.case ~n_packets:packets (Fuzz.Driver.case_rng ~seed i) in
-      match Fuzz.Fleet_oracle.check ~nics ~autotune ~driver ~sink target case with
+      match Fuzz.Fleet_oracle.check ~nics ~driver ~sink target case with
       | None -> ()
       | Some d ->
         incr divergences;
@@ -636,9 +635,6 @@ let fleet_chaos_cmd =
       (count "runtime.remediations.retry")
       (count "runtime.remediations.update_repair")
       (count "runtime.gossip.adopted");
-    if autotune then
-      Printf.printf "autotune: explores=%d adopted=%d\n"
-        (count "runtime.autotune.explores") (count "runtime.autotune.adopted");
     Printf.printf "divergences=%d cases=%d\n" !divergences budget;
     if !divergences > 0 then exit 1
   in
@@ -651,7 +647,7 @@ let fleet_chaos_cmd =
           bit-identically to the reference interpreter and to its twin, through \
           churn, faults, and fleet ticks.")
     Term.(const run $ seed_arg $ fuzz_budget_arg ~default:6 $ fuzz_packets_arg
-          $ nics_arg $ driver_arg $ target_arg $ autotune_flag)
+          $ nics_arg $ driver_arg $ target_arg)
 
 let fleet_cmd =
   Cmd.group

@@ -77,10 +77,3 @@ let map_insert ~original ~optimized ~table entry =
 
 let map_delete ~original ~optimized ~table entry =
   map_update ~original ~optimized ~table entry ~insert:false
-
-let pp_op fmt = function
-  | Direct { table; insert; _ } ->
-    Format.fprintf fmt "%s(%s)" (if insert then "insert" else "delete") table
-  | Rebuild { table; entries } ->
-    Format.fprintf fmt "rebuild(%s, %d entries)" table (List.length entries)
-  | Invalidate table -> Format.fprintf fmt "invalidate(%s)" table

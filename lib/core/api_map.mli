@@ -34,5 +34,3 @@ val map_delete :
   P4ir.Table.entry ->
   op list
 (** Same contract; [original] must already reflect the removal. *)
-
-val pp_op : Format.formatter -> op -> unit

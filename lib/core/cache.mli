@@ -17,12 +17,10 @@ val live_in_fields : P4ir.Table.t list -> P4ir.Field.t list
     covered table before the segment itself writes it. These become the
     cache's exact-match key. *)
 
-val fused_action_sequences : P4ir.Table.t list -> string list list
-(** All realizable per-table action sequences: a sequence stops at the
-    first dropping action (later tables never execute). *)
-
 val num_sequences : P4ir.Table.t list -> int
-(** [List.length (fused_action_sequences tabs)] without materializing. *)
+(** The number of realizable per-table action sequences (a sequence
+    stops at the first dropping action: later tables never execute),
+    counted without materializing them. *)
 
 val fused_actions_of :
   ?name_pairs_prefix:(string * string) list -> P4ir.Table.t list -> P4ir.Action.t list

@@ -49,11 +49,6 @@ val realize :
 (** Build the concrete tables; [None] when a segment is not cacheable /
     mergeable or a construction guard trips. *)
 
-val extend_profile : Profile.t -> Transform.element list -> Profile.t
-(** Add synthetic stats for newly created cache/merged tables: estimated
-    hit rates ({!Profile.cache_hit_estimate}), product action
-    distributions, and amplified update rates. *)
-
 type ctx
 (** Per-pipelet evaluation context: memoized per-table costs, match [m],
     memory, and drop probabilities, so evaluating one combination is

@@ -17,10 +17,6 @@
     visible in the program structure rather than only in the timing
     model. *)
 
-val next_tab_ids : P4ir.Program.t -> (P4ir.Program.node_id * int64) list
-(** The stable [next_tab_id] value assigned to each node (its position in
-    topological order + 1; 0 means "not set"). *)
-
 val materialize :
   P4ir.Program.t ->
   placement:Costmodel.Cost.placement ->

@@ -38,17 +38,20 @@ let solve_stats ?(mem_buckets = 64) ?(upd_buckets = 32) ?(prune = true) ~groups
         if not prune then usable
         else
           let arr = Array.of_list usable in
+          (* Quadratic in the group size, and the hottest loop of a
+             search over large groups: scan directly and stop at the
+             first dominator rather than call a closure per pair. *)
           let dominated i (a, acm, acu) =
-            let found = ref false in
-            Array.iteri
-              (fun j (b, bcm, bcu) ->
-                if (not !found) && j <> i then
-                  if
-                    b.gain >= a.gain && bcm <= acm && bcu <= acu
-                    && (b.gain > a.gain || bcm < acm || bcu < acu || j < i)
-                  then found := true)
-              arr;
-            !found
+            let rec scan j =
+              j < Array.length arr
+              && ((j <> i
+                   &&
+                   let b, bcm, bcu = arr.(j) in
+                   b.gain >= a.gain && bcm <= acm && bcu <= acu
+                   && (b.gain > a.gain || bcm < acm || bcu < acu || j < i))
+                  || scan (j + 1))
+            in
+            scan 0
           in
           List.filteri (fun i o -> not (dominated i o)) usable)
       groups

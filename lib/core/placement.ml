@@ -1,8 +1,5 @@
 type requirement = Any | Needs_cpu | Needs_asic
 
-let placement_of_assoc assoc id =
-  match List.assoc_opt id assoc with Some core -> core | None -> Costmodel.Cost.Asic
-
 let naive _prog ~require id =
   match require id with
   | Needs_cpu -> Costmodel.Cost.Cpu

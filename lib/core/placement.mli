@@ -9,10 +9,6 @@
 
 type requirement = Any | Needs_cpu | Needs_asic
 
-val placement_of_assoc :
-  (P4ir.Program.node_id * Costmodel.Cost.core) list -> Costmodel.Cost.placement
-(** Missing nodes default to ASIC. *)
-
 val naive :
   P4ir.Program.t ->
   require:(P4ir.Program.node_id -> requirement) ->

@@ -16,27 +16,50 @@ type plan = {
    other), so every table access holds the mutex. Contention is cold-path
    only: probes happen once per pipelet per optimization round, never per
    packet. Values are safe to share unboxed — evaluation is pure, and by
-   the signature contract two entries under the same key are identical. *)
+   the signature contract two entries under the same key are identical.
+
+   Probes are single-flight: the first prober of a key marks it
+   [Pending] and evaluates; a concurrent prober of the same key waits
+   for that result and counts a hit. So however the domains interleave,
+   each key costs one miss, and the hit/miss counts match a one-domain
+   run. *)
+type slot = Ready of Candidate.evaluated list | Pending
+
 type eval_cache = {
-  tbl : (string, Candidate.evaluated list) Hashtbl.t;
+  tbl : (string, slot) Hashtbl.t;
   lock : Mutex.t;
+  filled : Condition.t;
   mutable hits : int;
   mutable misses : int;
 }
 
 let create_cache () =
-  { tbl = Hashtbl.create 64; lock = Mutex.create (); hits = 0; misses = 0 }
+  { tbl = Hashtbl.create 64;
+    lock = Mutex.create ();
+    filled = Condition.create ();
+    hits = 0;
+    misses = 0 }
 
 let cache_stats c = Mutex.protect c.lock (fun () -> (c.hits, c.misses))
 
 (* Bound the warm cache; a controller that sees endlessly-churning
-   profiles would otherwise grow it without limit. *)
+   profiles would otherwise grow it without limit. A reset also drops
+   [Pending] marks; their waiters then probe afresh. *)
 let cache_capacity = 8192
 
 let cache_store c key evaluated =
   Mutex.protect c.lock (fun () ->
       if Hashtbl.length c.tbl >= cache_capacity then Hashtbl.reset c.tbl;
-      Hashtbl.replace c.tbl key evaluated)
+      Hashtbl.replace c.tbl key (Ready evaluated);
+      Condition.broadcast c.filled)
+
+(* Give up a [Pending] mark without a result (the evaluation raised). *)
+let cache_abandon c key =
+  Mutex.protect c.lock (fun () ->
+      (match Hashtbl.find_opt c.tbl key with
+       | Some Pending -> Hashtbl.remove c.tbl key
+       | Some (Ready _) | None -> ());
+      Condition.broadcast c.filled)
 
 type exclusion = string * Candidate.seg_kind
 
@@ -99,17 +122,26 @@ let evaluate_pipelet ?opts ?(exclusions = []) target prof ~reach_prob originals 
       | _ -> None)
     combos
 
+(* [None] is a miss that leaves [k] marked [Pending]: the caller must
+   [cache_store] or [cache_abandon] it. *)
 let cache_probe cache key =
   match (cache, key) with
   | Some c, Some k ->
     Mutex.protect c.lock (fun () ->
-        match Hashtbl.find_opt c.tbl k with
-        | Some ev ->
-          c.hits <- c.hits + 1;
-          Some ev
-        | None ->
-          c.misses <- c.misses + 1;
-          None)
+        let rec probe () =
+          match Hashtbl.find_opt c.tbl k with
+          | Some (Ready ev) ->
+            c.hits <- c.hits + 1;
+            Some ev
+          | Some Pending ->
+            Condition.wait c.filled c.lock;
+            probe ()
+          | None ->
+            c.misses <- c.misses + 1;
+            Hashtbl.replace c.tbl k Pending;
+            None
+        in
+        probe ())
   | _ -> None
 
 let local_optimize ?opts ?name_prefix ?cache ?signature ?(exclusions = []) target prof
@@ -126,15 +158,21 @@ let local_optimize ?opts ?name_prefix ?cache ?signature ?(exclusions = []) targe
       let evaluated =
         match cache_probe cache key with
         | Some ev -> ev
-        | None ->
-          let ev =
+        | None -> (
+          let evaluate () =
             evaluate_pipelet ?opts ~exclusions target prof ~reach_prob:hot.reach_prob
               originals
           in
-          (match (cache, key) with
-           | Some c, Some k -> cache_store c k ev
-           | _ -> ());
-          ev
+          match (cache, key) with
+          | Some c, Some k -> (
+            match evaluate () with
+            | ev ->
+              cache_store c k ev;
+              ev
+            | exception e ->
+              cache_abandon c k;
+              raise e)
+          | _ -> evaluate ())
       in
       { hot; evaluated })
     hots

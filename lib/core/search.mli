@@ -25,6 +25,9 @@ type eval_cache
     optimization rounds; unchanged-profile pipelets skip re-enumeration.
     Domain-safe: every probe/store/stat takes an internal mutex, so
     concurrent controllers on different domains may share one cache.
+    Probes are single-flight: a probe of a signature another domain is
+    evaluating waits for that evaluation and counts a hit, so the
+    hit/miss counts do not depend on how domains interleave.
     Because evaluation is pure and keys determine evaluations (the
     signature contract), a shared cache returns gain-identical plans to
     per-controller private caches. Bounded; resets wholesale when

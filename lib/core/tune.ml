@@ -1,9 +1,6 @@
-type value = Int of int | Float of float | Choice of string
+type value = Int of int | Float of float
 
-type domain =
-  | Ints of int list
-  | Floats of float list
-  | Choices of string list
+type domain = Ints of int list | Floats of float list
 
 type param = {
   key : string;
@@ -35,13 +32,11 @@ let find_param key = List.find_opt (fun p -> p.key = key) params
 let domain_values = function
   | Ints l -> List.map (fun v -> Int v) l
   | Floats l -> List.map (fun v -> Float v) l
-  | Choices l -> List.map (fun v -> Choice v) l
 
 let value_equal a b =
   match (a, b) with
   | Int x, Int y -> x = y
   | Float x, Float y -> Float.equal x y
-  | Choice x, Choice y -> String.equal x y
   | _ -> false
 
 let in_domain dom v = List.exists (value_equal v) (domain_values dom)
@@ -76,12 +71,6 @@ let get_float a key =
   match get a key with
   | Float v -> v
   | Int v -> float_of_int v
-  | _ -> invalid_arg (Printf.sprintf "Tune.get_float: %S is not a float" key)
-
-let get_choice a key =
-  match get a key with
-  | Choice v -> v
-  | _ -> invalid_arg (Printf.sprintf "Tune.get_choice: %S is not a choice" key)
 
 let set a key v =
   match List.find_opt (fun p -> p.key = key) a.aparams with
@@ -94,7 +83,6 @@ let set a key v =
 let value_to_string = function
   | Int v -> string_of_int v
   | Float v -> Printf.sprintf "%g" v
-  | Choice v -> v
 
 let fingerprint a =
   String.concat ";"

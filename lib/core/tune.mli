@@ -1,4 +1,4 @@
-(** Online design-space exploration: a registry of tunable parameters
+(** Offline design-space exploration: a registry of tunable parameters
     and a multi-objective Pareto search over assignments.
 
     The optimizer picks among three fixed transformations, but the knobs
@@ -14,18 +14,19 @@
     plans report the same modeled costs whatever they are, so a sweep
     could never tell them apart.
 
-    Exploration is warm-started from the controller's
-    {!Search.eval_cache}: each assignment's candidate-affecting params
-    are folded into the pipelet signature ({!candidate_salt}), so a
-    shared fleet cache never replays evaluations computed under
-    different candidate options. *)
+    Exploration is a search run once, before deployment
+    ([pipeleonc tune]); its chosen assignment is set into the
+    controller's optimizer config with {!apply_optimizer}. A sweep may
+    be warm-started from a {!Search.eval_cache}: each assignment's
+    candidate-affecting params are folded into the pipelet signature
+    ({!candidate_salt}), so the assignments of one sweep never replay
+    each other's evaluations. *)
 
-type value = Int of int | Float of float | Choice of string
+type value = Int of int | Float of float
 
 type domain =
   | Ints of int list  (** candidate values, in sweep order *)
   | Floats of float list
-  | Choices of string list
 
 type param = {
   key : string;  (** stable dotted key, e.g. ["optimizer.top_k"] *)
@@ -60,8 +61,6 @@ val get_int : assignment -> string -> int
 val get_float : assignment -> string -> float
 (** [get_float] also widens an [Int] value. *)
 
-val get_choice : assignment -> string -> string
-
 val set : assignment -> string -> value -> assignment
 (** @raise Invalid_argument when the key is unregistered or the value is
     outside the param's domain. *)
@@ -74,20 +73,13 @@ val fingerprint : assignment -> string
 
 val candidate_salt : assignment -> string
 (** Fingerprint restricted to the params that change per-pipelet
-    candidate evaluation (the [candidate.*] keys). Appended to warm
-    cache signatures so evaluations computed under different candidate
-    options never collide; the default assignment's salt is stable
-    across releases, keeping existing shared-cache keys valid when
-    autotuning is off. *)
-
-val value_to_string : value -> string
-
-val apply_candidate : assignment -> Candidate.options -> Candidate.options
-(** Overlay the assignment's [candidate.*] params onto options. *)
+    candidate evaluation (the [candidate.*] keys). {!explore} appends
+    it to warm-cache signatures so evaluations computed under different
+    candidate options never collide. *)
 
 val apply_optimizer : assignment -> Optimizer.config -> Optimizer.config
-(** Overlay [optimizer.*] and (via {!apply_candidate}) [candidate.*]
-    params onto a config. *)
+(** Overlay every param of the assignment ([optimizer.*] and
+    [candidate.*]) onto a config. *)
 
 (** {1 Multi-objective search} *)
 
@@ -126,8 +118,8 @@ type exploration = {
   front : point list;  (** the Pareto front, {!pareto}-filtered *)
   chosen : point;
   start_point : point;
-      (** the start assignment's own evaluation — the baseline an online
-          autotuner compares {!field-chosen} against *)
+      (** the start assignment's own evaluation — the baseline
+          {!field-chosen} improves on *)
   stats : explore_stats;
 }
 

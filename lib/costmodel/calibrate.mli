@@ -12,9 +12,6 @@ type sample = { x : float; latency : float }
 
 type fit = { slope : float; intercept : float; r2 : float }
 
-val fit_linear : sample list -> fit
-(** @raise Invalid_argument with fewer than two samples. *)
-
 type calibrated = {
   l_mat_fit : fit;  (** slope = L_mat *)
   l_act_fit : fit;  (** slope = L_act *)

@@ -13,10 +13,6 @@ val table_memory : Target.t -> P4ir.Table.t -> int
 (** [M(v)] in bytes, based on provisioned [max_entries] for caches (their
     budget is reserved) and current entries otherwise. *)
 
-val table_update_rate : Profile.t -> P4ir.Table.t -> float
-(** [E(v)]: profiled update rate; caches add their expected miss-driven
-    insertion rate (bounded by [insert_limit]). *)
-
 val program_memory : Target.t -> P4ir.Program.t -> int
 val program_update_rate : Profile.t -> P4ir.Program.t -> float
 

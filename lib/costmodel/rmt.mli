@@ -14,9 +14,6 @@ type config = {
   memory_per_stage : int;  (** bytes *)
 }
 
-val tofino_like : config
-(** 12 stages, 16 tables and 1.5 MiB per stage. *)
-
 type placement = {
   stage_of : (string * int) list;  (** table name -> stage *)
   stages_used : int;

@@ -93,13 +93,10 @@ let create ?(spec = default_spec) target program =
   in
   { spec; shared; members }
 
-let spec t = t.spec
 let nics t = Array.length t.members
 let members t = Array.to_list t.members
 let member t i = t.members.(i)
-let index m = m.index
 let controller m = m.ctl
-let member_sink m = m.sink
 
 let shared_cache_stats t = Option.map Pipeleon.Search.cache_stats t.shared
 

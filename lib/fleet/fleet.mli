@@ -61,13 +61,10 @@ val create : ?spec:spec -> Costmodel.Target.t -> P4ir.Program.t -> t
     each under its own controller.
     @raise Invalid_argument if [spec.nics < 1]. *)
 
-val spec : t -> spec
 val nics : t -> int
 val members : t -> member list
 val member : t -> int -> member
-val index : member -> int
 val controller : member -> Runtime.Controller.t
-val member_sink : member -> Telemetry.t
 
 val shared_cache_stats : t -> (int * int) option
 (** [(hits, misses)] of the fleet-shared warm cache; [None] when

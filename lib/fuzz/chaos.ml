@@ -9,7 +9,7 @@ let rounds = 3
 let case_salt (case : Gen.case) =
   Hashtbl.hash (Program.num_nodes case.program, List.length case.packets, case.packets)
 
-let controller_config ?(autotune = false) ~salt () =
+let controller_config ~salt =
   let faults = { Runtime.Faults.chaos_defaults with seed = salt } in
   { Runtime.Controller.default_config with
     optimizer = { Pipeleon.Optimizer.default_config with top_k = 1.0 };
@@ -21,15 +21,7 @@ let controller_config ?(autotune = false) ~salt () =
     deploy_retries = 2;
     backoff_base = 0.05;
     backoff_cap = 0.4;
-    blacklist_ttl = 2;
-    autotune =
-      (* Explore on every tick so the 3-round chaos run exercises
-         adoption, salted warm keys, and host-param application; a tiny
-         budget keeps the sweep a handful of searches per case. *)
-      (if autotune then
-         Some
-           { Runtime.Controller.default_autotune with tune_every = 1; tune_budget = 6 }
-       else None) }
+    blacklist_ttl = 2 }
 
 (* Replay the whole stream against the reference interpreter running the
    controller's current original program (the control plane's source of
@@ -92,7 +84,7 @@ let churn rng ~fresh_tag ctl =
    (full reconfigure, incremental hot patch, or fault-forced rollback)
    exercises recompilation against a pipeline that was already compiled
    for the previous layout. *)
-let check ?(telemetry = false) ?(autotune = false) ?driver ?sink target (case : Gen.case) =
+let check ?(telemetry = false) ?driver ?sink target (case : Gen.case) =
   if not (Oracle.supported case.program) then
     invalid_arg "Chaos.check: program carries optimizer-generated tables";
   let salt = case_salt case in
@@ -107,7 +99,7 @@ let check ?(telemetry = false) ?(autotune = false) ?driver ?sink target (case : 
     in
     let sim = Nicsim.Sim.create ~telemetry:sink target case.program in
     let ctl =
-      Runtime.Controller.create ~config:(controller_config ~autotune ~salt ()) sim
+      Runtime.Controller.create ~config:(controller_config ~salt) sim
         ~original:case.program
     in
     let rec round r =

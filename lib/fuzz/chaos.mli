@@ -24,13 +24,10 @@ val case_salt : Gen.case -> int
     (fault seed, churn, deploy mode) — shared with {!Fleet_oracle} so a
     fleet run and its solo twins draw identical streams. *)
 
-val controller_config : ?autotune:bool -> salt:int -> unit -> Runtime.Controller.config
+val controller_config : salt:int -> Runtime.Controller.config
 (** The chaos controller configuration for a salt: fault injection from
     {!Runtime.Faults.chaos_defaults} seeded with the salt, exhaustive
-    search, low hysteresis, salt-parity deploy mode, short blacklist.
-    With [autotune] (default off) the controller also explores the
-    tunable registry every tick on a tiny budget, so a 3-round run
-    exercises adoption, salted warm keys, and host-param application. *)
+    search, low hysteresis, salt-parity deploy mode, short blacklist. *)
 
 val churn : Stdx.Prng.t -> fresh_tag:int -> Runtime.Controller.t -> unit
 (** One round of control-plane churn through the (faulty) update path:
@@ -42,7 +39,6 @@ val churn : Stdx.Prng.t -> fresh_tag:int -> Runtime.Controller.t -> unit
 
 val check :
   ?telemetry:bool ->
-  ?autotune:bool ->
   ?driver:Oracle.exec_driver ->
   ?sink:Telemetry.t ->
   Costmodel.Target.t ->
@@ -52,11 +48,7 @@ val check :
     (the reason is prefixed with the round it happened in) or the
     controller raised. With [telemetry] the simulator carries an enabled
     sink, so the runtime's remediation counters and rollback spans are
-    exercised under fault load too. With [autotune] the controller runs
-    online design-space exploration every tick — the oracle property is
-    unchanged, because host params never affect forwarding and model
-    params only reshape layouts that still deploy through the verified
-    path. [driver] selects the execution path
+    exercised under fault load too. [driver] selects the execution path
     for every compare round ({!Oracle.exec_obs}); [Compiled] makes each
     tick's deploy — including fault-forced rollbacks — recompile a
     pipeline that was already compiled for the previous layout. [sink]

@@ -22,7 +22,7 @@ let check ?(autotune = false) ?mutate ?telemetry ?driver target mode (case : Shr
   match mode with
   | Sim_diff -> Oracle.sim_diff ?telemetry ?driver target case.program case.packets
   | Roundtrip -> Oracle.roundtrip ?telemetry ?driver target case.program case.packets
-  | Chaos -> Chaos.check ?telemetry ~autotune ?driver target case
+  | Chaos -> Chaos.check ?telemetry ?driver target case
   | Optim_equiv ->
     (* With [autotune], each case first picks its own optimizer settings
        by a small design-space exploration over the case profile — the

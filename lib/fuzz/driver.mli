@@ -34,11 +34,10 @@ val check :
     with {!Pipeleon.Optimizer.default_config} at [top_k = 1.0], so every
     pipelet is rewritten. [mutate] only affects
     [Optim_equiv], where it corrupts the optimized program first.
-    [autotune] (default [false]) turns on online design-space
-    exploration: [Chaos] runs the controller with per-tick exploration
-    ({!Chaos.check}), [Optim_equiv] picks each case's optimizer config
-    by a small {!Pipeleon.Tune.explore} over the case profile before
-    proving the rewrite — both deterministic in the case.
+    [autotune] (default [false]) only affects [Optim_equiv]: each
+    case's optimizer config is picked by a small
+    {!Pipeleon.Tune.explore} over the case profile before the rewrite
+    is proved, deterministically in the case.
     [telemetry] (default [false]) attaches an enabled {!Telemetry} sink
     to every executor under test, turning each differential check into an
     observe-only proof for the instrumentation. [driver] (default

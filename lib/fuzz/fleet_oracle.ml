@@ -47,21 +47,21 @@ let compare_pair ?driver ~label member solo packets =
   in
   go 0 packets
 
-let fleet_spec ~autotune ~salt ~nics ~telemetry =
+let fleet_spec ~salt ~nics ~telemetry =
   { Fleet.default_spec with
     Fleet.nics;
     seed = salt;
-    controller = Chaos.controller_config ~autotune ~salt ();
+    controller = Chaos.controller_config ~salt;
     share_cache = true;
     gossip = true;
     telemetry;
     common_traffic = false }
 
-let check ?(nics = 4) ?(autotune = false) ?driver ?sink target (case : Gen.case) =
+let check ?(nics = 4) ?driver ?sink target (case : Gen.case) =
   if not (Oracle.supported case.program) then
     invalid_arg "Fleet_oracle.check: program carries optimizer-generated tables";
   let salt = Chaos.case_salt case in
-  let spec = fleet_spec ~autotune ~salt ~nics ~telemetry:(Option.is_some sink) in
+  let spec = fleet_spec ~salt ~nics ~telemetry:(Option.is_some sink) in
   try
     let fleet = Fleet.create ~spec target case.program in
     (* The solo twins: same program, same per-member configuration

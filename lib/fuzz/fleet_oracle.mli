@@ -22,7 +22,6 @@
 
 val check :
   ?nics:int ->
-  ?autotune:bool ->
   ?driver:Oracle.exec_driver ->
   ?sink:Telemetry.t ->
   Costmodel.Target.t ->
@@ -31,10 +30,6 @@ val check :
 (** Run one case over a [nics]-member fleet (default 4); [Some d] when
     any member's forwarding diverged from the reference or from its solo
     twin (the reason names the NIC and round), or anything raised.
-    [autotune] turns the per-member online exploration phase on (member
-    and solo twin alike, since both take {!Fleet.member_config}) — the
-    shared cache then carries assignment-salted keys and must stay
-    gain-transparent.
     [driver] selects the execution path for every comparison
     ({!Oracle.exec_obs}). [sink] (enabled) accumulates the fleet's
     merged runtime counters across cases — remediations, rollbacks,

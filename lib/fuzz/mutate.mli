@@ -9,20 +9,10 @@ type t = {
   apply : P4ir.Program.t -> P4ir.Program.t option;
 }
 
-val drop_merged_entry : t
-(** Delete the first entry of the first [Merged] table — a lost
-    cross-product row, the classic table-merge bug. *)
-
-val swap_cache_skip : t
-(** Rewire a cache's miss branch to its hit continuation, so misses skip
-    the covered original tables entirely. *)
-
-val corrupt_entry_action : t
-(** Repoint the first entry (of the first table with >= 2 behaviourally
-    distinct actions) at a different action. *)
-
-val flip_cond : t
-(** Negate the comparison operator of the first conditional node. *)
-
 val all : t list
+(** [drop-merged-entry] (a lost cross-product row of a merged table),
+    [swap-cache-skip] (a cache miss skips the covered tables),
+    [corrupt-entry-action] (an entry repointed at a different action)
+    and [flip-cond] (the first conditional's comparison negated). *)
+
 val find : string -> t option

@@ -11,7 +11,7 @@ val supported : P4ir.Program.t -> bool
 (** [sim_diff] and [roundtrip] require every table to be [Regular]: the
     reference interpreter models neither flow-cache fills nor migration
     metadata, so programs already rewritten by Pipeleon are compared
-    engine-vs-engine ([replay_diff]) instead. *)
+    engine-vs-engine ({!optim_equiv}) instead. *)
 
 type exec_driver = Interp | Compiled
 (** Which execution path carries each packet of a differential check:
@@ -47,20 +47,6 @@ val sim_diff :
     also proves the instrumentation is observe-only.
     @raise Invalid_argument if not {!supported}. *)
 
-val replay_diff :
-  ?telemetry:bool ->
-  ?driver:exec_driver ->
-  Costmodel.Target.t ->
-  P4ir.Program.t ->
-  P4ir.Program.t ->
-  Gen.flow list ->
-  divergence option
-(** The same packet stream through two programs on {!Nicsim.Exec},
-    comparing final observable state (traces necessarily differ across a
-    rewrite and are reported, not compared). Both executions are
-    stateful across the stream, so flow-cache warm-up behaves as it
-    would on the NIC. *)
-
 val optim_equiv :
   ?config:Pipeleon.Optimizer.config ->
   ?mutate:(P4ir.Program.t -> P4ir.Program.t option) ->
@@ -75,7 +61,9 @@ val optim_equiv :
     the first legal adjacent pair of regular tables in each pipelet (the
     cost model never finds such merges profitable, so without forcing
     them {!Pipeleon.Merge.build_ternary} would go unfuzzed), and check
-    the rewritten program against the original with {!replay_diff}.
+    the rewritten program against the original: the same packet stream
+    through both on {!Nicsim.Exec}, comparing final observable state
+    (traces differ across a rewrite and are not compared).
     [mutate] is applied to the rewritten program first (seeded-bug
     detection tests); if it returns [None] — the mutation found nothing
     to corrupt — the check passes vacuously. Optimizer exceptions are

@@ -3,14 +3,6 @@
     divergence found by a fuzz run can be replayed ([pipeleonc fuzz
     --replay <dir>]) and turned into a regression test. *)
 
-val profile_to_json : P4ir.Program.t -> Profile.t -> P4ir.Json.t
-(** Stats for the tables and conditionals of the given program. *)
-
-val profile_of_json : P4ir.Json.t -> Profile.t
-
-val packets_to_json : Gen.flow list -> P4ir.Json.t
-val packets_of_json : P4ir.Json.t -> Gen.flow list
-
 val write_case : dir:string -> Shrink.case -> unit
 (** Create [dir] (and parents) and write [repro.json] (the IR
     serialization — exact node ids and conditional names, so a replay

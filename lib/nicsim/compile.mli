@@ -96,7 +96,6 @@ val pc_of_node : t -> P4ir.Program.node_id -> int option
     interpreter and the compiled walk. *)
 
 val apply_action : Packet.t -> P4ir.Action.t -> unit
-val apply_primitive : Packet.t -> P4ir.Action.primitive -> unit
 val node_cat : P4ir.Table.t -> string
 (** ["cache"] / ["merged"] / ["table"] — telemetry span category and
     metric-name segment for a table node. *)

@@ -18,7 +18,6 @@ type t = {
   mutable meta : int64 array;
   mutable dropped : bool;
   mutable egress : int option;
-  size : int;
 }
 
 let create ?(size_bytes = 512) () =
@@ -26,9 +25,7 @@ let create ?(size_bytes = 512) () =
     ipv4_ttl = 64L; ipv4_proto = 6L; ipv4_dscp = 0L; ipv4_len = Int64.of_int size_bytes;
     tcp_sport = 0L; tcp_dport = 0L; tcp_flags = 0L; udp_sport = 0L; udp_dport = 0L;
     ingress_port = 0L; next_tab_id = 0L; meta = Array.make 16 0L; dropped = false;
-    egress = None; size = size_bytes }
-
-let size_bytes p = p.size
+    egress = None }
 
 let ensure_meta p i =
   if i >= Array.length p.meta then begin

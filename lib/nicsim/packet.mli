@@ -9,7 +9,6 @@ type t
 val create : ?size_bytes:int -> unit -> t
 (** A zeroed packet; [size_bytes] defaults to 512 (the paper's traffic). *)
 
-val size_bytes : t -> int
 val get : t -> P4ir.Field.t -> P4ir.Value.t
 val set : t -> P4ir.Field.t -> P4ir.Value.t -> unit
 

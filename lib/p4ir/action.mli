@@ -25,9 +25,6 @@ val num_primitives : t -> int
 val is_dropping : t -> bool
 (** Does executing this action unconditionally discard the packet? *)
 
-val reads : primitive -> Field.t list
-val writes : primitive -> Field.t list
-
 val reads_of : t -> Field.t list
 val writes_of : t -> Field.t list
 (** Deduplicated field sets over all primitives. *)
@@ -41,4 +38,3 @@ val concat : string -> t -> t -> t
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_primitive : Format.formatter -> primitive -> unit

@@ -1,9 +1,6 @@
 let exact_key f = Table.key f Match_kind.Exact
 let lpm_key f = Table.key f Match_kind.Lpm
 let ternary_key f = Table.key f Match_kind.Ternary
-let range_key f = Table.key f Match_kind.Range
-
-let set_action name f v = Action.make name [ Action.Set_field (f, v) ]
 
 let forward_action ?(extra_prims = 0) name =
   let extras = List.init extra_prims (fun i -> Action.Set_field (Field.Meta (8 + i), 1L)) in

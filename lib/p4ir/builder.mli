@@ -4,10 +4,6 @@
 val exact_key : Field.t -> Table.key
 val lpm_key : Field.t -> Table.key
 val ternary_key : Field.t -> Table.key
-val range_key : Field.t -> Table.key
-
-val set_action : string -> Field.t -> Value.t -> Action.t
-(** One-primitive action that assigns a constant. *)
 
 val forward_action : ?extra_prims:int -> string -> Action.t
 (** [forward_action ~extra_prims n] forwards to a fixed port and carries

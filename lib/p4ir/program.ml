@@ -29,7 +29,6 @@ let empty name = { prog_name = name; nodes = IntMap.empty; prog_root = None; fre
 let name t = t.prog_name
 let root t = t.prog_root
 let with_root t r = { t with prog_root = r }
-let with_name t n = { t with prog_name = n }
 
 let add_node t node =
   let id = t.fresh in

@@ -34,7 +34,6 @@ val empty : string -> t
 val name : t -> string
 val root : t -> next
 val with_root : t -> next -> t
-val with_name : t -> string -> t
 
 val add_node : t -> node -> t * node_id
 (** Allocate a fresh id. The node may reference ids not yet added; run

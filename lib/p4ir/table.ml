@@ -108,13 +108,6 @@ let reads_of t =
 
 let writes_of t = dedup (List.concat_map Action.writes_of t.actions)
 
-let may_drop t =
-  let action_drops name =
-    match find_action t name with Some a -> Action.is_dropping a | None -> false
-  in
-  action_drops t.default_action
-  || List.exists (fun e -> action_drops e.action) t.entries
-
 let entry_matches t read e =
   List.for_all2
     (fun k p -> Pattern.matches ~width:(Field.width k.field) p (read k.field))

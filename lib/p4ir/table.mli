@@ -65,9 +65,6 @@ val add_entry : t -> entry -> t
 
 val num_entries : t -> int
 
-val match_kinds : t -> Match_kind.t list
-(** Deduplicated kinds over the keys. *)
-
 val effective_kind : t -> Match_kind.t
 (** The dominant kind for cost purposes: [Ternary] if any key is ternary,
     else [Range] if any range, else [Lpm] if any LPM, else [Exact]. *)
@@ -85,9 +82,6 @@ val reads_of : t -> Field.t list
 
 val writes_of : t -> Field.t list
 (** Fields written by any action. *)
-
-val may_drop : t -> bool
-(** Does any (non-default) entry or the default action drop? *)
 
 val lookup : t -> (Field.t -> Value.t) -> entry option
 (** Reference (unoptimized) semantics: the highest-priority entry whose

@@ -18,6 +18,5 @@ val matches_mask : value:t -> mask:t -> t -> bool
 val in_range : lo:t -> hi:t -> t -> bool
 (** Unsigned inclusive range test. *)
 
-val compare_unsigned : t -> t -> int
 val to_hex : t -> string
 val pp : Format.formatter -> t -> unit

@@ -35,11 +35,6 @@ let cell t ~owner ~label =
     Hashtbl.add t k r;
     r
 
-(* Force-inlined: one add on a pre-resolved ref, paid per executed op
-   per sampled packet — an out-of-line call here costs more than the
-   increment itself. *)
-let[@inline always] cell_incr (c : cell) = c := !c + 1
-
 let get t ~owner ~label =
   match Hashtbl.find_opt t { owner; label } with
   | Some r -> Int64.of_int !r

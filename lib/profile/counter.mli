@@ -20,7 +20,7 @@ type cell = int ref
     executed op per sampled packet, and the dev profile compiles with
     [-opaque] (no cross-module inlining), so an abstract type would
     force an out-of-line call per increment. Callers must treat a cell
-    as increment-only — go through {!cell_incr}, or [c := !c + 1].
+    as increment-only: bump it with [c := !c + 1].
     Used by the compiled data path,
     which resolves every (table, action) and (branch, outcome) pair at
     deploy time. Resolving a cell registers a zero-valued entry, which
@@ -32,8 +32,6 @@ type cell = int ref
 
 val cell : t -> owner:string -> label:string -> cell
 
-(** [cell_incr c] is equivalent to {!incr} with [by = 1L] on [c]'s key. *)
-val cell_incr : cell -> unit
 val get : t -> owner:string -> label:string -> int64
 val owner_total : t -> string -> int64
 (** Sum over all labels of one owner. *)

@@ -16,8 +16,6 @@ let split_fused name =
   let parsed = List.map parse parts in
   if List.for_all Option.is_some parsed then List.filter_map Fun.id parsed else []
 
-let fuse_action_names names = String.concat "+" names
-
 let fold_back ~optimized counters =
   let result = Counter.create () in
   let tables = P4ir.Program.tables optimized in

@@ -15,9 +15,6 @@ val fuse : (string * string) list -> string
 val split_fused : string -> (string * string) list
 (** Inverse of {!fuse}; [[]] for names not produced by it (e.g. ["miss"]). *)
 
-val fuse_action_names : string list -> string
-(** Action-name-only variant used where the table is implicit (display). *)
-
 val fold_back : optimized:P4ir.Program.t -> Counter.t -> Counter.t
 (** A fresh counter store with counts attributed to original table and
     action names. Regular tables pass through; [Cache]/[Merged] tables

@@ -25,7 +25,6 @@ let set_table name stats t = { t with tables = SMap.add name stats t.tables }
 let set_cond name stats t = { t with conds = SMap.add name stats t.conds }
 let table_stats t name = SMap.find_opt name t.tables
 let cond_stats t name = SMap.find_opt name t.conds
-let table_names t = List.map fst (SMap.bindings t.tables)
 
 let action_prob t ~(table : P4ir.Table.t) ~action =
   match SMap.find_opt table.P4ir.Table.name t.tables with

@@ -31,7 +31,6 @@ val set_table : string -> table_stats -> t -> t
 val set_cond : string -> cond_stats -> t -> t
 val table_stats : t -> string -> table_stats option
 val cond_stats : t -> string -> cond_stats option
-val table_names : t -> string list
 
 val action_prob : t -> table:P4ir.Table.t -> action:string -> float
 (** Falls back to uniform over the table's actions when unprofiled. *)

@@ -1,15 +1,5 @@
 type deploy_mode = Full | Incremental
 
-type autotune = {
-  tune_every : int;
-  tune_radius : int;
-  tune_budget : int;
-  tune_min_improvement : float;
-}
-
-let default_autotune =
-  { tune_every = 4; tune_radius = 1; tune_budget = 12; tune_min_improvement = 0.01 }
-
 type config = {
   optimizer : Pipeleon.Optimizer.config;
   reconfig_downtime : float;
@@ -22,7 +12,6 @@ type config = {
   backoff_base : float;
   backoff_cap : float;
   blacklist_ttl : int;
-  autotune : autotune option;
 }
 
 let default_config =
@@ -36,8 +25,7 @@ let default_config =
     deploy_retries = 2;
     backoff_base = 0.5;
     backoff_cap = 8.;
-    blacklist_ttl = 5;
-    autotune = None }
+    blacklist_ttl = 5 }
 
 type t = {
   cfg : config;
@@ -65,10 +53,6 @@ type t = {
   warm : Pipeleon.Search.eval_cache;
       (* candidate evaluations from previous generations, keyed by
          pipelet signature + bucketed profile (Incremental.pipelet_signature) *)
-  mutable assignment : Pipeleon.Tune.assignment;
-      (* current tunable-parameter assignment (the registry default until
-         an autotune round adopts an improvement); warm-cache keys are
-         salted with its candidate-affecting params when autotune is on *)
 }
 
 let create ?(config = default_config) ?warm_cache simulator ~original =
@@ -91,8 +75,7 @@ let create ?(config = default_config) ?warm_cache simulator ~original =
          NICs running the same program (the cache is mutex-guarded). *)
       (match warm_cache with
        | Some cache -> cache
-       | None -> Pipeleon.Search.create_cache ());
-    assignment = Pipeleon.Tune.default_assignment () }
+       | None -> Pipeleon.Search.create_cache ()) }
 
 let sim t = t.simulator
 let original_program t = t.original
@@ -101,7 +84,6 @@ let generation t = t.gen
 let faults t = t.faults
 let active_exclusions t = Remediate.active t.blacklist ~now:t.ticks
 let warm_cache t = t.warm
-let assignment t = t.assignment
 
 let bump t name =
   let tel = Nicsim.Sim.telemetry t.simulator in
@@ -544,51 +526,15 @@ let tick t =
   end
   else begin
     let exclusions = Remediate.active t.blacklist ~now:t.ticks in
-    (* Opt-in autotune phase: every [tune_every] ticks, re-explore a
-       bounded neighborhood of the current assignment against the fresh
-       profile and adopt the chosen point when it clears the improvement
-       threshold. The adopted params steer this very tick's search, so an
-       adopted assignment deploys through the verified path below. *)
-    (match t.cfg.autotune with
-     | Some at when (t.ticks - 1) mod max 1 at.tune_every = 0 ->
-       let warm =
-         if t.cfg.warm_start then
-           Some
-             { Pipeleon.Optimizer.warm_cache = t.warm;
-               warm_signature = Incremental.pipelet_signature }
-         else None
-       in
-       let ex =
-         Pipeleon.Tune.explore ~budget:at.tune_budget ~radius:at.tune_radius
-           ~start:t.assignment ?warm ~config:t.cfg.optimizer target prof_orig t.original
-       in
-       bump t "runtime.autotune.explores";
-       let chosen = ex.Pipeleon.Tune.chosen in
-       let start_point = ex.Pipeleon.Tune.start_point in
-       if
-         chosen.Pipeleon.Tune.objectives.Pipeleon.Tune.latency
-         < start_point.Pipeleon.Tune.objectives.Pipeleon.Tune.latency
-           *. (1. -. at.tune_min_improvement)
-         && not (Pipeleon.Tune.equal chosen.Pipeleon.Tune.assignment t.assignment)
-       then begin
-         t.assignment <- chosen.Pipeleon.Tune.assignment;
-         bump t "runtime.autotune.adopted"
-       end
-     | _ -> ());
-    let optimizer_config, warm_signature =
-      match t.cfg.autotune with
-      | Some _ ->
-        ( Pipeleon.Tune.apply_optimizer t.assignment t.cfg.optimizer,
-          Autotune.signature t.assignment )
-      | None -> (t.cfg.optimizer, Incremental.pipelet_signature)
-    in
     let warm =
       if t.cfg.warm_start then
-        Some { Pipeleon.Optimizer.warm_cache = t.warm; warm_signature }
+        Some
+          { Pipeleon.Optimizer.warm_cache = t.warm;
+            warm_signature = Incremental.pipelet_signature }
       else None
     in
     let result =
-      Pipeleon.Optimizer.optimize ~config:optimizer_config ~generation:(t.gen + 1) ?warm
+      Pipeleon.Optimizer.optimize ~config:t.cfg.optimizer ~generation:(t.gen + 1) ?warm
         ~exclusions ~telemetry:tel target prof_orig t.original
     in
     let latency_original = Costmodel.Cost.expected_latency target prof_orig t.original in

@@ -26,26 +26,6 @@ type deploy_mode =
           [reconfig_downtime x rebuilt/total] and keeps unchanged caches
           warm (§6 incremental deployment) *)
 
-type autotune = {
-  tune_every : int;  (** explore every this many ticks (first tick included) *)
-  tune_radius : int;
-      (** neighborhood radius in domain steps ({!Pipeleon.Tune.explore}) *)
-  tune_budget : int;  (** max assignments evaluated per exploration *)
-  tune_min_improvement : float;
-      (** relative modeled-latency improvement the chosen point must
-          clear over the current assignment's own evaluation before it
-          is adopted — hysteresis against tuning churn *)
-}
-(** Online design-space exploration ({!Pipeleon.Tune}): periodically
-    re-explore a bounded neighborhood of the current parameter
-    assignment as profiles drift. An adopted assignment's params
-    ([candidate.*], [optimizer.*]) reshape the same tick's search, whose
-    layout deploys through the verified {!deploy} path (rollback, TTL
-    blacklists and the chaos oracles apply unchanged). *)
-
-val default_autotune : autotune
-(** Every 4 ticks, radius 1, budget 12, 1% improvement threshold. *)
-
 type config = {
   optimizer : Pipeleon.Optimizer.config;
   reconfig_downtime : float;
@@ -72,16 +52,12 @@ type config = {
       (** ticks a remediation exclusion stays in force; long enough that
           the reversed transformation is not immediately re-selected,
           short enough to retry after traffic shifts *)
-  autotune : autotune option;
-      (** [Some] turns the online autotune phase on; [None] (the
-          default) runs every search under the frozen registry
-          defaults with unsalted warm-cache keys, exactly as before *)
 }
 
 val default_config : config
 (** Live reconfiguration, 3% hysteresis, default optimizer settings and
     thresholds, warm start on, faults disabled, 2 retries, 0.5 s backoff
-    base capped at 8 s, 5-tick blacklist, autotune off. *)
+    base capped at 8 s, 5-tick blacklist. *)
 
 type t
 
@@ -114,11 +90,6 @@ val active_exclusions : t -> Pipeleon.Search.exclusion list
 val warm_cache : t -> Pipeleon.Search.eval_cache
 (** The evaluation cache this controller warm-starts from — the one
     passed to {!create}, or its private cache. *)
-
-val assignment : t -> Pipeleon.Tune.assignment
-(** The tunable-parameter assignment currently in force: the registry
-    default until an autotune round adopts an improvement. With
-    [config.autotune = None] it stays the default forever. *)
 
 val adopt_exclusions : t -> Pipeleon.Search.exclusion list -> unit
 (** Remediation gossip: ban the given exclusions on this controller's
@@ -203,8 +174,9 @@ val tick : t -> tick_report
     ([runtime.issues.<kind>]), and one per remediation kind
     ([runtime.remediations.cache_evict] / [.merge_split] / [.shed]).
 
-    With [config.autotune] set, eligible ticks run the exploration
-    phase first (counter [runtime.autotune.explores]; adoptions bump
-    [runtime.autotune.adopted]) and the tick's search uses the adopted
-    assignment's optimizer config with assignment-salted warm-cache
-    keys ({!Autotune.signature}). *)
+    The search always runs under [config.optimizer] with
+    {!Incremental.pipelet_signature} warm-cache keys. Tuning the
+    optimizer's own parameters is an offline search
+    ({!Pipeleon.Tune.explore}, [pipeleonc tune]); set its chosen
+    assignment into [config.optimizer] with
+    {!Pipeleon.Tune.apply_optimizer}. *)

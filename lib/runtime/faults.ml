@@ -57,8 +57,6 @@ let deploy_attempt t =
     else None
   end
 
-let deploy_failures_injected t = t.deploy_failures
-
 type update_fate = Apply | Drop | Corrupt
 
 let update_fate t =

@@ -56,9 +56,6 @@ val deploy_attempt : t -> string option
 (** Ask whether the next deploy fails; [Some reason] on injected
     failure. Consumes PRNG state (deterministic in call order). *)
 
-val deploy_failures_injected : t -> int
-(** Deploy failures injected so far (chaos-oracle bookkeeping). *)
-
 type update_fate = Apply | Drop | Corrupt
 
 val update_fate : t -> update_fate

@@ -75,9 +75,3 @@ let pipelet_signature prof (hot : Pipeleon.Hotspot.hot) (tables : P4ir.Table.t l
           st.action_probs)
     tables;
   Buffer.contents buf
-
-let pp_change fmt = function
-  | Added n -> Format.fprintf fmt "+%s" n
-  | Removed n -> Format.fprintf fmt "-%s" n
-  | Reshaped n -> Format.fprintf fmt "~%s" n
-  | Entries_changed n -> Format.fprintf fmt "e:%s" n

@@ -29,5 +29,3 @@ val pipelet_signature :
     entry count, shape hash, and profiled stats — all floats bucketed to
     three significant digits. Two rounds whose signatures match produce
     identical candidate evaluations, so the cached list is reusable. *)
-
-val pp_change : Format.formatter -> change -> unit

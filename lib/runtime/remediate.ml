@@ -51,16 +51,6 @@ let exclusions_of_action = function
 let sheds actions =
   List.exists (function Shed _ -> true | _ -> false) actions
 
-let pp_action fmt = function
-  | Evict_cache { cache; originals } ->
-    Format.fprintf fmt "evict cache %s (covering %s)" cache
-      (String.concat ", " originals)
-  | Split_merge { merged; originals } ->
-    Format.fprintf fmt "split merged table %s (back into %s)" merged
-      (String.concat ", " originals)
-  | Shed { table } ->
-    Format.fprintf fmt "shed optimization over %s (update storm)" table
-
 (* Blacklist: exclusion -> expiry tick. *)
 
 type blacklist = (Pipeleon.Search.exclusion, int) Hashtbl.t

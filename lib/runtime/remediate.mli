@@ -34,8 +34,6 @@ val exclusions_of_action : action -> Pipeleon.Search.exclusion list
 val sheds : action list -> bool
 (** Whether any action calls for shedding this round's search. *)
 
-val pp_action : Format.formatter -> action -> unit
-
 (** {1 Blacklist}
 
     Exclusions earned through remediation, each with a time-to-live in

@@ -13,8 +13,6 @@ let next64 t =
   t.state <- Int64.add t.state golden;
   mix64 t.state
 
-let split t = create (next64 t)
-
 let fork t i =
   if i < 0 then invalid_arg "Prng.fork: negative index";
   let salted = Int64.add t.state (Int64.mul golden (Int64.of_int (i + 1))) in

@@ -8,9 +8,6 @@ type t
 val create : int64 -> t
 (** Seeded generator. Equal seeds give equal streams. *)
 
-val split : t -> t
-(** An independent generator derived from the current state. *)
-
 val fork : t -> int -> t
 (** [fork t i] is an independent stream for shard [i], a pure function of
     [t]'s current state and the index: the parent is not advanced, equal

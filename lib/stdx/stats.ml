@@ -2,14 +2,6 @@ let mean = function
   | [] -> invalid_arg "Stats.mean: empty list"
   | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) ** 2.) xs) in
-    sqrt var
-
 let percentile p xs =
   if xs = [] then invalid_arg "Stats.percentile: empty list";
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
@@ -24,11 +16,6 @@ let percentile p xs =
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
 let median xs = percentile 50. xs
-
-let cdf_points xs =
-  let sorted = List.sort compare xs in
-  let n = float_of_int (List.length sorted) in
-  List.mapi (fun i x -> (x, float_of_int (i + 1) /. n)) sorted
 
 let linear_regression points =
   if List.length points < 2 then invalid_arg "Stats.linear_regression: need >= 2 points";

@@ -3,15 +3,11 @@
 val mean : float list -> float
 (** @raise Invalid_argument on an empty list. *)
 
-val stddev : float list -> float
 val median : float list -> float
 
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [0, 100], linear interpolation.
     @raise Invalid_argument on an empty list or p outside [0, 100]. *)
-
-val cdf_points : float list -> (float * float) list
-(** Sorted (value, cumulative fraction) pairs suitable for plotting. *)
 
 val linear_regression : (float * float) list -> float * float
 (** Least-squares fit returning (slope, intercept).

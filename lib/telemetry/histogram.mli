@@ -30,9 +30,6 @@ val record : t -> float -> unit
     zero bucket ({!quantile} reports them as [0.]); values beyond the
     representable range clamp to the edge buckets. *)
 
-val record_n : t -> float -> n:int -> unit
-(** Add [n] identical samples with one bucket update. *)
-
 val record_array : t -> ?pos:int -> ?n:int -> float array -> unit
 (** Record [a.(pos) .. a.(pos + n - 1)] in order ([pos] defaults to [0],
     [n] to the rest of the array). Equivalent to [n] calls of {!record}

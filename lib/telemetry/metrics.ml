@@ -52,13 +52,10 @@ let histogram ?help ?sub_bits t name =
     ~select:(function Hist h -> Some h | _ -> None)
 
 let inc ?(by = 1) c = c.c <- c.c + by
-let counter_value c = c.c
 
 let set g v =
   g.g <- v;
   g.g_set <- true
-
-let gauge_value g = g.g
 
 let find_counter t name =
   match Hashtbl.find_opt t.tbl name with

@@ -31,9 +31,7 @@ val histogram : ?help:string -> ?sub_bits:int -> t -> string -> Histogram.t
 val inc : ?by:int -> counter -> unit
 (** Add [by] (default 1). *)
 
-val counter_value : counter -> int
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val find_counter : t -> string -> int option
 (** Current value by name; [None] when unregistered. *)

@@ -10,25 +10,6 @@ let random_value rng field =
 let random_flows rng ~n ~fields =
   Array.init n (fun _ -> List.map (fun f -> (f, random_value rng f)) fields)
 
-let flows_hitting rng ~n (tab : P4ir.Table.t) =
-  let exact_entries =
-    List.filter
-      (fun (e : P4ir.Table.entry) ->
-        List.for_all (function P4ir.Pattern.Exact _ -> true | _ -> false) e.patterns)
-      tab.entries
-  in
-  if exact_entries = [] then
-    invalid_arg ("Workload.flows_hitting: no exact entries in " ^ tab.name);
-  let entries = Array.of_list exact_entries in
-  Array.init n (fun _ ->
-      let e = Stdx.Prng.choice rng entries in
-      List.map2
-        (fun (k : P4ir.Table.key) p ->
-          match p with
-          | P4ir.Pattern.Exact v -> (k.field, v)
-          | _ -> assert false)
-        tab.keys e.patterns)
-
 let apply_flow pkt flow = List.iter (fun (f, v) -> Nicsim.Packet.set pkt f v) flow
 
 let of_flows ?(zipf_s = 0.) ?size_bytes rng flows =

@@ -13,13 +13,6 @@ val random_flows :
   Stdx.Prng.t -> n:int -> fields:P4ir.Field.t list -> flow array
 (** [n] distinct flows with random values in each field's domain. *)
 
-val flows_hitting :
-  Stdx.Prng.t -> n:int -> P4ir.Table.t -> flow array
-(** Flows whose key-field values match existing entries of the table
-    (uniformly chosen among exact-pattern entries), so table hit rates
-    are controllable. @raise Invalid_argument if the table has no
-    exact-pattern entries. *)
-
 val of_flows :
   ?zipf_s:float -> ?size_bytes:int -> Stdx.Prng.t -> flow array -> source
 (** Sample a flow per packet — Zipf-ranked when [zipf_s > 0] (flow 0 most
