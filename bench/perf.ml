@@ -4,9 +4,8 @@
    against the same engine's straight-line reference probe), engine
    construction, single-packet execution, and the window driver; then
    the optimizer fast path (candidate enumeration, analytic evaluation,
-   knapsack, end-to-end optimize — cold vs warm-start) against the
-   pre-fast-path search
-   ({!Opt_baseline}). Writes the numbers to a JSON artifact (default
+   knapsack, end-to-end optimize, and warm-start against the cold
+   optimizer). Writes the numbers to a JSON artifact (default
    BENCH_nicsim.json) so CI can track them. *)
 
 (* --- timing --- *)
@@ -592,9 +591,8 @@ let run_suite ~smoke =
 
   (* --- optimizer fast path --- *)
 
-  (* Candidate enumeration over an 8-table pipelet: the old path re-runs
-     the exponential segmentation recursion per call; the new path memoizes
-     per (n, opts). *)
+  (* Candidate enumeration over an 8-table pipelet (segmentations are
+     memoized per (n, opts)). *)
   let opt_fields =
     [| P4ir.Field.Ipv4_src; P4ir.Field.Ipv4_dst; P4ir.Field.Tcp_sport;
        P4ir.Field.Tcp_dport |]
@@ -608,15 +606,14 @@ let run_suite ~smoke =
   push
     { name = "optim/enumerate-n8";
       unit_ = "enumerate";
-      before_ns = Some (time_ns ~iters:enum_iters (fun () -> Opt_baseline.enumerate prof8 tabs8));
+      before_ns = None;
       after_ns = time_ns ~iters:enum_iters (fun () -> Pipeleon.Candidate.enumerate prof8 tabs8);
       iters = enum_iters;
       note = None };
 
   (* Analytic evaluation of one pipelet's full candidate list (fresh
-     context per call, as local_optimize does): the old loop re-slices
-     and re-scores every segment per combo; the new one memoizes segment
-     metrics and reuses scratch arrays. *)
+     context per call, as local_optimize does; segment metrics are
+     memoized per context). *)
   let tabs6 = opt_chain 6 in
   let prof6 = Profile.uniform (P4ir.Program.linear "o6" tabs6) in
   let combos6 = Pipeleon.Candidate.enumerate prof6 tabs6 in
@@ -624,13 +621,7 @@ let run_suite ~smoke =
   push
     { name = "optim/evaluate-analytic";
       unit_ = "pipelet";
-      before_ns =
-        Some
-          (time_ns ~iters:eval_iters (fun () ->
-               let ctx = Opt_baseline.context target prof6 ~reach_prob:1.0 tabs6 in
-               List.iter
-                 (fun c -> ignore (Sys.opaque_identity (Opt_baseline.evaluate_analytic ctx c)))
-                 combos6));
+      before_ns = None;
       after_ns =
         time_ns ~iters:eval_iters (fun () ->
             let ctx = Pipeleon.Candidate.context target prof6 ~reach_prob:1.0 tabs6 in
@@ -642,8 +633,7 @@ let run_suite ~smoke =
       note = None };
 
   (* Group knapsack, 24 groups x 12 options with plenty of dominated
-     options: the old DP sweeps the full bucket grid per option; the new
-     one prunes and clamps to the reachable region. *)
+     options (the DP prunes them and clamps to the reachable region). *)
   let knap_groups =
     List.init 24 (fun g ->
         List.init 12 (fun i ->
@@ -656,11 +646,7 @@ let run_suite ~smoke =
   push
     { name = "optim/knapsack-24x12";
       unit_ = "solve";
-      before_ns =
-        Some
-          (time_ns ~iters:knap_iters (fun () ->
-               Opt_baseline.knapsack_solve ~groups:knap_groups ~mem_budget:(256 * 1024)
-                 ~upd_budget:4000. ()));
+      before_ns = None;
       after_ns =
         time_ns ~iters:knap_iters (fun () ->
             Pipeleon.Knapsack.solve ~groups:knap_groups ~mem_budget:(256 * 1024)
@@ -669,8 +655,7 @@ let run_suite ~smoke =
       note = None };
 
   (* End-to-end Optimizer.optimize on a synthetic program (ESearch
-     settings, groups off so both sides run the same passes). The
-     "before" side is the verbatim pre-fast-path search. *)
+     settings, groups off). *)
   let synth_rng = Stdx.Prng.create 5L in
   let synth_params = { Experiments.Synth.default_params with pipelet_len = 6 } in
   let e2e_prog = Experiments.Synth.program ~params:synth_params synth_rng in
@@ -679,22 +664,10 @@ let run_suite ~smoke =
     { Pipeleon.Optimizer.default_config with top_k = 1.0; enable_groups = false }
   in
   let e2e_iters = scale 10 in
-  let base_result = Opt_baseline.optimize ~top_k:1.0 target e2e_prof e2e_prog in
-  let fast_result = Pipeleon.Optimizer.optimize ~config:e2e_cfg target e2e_prof e2e_prog in
-  if
-    (snd base_result).Opt_baseline.predicted_gain
-    <> fast_result.Pipeleon.Optimizer.plan.Pipeleon.Search.predicted_gain
-  then
-    Printf.printf "WARNING: optim/optimize-e2e gain mismatch (before %.6f, after %.6f)\n"
-      (snd base_result).Opt_baseline.predicted_gain
-      fast_result.Pipeleon.Optimizer.plan.Pipeleon.Search.predicted_gain;
   push
     { name = "optim/optimize-e2e";
       unit_ = "optimize";
-      before_ns =
-        Some
-          (time_ns ~iters:e2e_iters (fun () ->
-               Opt_baseline.optimize ~top_k:1.0 target e2e_prof e2e_prog));
+      before_ns = None;
       after_ns =
         time_ns ~iters:e2e_iters (fun () ->
             Pipeleon.Optimizer.optimize ~config:e2e_cfg target e2e_prof e2e_prog);

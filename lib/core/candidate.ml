@@ -5,21 +5,18 @@ type seg = { pos : int; len : int; kind : seg_kind }
 type combo = { order : int list; segs : seg list }
 
 type options = {
-  max_enumerate_order : int;
   max_merge_len : int;
   max_cache_len : int;
   max_combos : int;
   cache_capacity : int;
-  cache_insert_limit : float;
 }
 
 let default_options =
-  { max_enumerate_order = 5;
-    max_merge_len = 2;
-    max_cache_len = 4;
-    max_combos = 4096;
-    cache_capacity = 4096;
-    cache_insert_limit = 1000. }
+  { max_merge_len = 2; max_cache_len = 4; max_combos = 4096; cache_capacity = 4096 }
+
+(* Fills/sec of every cache a candidate builds. {!Search.with_groups}'
+   group caches get the same limit as {!Group.build_cache}'s default. *)
+let cache_fill_rate = 1000.
 
 type evaluated = {
   combo : combo;
@@ -92,7 +89,7 @@ let enumerate ?(opts = default_options) prof tabs =
   let n = List.length tabs in
   if n = 0 then []
   else begin
-    let orders = Reorder.candidate_orders ~max_enumerate:opts.max_enumerate_order tabs in
+    let orders = Reorder.candidate_orders tabs in
     let greedy = Reorder.greedy_drop_order prof tabs in
     let orders = if List.mem greedy orders then orders else orders @ [ greedy ] in
     let segs = segmentations ~opts n in
@@ -151,9 +148,8 @@ let realize ?(opts = default_options) ~name_prefix tabs combo =
               if not (Cache.cacheable originals) then None
               else begin
                 let cache =
-                  Cache.build ~capacity:opts.cache_capacity
-                    ~insert_limit:opts.cache_insert_limit ~name:(fresh "cache")
-                    originals
+                  Cache.build ~capacity:opts.cache_capacity ~insert_limit:cache_fill_rate
+                    ~name:(fresh "cache") originals
                 in
                 build (pos + seg.len) (Transform.Cached { cache; originals } :: acc)
               end
@@ -438,7 +434,7 @@ let seg_metrics ctx kind originals originals_info =
       +. ((1. -. h) *. miss_cost)
     in
     let mem = opts.cache_capacity * exact_entry_bytes (Cache.live_in_fields originals) in
-    (cost, mem, opts.cache_insert_limit +. upd_sum, survive_factor)
+    (cost, mem, cache_fill_rate +. upd_sum, survive_factor)
   | Merge_ternary_seg ->
     (* Distinct mask combinations of the merged ternary table: each
        original contributes its own shapes plus a wildcard miss row

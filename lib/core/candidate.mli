@@ -15,15 +15,17 @@ type seg = { pos : int; len : int; kind : seg_kind }
 type combo = { order : int list; segs : seg list }
 
 type options = {
-  max_enumerate_order : int;  (** full permutations up to this length *)
   max_merge_len : int;  (** the paper caps merges (2 by default, §5.2.2) *)
   max_cache_len : int;
   max_combos : int;  (** safety valve on the candidate count *)
   cache_capacity : int;
-  cache_insert_limit : float;
 }
 
 val default_options : options
+(** Merges up to 2 tables, caches up to 4, at most 4096 combinations,
+    4096-entry caches. Orders are enumerated in full up to 5 tables
+    ({!Reorder.candidate_orders}), and every cache fills at most 1000
+    entries/sec. *)
 
 type evaluated = {
   combo : combo;
@@ -33,8 +35,6 @@ type evaluated = {
   mem_delta : int;  (** additional memory in bytes (may be negative) *)
   update_delta : float;  (** additional entry updates/sec *)
 }
-
-val identity_combo : int -> combo
 
 val enumerate : ?opts:options -> Profile.t -> P4ir.Table.t list -> combo list
 (** All candidate combinations for the pipelet's table list, including

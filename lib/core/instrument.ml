@@ -1,44 +1,5 @@
-let counter_sites prog =
-  let table_sites =
-    List.concat_map
-      (fun (_, (tab : P4ir.Table.t)) ->
-        List.map (fun (a : P4ir.Action.t) -> (tab.name, a.name)) tab.actions)
-      (P4ir.Program.tables prog)
-  in
-  let cond_sites =
-    List.concat_map
-      (fun (_, (c : P4ir.Program.cond)) ->
-        [ (c.cond_name, "true"); (c.cond_name, "false") ])
-      (P4ir.Program.conds prog)
-  in
-  table_sites @ cond_sites
-
 let expected_updates_per_packet prof prog =
   List.fold_left
     (fun acc (_, p) -> acc +. p)
     0.
     (Costmodel.Cost.reach_probs prof prog)
-
-let max_updates_per_packet prog =
-  let memo = Hashtbl.create 16 in
-  let rec longest = function
-    | None -> 0
-    | Some id -> (
-      match Hashtbl.find_opt memo id with
-      | Some v -> v
-      | None ->
-        let succ = P4ir.Program.out_edges prog id in
-        let best =
-          List.fold_left (fun acc (_, nxt) -> max acc (longest nxt)) 0 succ
-        in
-        let v = 1 + best in
-        Hashtbl.replace memo id v;
-        v)
-  in
-  longest (P4ir.Program.root prog)
-
-let overhead_latency (target : Costmodel.Target.t) prof prog ~sample_rate =
-  if sample_rate <= 0 then invalid_arg "Instrument.overhead_latency: sample_rate >= 1";
-  expected_updates_per_packet prof prog
-  *. target.counter_update_cost
-  /. float_of_int sample_rate

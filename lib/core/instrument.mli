@@ -1,22 +1,9 @@
 (** Instrumentation analysis (§4.1.2, §5.4.1).
 
     The simulator updates one counter per table action fired and one per
-    branch outcome; this module reports where those counters sit and how
-    many updates a packet performs — the x-axis of the Fig. 12 overhead
-    study — plus the modelled latency overhead. *)
-
-val counter_sites : P4ir.Program.t -> (string * string) list
-(** Every (owner, label) counter the instrumented program carries: one
-    per table action and ["true"]/["false"] per conditional. *)
+    branch outcome; this module reports how many updates a packet
+    performs — the x-axis of the Fig. 12 overhead study. *)
 
 val expected_updates_per_packet : Profile.t -> P4ir.Program.t -> float
 (** Expected number of per-packet counter updates: one per node visited,
     weighted by reach probability. *)
-
-val max_updates_per_packet : P4ir.Program.t -> int
-(** Updates along the longest root-to-sink path. *)
-
-val overhead_latency :
-  Costmodel.Target.t -> Profile.t -> P4ir.Program.t -> sample_rate:int -> float
-(** Additional expected latency per packet due to counter updates when
-    sampling 1 in [sample_rate] packets. *)

@@ -237,74 +237,6 @@ let build_ternary ~name tabs =
     ~role:(P4ir.Table.Merged (List.map (fun (t : P4ir.Table.t) -> t.name) tabs))
     ()
 
-let common_key_compatible tabs =
-  (* Exact keys only: under ternary/LPM the same packet can match
-     *different* overlapping rows in different tables, so joining by
-     identical pattern rows would not preserve semantics. *)
-  match tabs with
-  | [] | [ _ ] -> false
-  | (first : P4ir.Table.t) :: rest ->
-    List.for_all all_exact tabs
-    && List.for_all (fun (t : P4ir.Table.t) -> t.keys = first.keys) rest
-
-let build_common_key ~name tabs =
-  if not (mergeable tabs) then
-    invalid_arg ("Merge.build_common_key: not mergeable: " ^ name);
-  if not (common_key_compatible tabs) then
-    invalid_arg ("Merge.build_common_key: keys differ: " ^ name);
-  let first = List.hd tabs in
-  (* Distinct pattern rows appearing in any original, in first-seen
-     order. *)
-  let rows =
-    List.fold_left
-      (fun acc (t : P4ir.Table.t) ->
-        List.fold_left
-          (fun acc (e : P4ir.Table.entry) ->
-            if List.exists (fun (p, _) -> p = e.patterns) acc then acc
-            else (e.patterns, e.priority) :: acc)
-          acc t.entries)
-      [] tabs
-    |> List.rev
-  in
-  (* For a given row, what each table does: its exact-matching entry's
-     action, or its default. This is the original behaviour only when
-     patterns coincide syntactically, which the same-key restriction plus
-     exact row joining guarantees for the rows we materialize; all other
-     values fall to the merged default. *)
-  let picks_for patterns =
-    List.map
-      (fun (t : P4ir.Table.t) ->
-        match List.find_opt (fun (e : P4ir.Table.entry) -> e.patterns = patterns) t.entries with
-        | Some e -> Hit e
-        | None -> Miss)
-      tabs
-  in
-  let entries =
-    List.map
-      (fun (patterns, priority) ->
-        P4ir.Table.entry ~priority patterns (fused_name tabs (picks_for patterns)))
-      rows
-  in
-  let combos =
-    List.sort_uniq compare (List.map (fun (patterns, _) -> picks_for patterns) rows)
-  in
-  let all_miss = List.map (fun _ -> Miss) tabs in
-  let actions =
-    List.fold_left
-      (fun acc picks ->
-        let a = fused_action tabs picks in
-        if List.exists (fun (b : P4ir.Action.t) -> String.equal b.name a.name) acc then acc
-        else a :: acc)
-      [] (all_miss :: combos)
-    |> List.rev
-  in
-  P4ir.Table.make ~name ~keys:first.keys ~actions
-    ~default_action:(fused_name tabs all_miss)
-    ~entries
-    ~max_entries:(max 16 (List.length entries))
-    ~role:(P4ir.Table.Merged (List.map (fun (t : P4ir.Table.t) -> t.name) tabs))
-    ()
-
 let build_fallback ~name tabs =
   if not (mergeable tabs) then invalid_arg ("Merge.build_fallback: not mergeable: " ^ name);
   if not (fallback_compatible tabs) then

@@ -31,17 +31,3 @@ val build_ternary : name:string -> P4ir.Table.t list -> P4ir.Table.t
 val build_fallback : name:string -> P4ir.Table.t list -> P4ir.Table.t
 (** @raise Invalid_argument if not {!mergeable} or not
     {!fallback_compatible}. *)
-
-val common_key_compatible : P4ir.Table.t list -> bool
-(** At least two tables sharing exactly the same all-exact key list
-    (overlapping ternary/LPM rows cannot be joined row-wise). *)
-
-val build_common_key : name:string -> P4ir.Table.t list -> P4ir.Table.t
-(** MATReduce-style merge ([20] in the paper's related work): when the
-    covered tables match on the *same* key, duplicate match work can be
-    eliminated without a cross product — the merged table has one entry
-    per distinct key value present in any original (size bounded by the
-    SUM of entry counts, not the product), each fusing the action every
-    original would take on that value. Keys keep their original kinds
-    (patterns must agree exactly across tables for a value to join).
-    @raise Invalid_argument if not {!mergeable} or the keys differ. *)

@@ -44,7 +44,7 @@ let optimize ?(config = default_config) ?(generation = 0) ?warm ?(exclusions = [
     match cache with Some c -> Search.cache_stats c | None -> (0, 0)
   in
   let candidates =
-    Search.local_optimize ~opts:config.candidate_opts ~name_prefix ?cache ?signature
+    Search.local_optimize ~opts:config.candidate_opts ?cache ?signature
       ~exclusions target prof prog top
   in
   let cache_hits, cache_misses =
@@ -62,8 +62,8 @@ let optimize ?(config = default_config) ?(generation = 0) ?warm ?(exclusions = [
       (config.budget.updates_per_sec -. Costmodel.Resource.program_update_rate prof prog)
   in
   let plan =
-    Search.global_optimize ~use_greedy:config.use_greedy_global ~budget:config.budget
-      ~headroom_mem ~headroom_upd candidates
+    Search.global_optimize ~use_greedy:config.use_greedy_global ~headroom_mem ~headroom_upd
+      candidates
   in
   let plan =
     if config.enable_groups then

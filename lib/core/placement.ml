@@ -5,7 +5,9 @@ let naive _prog ~require id =
   | Needs_cpu -> Costmodel.Cost.Cpu
   | Needs_asic | Any -> Costmodel.Cost.Asic
 
-let optimize ?(max_sweeps = 8) target prof prog ~require =
+let sweep_cap = 8
+
+let optimize target prof prog ~require =
   let ids = P4ir.Program.reachable prog in
   let table = Hashtbl.create 16 in
   List.iter (fun id -> Hashtbl.replace table id (naive prog ~require id)) ids;
@@ -22,7 +24,7 @@ let optimize ?(max_sweeps = 8) target prof prog ~require =
   in
   let improved = ref true in
   let sweeps = ref 0 in
-  while !improved && !sweeps < max_sweeps do
+  while !improved && !sweeps < sweep_cap do
     improved := false;
     incr sweeps;
     List.iter

@@ -17,7 +17,6 @@ val naive :
     most. *)
 
 val optimize :
-  ?max_sweeps:int ->
   Costmodel.Target.t ->
   Profile.t ->
   P4ir.Program.t ->
@@ -25,7 +24,7 @@ val optimize :
   Costmodel.Cost.placement
 (** Iterative improvement from the naive partition: flip any [Any] node
     whose move lowers expected latency, until a sweep makes no progress
-    (at most [max_sweeps], default 8). Exact for chains, a good local
+    (at most 8 sweeps). Exact for chains, a good local
     optimum for DAGs. *)
 
 val migrations_expected :

@@ -45,7 +45,10 @@ let greedy_drop_order prof tabs =
   done;
   Array.to_list order
 
-let candidate_orders ?(max_enumerate = 5) tabs =
+(* Beyond this many tables the permutations are too many to enumerate. *)
+let max_enumerate = 5
+
+let candidate_orders tabs =
   let n = List.length tabs in
   let identity = List.init n Fun.id in
   if n <= 1 then [ identity ]

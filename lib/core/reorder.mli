@@ -5,10 +5,10 @@ val order_valid : P4ir.Table.t array -> int list -> bool
 (** Is the permutation (list of original positions) semantics-preserving?
     Every dependent pair must keep its relative order. *)
 
-val candidate_orders : ?max_enumerate:int -> P4ir.Table.t list -> int list list
-(** All valid permutations when the pipelet has at most [max_enumerate]
-    (default 5) tables; otherwise the identity order plus the
-    drop-greedy heuristic order. The identity order is always first. *)
+val candidate_orders : P4ir.Table.t list -> int list list
+(** All valid permutations when the pipelet has at most 5 tables;
+    otherwise the identity order alone. The identity order is always
+    first. *)
 
 val greedy_drop_order : Profile.t -> P4ir.Table.t list -> int list
 (** Stable-sort positions by descending drop probability, bubbling a

@@ -144,9 +144,7 @@ let cache_probe cache key =
         probe ())
   | _ -> None
 
-let local_optimize ?opts ?name_prefix ?cache ?signature ?(exclusions = []) target prof
-    prog hots =
-  ignore name_prefix;
+let local_optimize ?opts ?cache ?signature ?(exclusions = []) target prof prog hots =
   List.map
     (fun (hot : Hotspot.hot) ->
       let originals = Pipelet.tables prog hot.pipelet in
@@ -177,7 +175,7 @@ let local_optimize ?opts ?name_prefix ?cache ?signature ?(exclusions = []) targe
       { hot; evaluated })
     hots
 
-let global_optimize ?(use_greedy = false) ~budget ~headroom_mem ~headroom_upd candidates =
+let global_optimize ?(use_greedy = false) ~headroom_mem ~headroom_upd candidates =
   let groups =
     List.map
       (fun pc ->
@@ -187,7 +185,6 @@ let global_optimize ?(use_greedy = false) ~budget ~headroom_mem ~headroom_upd ca
           pc.evaluated)
       candidates
   in
-  ignore budget;
   let solution, solver_stats =
     if use_greedy then
       (Knapsack.greedy ~groups ~mem_budget:headroom_mem ~upd_budget:headroom_upd, None)
@@ -228,8 +225,7 @@ let with_groups ?opts ?(name_prefix = "__opt") target prof prog ~candidates ~cho
         incr counter;
         let name = Printf.sprintf "%s_group%d_%d" name_prefix g.Group.branch !counter in
         match
-          Group.build_cache ~capacity:cache_opts.Candidate.cache_capacity
-            ~insert_limit:cache_opts.Candidate.cache_insert_limit ~name prog g
+          Group.build_cache ~capacity:cache_opts.Candidate.cache_capacity ~name prog g
         with
         | None -> None
         | Some cache ->

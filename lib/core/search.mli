@@ -47,7 +47,6 @@ type exclusion = string * Candidate.seg_kind
 
 val local_optimize :
   ?opts:Candidate.options ->
-  ?name_prefix:string ->
   ?cache:eval_cache ->
   ?signature:(Hotspot.hot -> P4ir.Table.t list -> string) ->
   ?exclusions:exclusion list ->
@@ -66,7 +65,6 @@ val local_optimize :
 
 val global_optimize :
   ?use_greedy:bool ->
-  budget:Costmodel.Resource.budget ->
   headroom_mem:int ->
   headroom_upd:float ->
   pipelet_candidates list ->

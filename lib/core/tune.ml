@@ -41,21 +41,14 @@ let value_equal a b =
 
 let in_domain dom v = List.exists (value_equal v) (domain_values dom)
 
-type assignment = {
-  aparams : param list;  (** key-sorted *)
-  vals : (string * value) list;  (** key-sorted, total over [aparams] *)
-}
+(* Key-sorted (as {!params} is), total over {!params}. *)
+type assignment = (string * value) list
 
-let sort_params ps =
-  List.sort_uniq (fun a b -> compare a.key b.key) ps
+let default_assignment = List.map (fun p -> (p.key, p.default)) params
 
-let default_assignment ?params:(ps = params) () =
-  let ps = sort_params ps in
-  { aparams = ps; vals = List.map (fun p -> (p.key, p.default)) ps }
+let to_list a = a
 
-let to_list a = a.vals
-
-let lookup a key = List.assoc_opt key a.vals
+let lookup a key = List.assoc_opt key a
 
 let get a key =
   match lookup a key with
@@ -73,12 +66,12 @@ let get_float a key =
   | Int v -> float_of_int v
 
 let set a key v =
-  match List.find_opt (fun p -> p.key = key) a.aparams with
+  match find_param key with
   | None -> invalid_arg (Printf.sprintf "Tune.set: unregistered param %S" key)
   | Some p ->
     if not (in_domain p.domain v) then
       invalid_arg (Printf.sprintf "Tune.set: value out of domain for %S" key);
-    { a with vals = List.map (fun (k, v0) -> if k = key then (k, v) else (k, v0)) a.vals }
+    List.map (fun (k, v0) -> if k = key then (k, v) else (k, v0)) a
 
 let value_to_string = function
   | Int v -> string_of_int v
@@ -86,11 +79,11 @@ let value_to_string = function
 
 let fingerprint a =
   String.concat ";"
-    (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (value_to_string v)) a.vals)
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (value_to_string v)) a)
 
 let equal a b =
-  List.length a.vals = List.length b.vals
-  && List.for_all2 (fun (ka, va) (kb, vb) -> ka = kb && value_equal va vb) a.vals b.vals
+  List.length a = List.length b
+  && List.for_all2 (fun (ka, va) (kb, vb) -> ka = kb && value_equal va vb) a b
 
 let candidate_salt a =
   String.concat ";"
@@ -99,7 +92,7 @@ let candidate_salt a =
          if String.length k >= 10 && String.sub k 0 10 = "candidate." then
            Some (Printf.sprintf "%s=%s" k (value_to_string v))
          else None)
-       a.vals)
+       a)
 
 let apply_candidate a (o : Candidate.options) =
   let o =
@@ -200,8 +193,8 @@ let evaluate_point ?warm ~(config : Optimizer.config) target prof prog ~base asg
   let headroom_mem = max 0 (cfg.Optimizer.budget.memory_bytes - base_mem) in
   let headroom_upd = Float.max 0. (cfg.Optimizer.budget.updates_per_sec -. base_upd) in
   let plan =
-    Search.global_optimize ~use_greedy:cfg.Optimizer.use_greedy_global
-      ~budget:cfg.Optimizer.budget ~headroom_mem ~headroom_upd candidates
+    Search.global_optimize ~use_greedy:cfg.Optimizer.use_greedy_global ~headroom_mem
+      ~headroom_upd candidates
   in
   let mem =
     base_mem
@@ -244,7 +237,7 @@ let neighbors ~radius a =
               else None)
             [ idx - d; idx + d ])
         (List.init radius (fun i -> i + 1)))
-    a.aparams
+    params
 
 let point_order a b =
   let c = compare a.objectives.latency b.objectives.latency in
@@ -257,10 +250,9 @@ let point_order a b =
       if c <> 0 then c
       else compare (fingerprint a.assignment) (fingerprint b.assignment)
 
-let explore ?params:(ps = params) ?(budget = 32) ?(radius = 1) ?start ?warm
+let explore ?(budget = 32) ?(radius = 1) ?(start = default_assignment) ?warm
     ?(config = Optimizer.default_config) target prof prog =
   let t0 = Sys.time () in
-  let start = match start with Some a -> a | None -> default_assignment ~params:ps () in
   let base =
     ( Costmodel.Cost.expected_latency target prof prog,
       Costmodel.Resource.program_memory target prog,

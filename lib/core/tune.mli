@@ -19,7 +19,7 @@
     controller's optimizer config with {!apply_optimizer}. A sweep may
     be warm-started from a {!Search.eval_cache}: each assignment's
     candidate-affecting params are folded into the pipelet signature
-    ({!candidate_salt}), so the assignments of one sweep never replay
+    (the candidate salt), so the assignments of one sweep never replay
     each other's evaluations. *)
 
 type value = Int of int | Float of float
@@ -42,15 +42,11 @@ val params : param list
     - [optimizer.max_pipelet_len] — pipelet formation cap
     - [optimizer.top_k] — fraction of hot pipelets searched *)
 
-val find_param : string -> param option
-(** Lookup in {!params} by key. *)
-
 type assignment
 (** A total mapping from registered params to in-domain values.
     Structurally comparable: equal assignments have equal
-    fingerprints. *)
+    {!to_list}s. *)
 
-val default_assignment : ?params:param list -> unit -> assignment
 val to_list : assignment -> (string * value) list
 (** Key-sorted. *)
 
@@ -66,16 +62,6 @@ val set : assignment -> string -> value -> assignment
     outside the param's domain. *)
 
 val equal : assignment -> assignment -> bool
-
-val fingerprint : assignment -> string
-(** Stable, human-readable identity: key=value pairs in key order.
-    Equal assignments produce byte-identical fingerprints. *)
-
-val candidate_salt : assignment -> string
-(** Fingerprint restricted to the params that change per-pipelet
-    candidate evaluation (the [candidate.*] keys). {!explore} appends
-    it to warm-cache signatures so evaluations computed under different
-    candidate options never collide. *)
 
 val apply_optimizer : assignment -> Optimizer.config -> Optimizer.config
 (** Overlay every param of the assignment ([optimizer.*] and
@@ -100,11 +86,6 @@ val dominates : objectives -> objectives -> bool
 (** [dominates a b]: [a] is no worse on every axis and strictly better
     on at least one. *)
 
-val pareto : point list -> point list
-(** Non-dominated subset, deduplicated by fingerprint, in first-seen
-    order. Exposed for the qcheck property (no front point dominates
-    another). *)
-
 type explore_stats = {
   evaluated : int;  (** assignments evaluated *)
   front_size : int;
@@ -115,7 +96,9 @@ type explore_stats = {
 (** Mirrors {!Knapsack.stats} surfacing: how much work the sweep did. *)
 
 type exploration = {
-  front : point list;  (** the Pareto front, {!pareto}-filtered *)
+  front : point list;
+      (** the evaluated points no other evaluated point {!dominates},
+          deduplicated by assignment, in evaluation order *)
   chosen : point;
   start_point : point;
       (** the start assignment's own evaluation — the baseline
@@ -124,7 +107,6 @@ type exploration = {
 }
 
 val explore :
-  ?params:param list ->
   ?budget:int ->
   ?radius:int ->
   ?start:assignment ->
@@ -135,18 +117,22 @@ val explore :
   P4ir.Program.t ->
   exploration
 (** Deterministic bounded neighborhood sweep: starting from [start]
-    (default {!default_assignment}), breadth-first over single-param
-    moves of at most [radius] domain steps (default 1), evaluating at
-    most [budget] assignments (default 32) and never re-evaluating a
-    fingerprint. Each assignment is evaluated plan-only — the
-    per-pipelet search and global knapsack run, but no tables are
-    realized — so a sweep costs a few optimizer searches,
-    warm-started from [warm] with {!candidate_salt}-salted signatures.
-    Group caching is disabled during evaluation (plan-only sweep).
+    (default: every param at its [default]), breadth-first over
+    single-param moves of at most [radius] domain steps (default 1),
+    evaluating at most [budget] assignments (default 32) and never
+    re-evaluating an assignment. Each assignment is evaluated plan-only
+    — the per-pipelet search and global knapsack run, but no tables are
+    realized — so a sweep costs a few optimizer searches, warm-started
+    from [warm]. Warm-cache signatures are salted with the assignment's
+    [candidate.*] values, so evaluations computed under different
+    candidate options never collide, while assignments that differ only
+    in [optimizer.*] params share them. Group caching is disabled during
+    evaluation (plan-only sweep).
 
     The chosen point is the minimum-latency within-budget point
     (falling back to all points when none fit), ties broken by memory,
-    then update rate, then fingerprint. A singleton search space
+    then update rate, then the key=value rendering of the assignment
+    (the one {!describe} prints). A singleton search space
     (all-singleton domains, [radius = 0], or [budget = 1]) returns the
     start assignment as the single front point, bit-identically. *)
 

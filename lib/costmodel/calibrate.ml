@@ -36,8 +36,3 @@ let apply c (base : Target.t) =
     l_fixed = Float.max 0. c.l_mat_fit.intercept;
     match_model =
       Target.Fixed_cost { lpm_m = c.m_lpm; ternary_m = c.m_ternary } }
-
-let predict_latency c ~num_tables ~prims_per_table =
-  Float.max 0. c.l_mat_fit.intercept
-  +. (float_of_int num_tables
-      *. (c.l_mat_fit.slope +. (prims_per_table *. c.l_act_fit.slope)))

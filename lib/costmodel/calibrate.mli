@@ -33,7 +33,3 @@ val calibrate :
 val apply : calibrated -> Target.t -> Target.t
 (** Build a target whose parameters come from the fits (keeping the
     original's throughput capacity and core counts). *)
-
-val predict_latency : calibrated -> num_tables:int -> prims_per_table:float -> float
-(** Predicted latency of a straight-line exact-match program; used to
-    validate the model against fresh measurements (Fig. 5). *)

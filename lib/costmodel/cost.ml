@@ -100,13 +100,11 @@ let migration_cost ~placement (target : Target.t) prof prog =
   in
   (crossing +. entry) *. target.migration_latency
 
-let expected_latency ?(placement = all_asic) ?(per_node_overhead = 0.)
-    (target : Target.t) prof prog =
+let expected_latency ?(placement = all_asic) (target : Target.t) prof prog =
   let reach = reach_probs prof prog in
   let node_sum =
     List.fold_left
-      (fun acc (id, p) ->
-        acc +. (p *. (node_cost ~placement target prof prog id +. per_node_overhead)))
+      (fun acc (id, p) -> acc +. (p *. node_cost ~placement target prof prog id))
       0. reach
   in
   target.l_fixed +. node_sum +. migration_cost ~placement target prof prog
@@ -185,6 +183,6 @@ let expected_latency_via_paths ?(placement = all_asic) target prof prog =
   in
   target.l_fixed +. entry_cost +. walk (P4ir.Program.root prog) 1.0 0. 0.
 
-let expected_throughput_gbps ?placement target prof prog =
-  let latency = expected_latency ?placement target prof prog in
+let expected_throughput_gbps target prof prog =
+  let latency = expected_latency target prof prog in
   Target.throughput_gbps target ~latency

@@ -33,12 +33,9 @@ val edge_probs :
 (** Traversal probability of every edge (including edges to the sink). *)
 
 val expected_latency :
-  ?placement:placement ->
-  ?per_node_overhead:float ->
-  Target.t -> Profile.t -> P4ir.Program.t -> float
-(** Eq. 1 via the node-sum; [per_node_overhead] adds a constant per
-    visited node (profiling counters, §5.4.1). Includes [l_fixed] and,
-    under a heterogeneous placement, [migration_latency] for every
+  ?placement:placement -> Target.t -> Profile.t -> P4ir.Program.t -> float
+(** Eq. 1 via the node-sum. Includes [l_fixed] and, under a
+    heterogeneous placement, [migration_latency] for every
     probability-weighted ASIC<->CPU edge crossing. *)
 
 val expected_latency_via_paths :
@@ -52,6 +49,6 @@ val path_latency :
   P4ir.Program.path -> float
 (** Eq. 2b plus migration costs along the path; excludes [l_fixed]. *)
 
-val expected_throughput_gbps :
-  ?placement:placement -> Target.t -> Profile.t -> P4ir.Program.t -> float
-(** Convenience: {!expected_latency} pushed through {!Target.throughput_gbps}. *)
+val expected_throughput_gbps : Target.t -> Profile.t -> P4ir.Program.t -> float
+(** Convenience: {!expected_latency} (all-ASIC placement) pushed through
+    {!Target.throughput_gbps}. *)

@@ -1,3 +1,5 @@
+(* Probability an arrival waits (Erlang-C) for [c] servers at total
+   utilization [rho] in [0, 1). *)
 let erlang_c ~c ~rho =
   if c <= 0 then invalid_arg "Queueing.erlang_c: c must be positive";
   if rho < 0. || rho >= 1. then invalid_arg "Queueing.erlang_c: rho in [0,1)";
@@ -30,6 +32,3 @@ let expected_sojourn (target : Target.t) ~service_latency ~offered_gbps =
       Some (service_latency +. wait)
     end
   end
-
-let latency_vs_load target ~service_latency ~loads =
-  List.map (fun g -> (g, expected_sojourn target ~service_latency ~offered_gbps:g)) loads

@@ -7,16 +7,9 @@
     inflation as offered load approaches capacity — useful for latency
     SLO questions the saturation model cannot answer. *)
 
-val erlang_c : c:int -> rho:float -> float
-(** Probability an arrival waits (Erlang-C) for [c] servers at total
-    utilization [rho] in [0, 1). @raise Invalid_argument outside range. *)
-
 val expected_sojourn :
   Target.t -> service_latency:float -> offered_gbps:float -> float option
 (** Mean total latency (service + queueing, in latency units) for packets
     arriving at [offered_gbps] when each costs [service_latency] to
-    serve. [None] when offered load meets or exceeds capacity. *)
-
-val latency_vs_load :
-  Target.t -> service_latency:float -> loads:float list -> (float * float option) list
-(** [(offered_gbps, sojourn)] points for a load sweep. *)
+    serve; the wait is Erlang-C over [num_cores] servers. [None] when
+    offered load meets or exceeds capacity. *)

@@ -5,13 +5,12 @@
     are implemented as multiple hash tables). [E(v)] is the table's entry
     update rate from the profile. *)
 
-val entry_bytes : P4ir.Table.t -> int
-(** Bytes of one entry: key widths rounded up to bytes (doubled for
-    ternary value+mask, range lo+hi) plus a fixed action-data overhead. *)
-
 val table_memory : Target.t -> P4ir.Table.t -> int
-(** [M(v)] in bytes, based on provisioned [max_entries] for caches (their
-    budget is reserved) and current entries otherwise. *)
+(** [M(v)] in bytes: entries times entry bytes times [m]. Entries are the
+    provisioned capacity for caches (their budget is reserved) and the
+    current count otherwise. An entry's bytes are its key widths rounded
+    up to bytes (plus a prefix-length byte for LPM, doubled for ternary
+    value+mask and range lo+hi) plus 8 bytes of action data. *)
 
 val program_memory : Target.t -> P4ir.Program.t -> int
 val program_update_rate : Profile.t -> P4ir.Program.t -> float

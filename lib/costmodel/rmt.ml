@@ -1,10 +1,7 @@
-type config = {
-  num_stages : int;
-  tables_per_stage : int;
-  memory_per_stage : int;
-}
-
-let tofino_like = { num_stages = 12; tables_per_stage = 16; memory_per_stage = 3 * 512 * 1024 }
+(* A Tofino-like pipeline: 12 stages of at most 16 tables and 1.5 MiB. *)
+let num_stages = 12
+let tables_per_stage = 16
+let memory_per_stage = 3 * 512 * 1024
 
 type placement = { stage_of : (string * int) list; stages_used : int }
 
@@ -13,10 +10,10 @@ type result = Fits of placement | Does_not_fit of string
 (* A table depends on an earlier table when they are not reorderable;
    control-flow order also pins conditional-guarded tables: we use the
    program's topological order as "earlier". *)
-let pack ?(config = tofino_like) target prog =
+let pack target prog =
   let tables = P4ir.Program.tables prog in
-  let stage_mem = Array.make config.num_stages 0 in
-  let stage_count = Array.make config.num_stages 0 in
+  let stage_mem = Array.make num_stages 0 in
+  let stage_count = Array.make num_stages 0 in
   let placed : (string * int) list ref = ref [] in
   let rec place acc = function
     | [] -> Fits { stage_of = List.rev acc; stages_used = 1 + List.fold_left (fun m (_, s) -> max m s) 0 acc }
@@ -39,12 +36,12 @@ let pack ?(config = tofino_like) target prog =
       in
       let mem = Resource.table_memory target tab in
       let rec try_stage s =
-        if s >= config.num_stages then
+        if s >= num_stages then
           Does_not_fit
             (Printf.sprintf "table %s does not fit (needs stage >= %d)" tab.name min_stage)
         else if
-          stage_count.(s) < config.tables_per_stage
-          && stage_mem.(s) + mem <= config.memory_per_stage
+          stage_count.(s) < tables_per_stage
+          && stage_mem.(s) + mem <= memory_per_stage
         then begin
           stage_mem.(s) <- stage_mem.(s) + mem;
           stage_count.(s) <- stage_count.(s) + 1;
@@ -57,8 +54,8 @@ let pack ?(config = tofino_like) target prog =
   in
   place [] tables
 
-let throughput_gbps ?config target prog =
-  match pack ?config target prog with
+let throughput_gbps target prog =
+  match pack target prog with
   | Fits _ -> Some target.Target.line_rate_gbps
   | Does_not_fit _ -> None
 

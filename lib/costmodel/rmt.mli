@@ -8,12 +8,6 @@
     memory and table-count limits — the first-order resource concern of
     switch compilers (Lyra, Cetus, P5 [27, 36, 17]). *)
 
-type config = {
-  num_stages : int;
-  tables_per_stage : int;
-  memory_per_stage : int;  (** bytes *)
-}
-
 type placement = {
   stage_of : (string * int) list;  (** table name -> stage *)
   stages_used : int;
@@ -21,10 +15,11 @@ type placement = {
 
 type result = Fits of placement | Does_not_fit of string
 
-val pack : ?config:config -> Target.t -> P4ir.Program.t -> result
-(** Greedy dependency-respecting stage assignment. *)
+val pack : Target.t -> P4ir.Program.t -> result
+(** Greedy dependency-respecting stage assignment onto a Tofino-like
+    pipeline: 12 stages, each holding at most 16 tables and 1.5 MiB. *)
 
-val throughput_gbps : ?config:config -> Target.t -> P4ir.Program.t -> float option
+val throughput_gbps : Target.t -> P4ir.Program.t -> float option
 (** Line rate when the program fits, [None] otherwise — the "performance
     for free once packed" contract of pipelined ASICs. *)
 

@@ -79,9 +79,6 @@ let throughput_gbps t ~latency =
   if latency <= 0. then invalid_arg "Target.throughput_gbps: latency must be positive";
   Float.min t.line_rate_gbps (float_of_int t.num_cores *. t.capacity /. latency)
 
-let latency_for_line_rate t =
-  float_of_int t.num_cores *. t.capacity /. t.line_rate_gbps
-
 let pp fmt t =
   Format.fprintf fmt
     "target %s: l_mat=%.3f l_act=%.3f l_cond=%.3f cores=%d line=%.0fGbps" t.target_name

@@ -58,7 +58,4 @@ val throughput_gbps : t -> latency:float -> float
 (** Convert expected per-packet latency to offered throughput, capped at
     line rate. @raise Invalid_argument if [latency <= 0]. *)
 
-val latency_for_line_rate : t -> float
-(** The largest expected latency that still sustains line rate. *)
-
 val pp : Format.formatter -> t -> unit

@@ -66,7 +66,7 @@ let case_rng ~seed i =
   Stdx.Prng.create
     Int64.(add (mul (of_int (seed + 1)) 0x9E3779B97F4A7C15L) (of_int i))
 
-let run ?(params = Gen.default_params) ?(n_packets = 64) ?out_dir ?autotune ?mutate ?max_shrink_steps ?telemetry ?driver
+let run ?(params = Gen.default_params) ?(n_packets = 64) ?out_dir ?autotune ?mutate ?telemetry ?driver
     ?(target = Costmodel.Target.bluefield2) mode ~seed ~budget =
   let findings = ref [] in
   for i = 0 to budget - 1 do
@@ -75,7 +75,7 @@ let run ?(params = Gen.default_params) ?(n_packets = 64) ?out_dir ?autotune ?mut
     match checker case with
     | None -> ()
     | Some first ->
-      let shrunk = Shrink.shrink ?max_steps:max_shrink_steps checker case in
+      let shrunk = Shrink.shrink checker case in
       let divergence = match checker shrunk with Some d -> d | None -> first in
       let dir =
         Option.map

@@ -69,7 +69,6 @@ val run :
   ?out_dir:string ->
   ?autotune:bool ->
   ?mutate:Mutate.t ->
-  ?max_shrink_steps:int ->
   ?telemetry:bool ->
   ?driver:Oracle.exec_driver ->
   ?target:Costmodel.Target.t ->

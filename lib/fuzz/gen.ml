@@ -423,7 +423,7 @@ let gen_flow params rng ~fields ~buckets =
         Some (f, clamp_value f v))
     (List.map (fun f -> (f, buckets f)) fields)
 
-let packets ?(params = default_params) ?n_flows rng prog ~n =
+let packets ?(params = default_params) rng prog ~n =
   let fields = read_fields prog in
   let pool = interesting_values prog in
   let tbl : (Field.t, int64 list ref) Hashtbl.t = Hashtbl.create 16 in
@@ -443,7 +443,7 @@ let packets ?(params = default_params) ?n_flows rng prog ~n =
       fields
   in
   let buckets f = List.assoc f bucket_arr in
-  let n_flows = match n_flows with Some k -> max 1 k | None -> 4 + Prng.int rng 29 in
+  let n_flows = 4 + Prng.int rng 29 in
   let flows = Array.init n_flows (fun _ -> gen_flow params rng ~fields ~buckets) in
   let zipf = Traffic.Zipf.create ~n:n_flows ~s:(Prng.uniform rng 0. 1.3) in
   List.init n (fun _ -> flows.(Traffic.Zipf.sample zipf rng))

@@ -52,8 +52,8 @@ type flow = (P4ir.Field.t * P4ir.Value.t) list
 (** Field assignments applied on top of packet defaults; fields the
     program never reads are left to their defaults. *)
 
-val packets : ?params:params -> ?n_flows:int -> Stdx.Prng.t -> P4ir.Program.t -> n:int -> flow list
-(** [n] packets drawn Zipf-distributed from a population of flows whose
+val packets : ?params:params -> Stdx.Prng.t -> P4ir.Program.t -> n:int -> flow list
+(** [n] packets drawn Zipf-distributed from a population of 4-32 flows whose
     field values are biased towards the program's own entry constants
     and branch arguments (so entries actually hit). *)
 

@@ -89,7 +89,10 @@ let step check case =
     | Some c -> Some c
     | None -> try_packets check case)
 
-let shrink ?(max_steps = 500) check case0 =
+(* Bounds the number of successful reductions. *)
+let max_steps = 500
+
+let shrink check case0 =
   match check case0 with
   | None -> case0
   | Some d ->

@@ -14,11 +14,10 @@ type check = case -> Oracle.divergence option
     candidate only if the check still diverges (not necessarily with the
     same reason — any failure is worth keeping). *)
 
-val shrink : ?max_steps:int -> check -> case -> case
+val shrink : check -> case -> case
 (** Greedy fixpoint, largest reductions first: truncate the packet
     stream at the diverging packet, drop whole nodes (rewiring
     predecessors to a successor and garbage-collecting), drop entries,
-    then drop individual packets. [max_steps] (default 500) bounds the
-    number of successful reductions; every candidate is validated before
-    being checked. If the input does not fail the check it is returned
-    unchanged. *)
+    then drop individual packets. At most 500 successful reductions
+    are made; every candidate is validated before being checked. If the
+    input does not fail the check it is returned unchanged. *)

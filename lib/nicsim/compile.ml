@@ -91,7 +91,6 @@ type fill = {
 
 type t = {
   ops : op array;
-  pc_of : (P4ir.Program.node_id, int) Hashtbl.t;
   root_pc : int;  (* -1 when the program is empty *)
   entry_core : Costmodel.Cost.core;
   base_latency : float;  (* l_fixed (+ entry migration when root is on CPU) *)
@@ -119,39 +118,10 @@ type t = {
   mutable s_spans : Telemetry.Trace.span list;
 }
 
-let num_ops t = Array.length t.ops
 let tables_reused t = t.reused
 let tables_rebuilt t = t.rebuilt
 let drop_observed t = t.s_dropped
 
-type op_view = {
-  view_pc : int;
-  view_node : P4ir.Program.node_id;
-  view_kind : [ `Table | `Cond ];
-  view_name : string;
-  view_next : int list;
-}
-
-let view t =
-  Array.to_list
-    (Array.mapi
-       (fun pc op ->
-         match op with
-         | Op_cond c ->
-           { view_pc = pc;
-             view_node = c.c_node;
-             view_kind = `Cond;
-             view_name = c.c_name;
-             view_next = [ c.c_true_pc; c.c_false_pc ] }
-         | Op_table tb ->
-           { view_pc = pc;
-             view_node = tb.t_node;
-             view_kind = `Table;
-             view_name = tb.t_name;
-             view_next = List.sort_uniq compare (Array.to_list tb.t_next) })
-       t.ops)
-
-let pc_of_node t id = Hashtbl.find_opt t.pc_of id
 
 (* --- shared packet/action semantics (also used by Exec) --- *)
 
@@ -376,7 +346,6 @@ let build ?reuse ~target ~placement ~counters ~telemetry ~engine_of prog =
     else target.Costmodel.Target.l_fixed
   in
   { ops;
-    pc_of;
     root_pc = pc_of_next root;
     entry_core;
     base_latency;

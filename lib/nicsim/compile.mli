@@ -70,25 +70,10 @@ val drop_observed : t -> bool
     {!Packet.is_dropped}, which is also true for packets that arrived
     already dropped — the interpreter only counts the former. *)
 
-val num_ops : t -> int
-
 val tables_reused : t -> int
 (** Tables whose compiled artifact was carried over from [reuse]. *)
 
 val tables_rebuilt : t -> int
-
-type op_view = {
-  view_pc : int;
-  view_node : P4ir.Program.node_id;
-  view_kind : [ `Table | `Cond ];
-  view_name : string;
-  view_next : int list;  (** successor pcs; [-1] is the sink *)
-}
-
-val view : t -> op_view list
-(** The flattened layout, for tests and debugging. *)
-
-val pc_of_node : t -> P4ir.Program.node_id -> int option
 
 (** {2 Shared packet semantics}
 

@@ -1372,22 +1372,6 @@ let plan_kind t =
      | P_tree _ -> "tree"
      | P_none -> if s.lpm_ordered then "lpm-linear" else "ternary-skip")
 
-let plan_stats t =
-  match t.backend with
-  | Exact_hash _ | Cache_lru _ | Linear _ -> []
-  | Shaped s ->
-    if s.plan_stale then select_plan t s;
-    (match s.plan with
-     | P_learned l ->
-       [ ("segments", Array.length l.seg_key);
-         ("intervals", Array.length l.l_bounds);
-         ("remainder", Array.length l.r_bounds) ]
-     | P_tree tr ->
-       [ ("tree_nodes", Array.length tr.tn / 3);
-         ("tree_candidates", Array.length tr.c_ent);
-         ("tree_max_leaf", tr.t_maxleaf) ]
-     | P_none -> [])
-
 let lookup t pkt =
   match t.backend with
   | Exact_hash ex ->
@@ -1536,11 +1520,6 @@ let num_entries t =
   | Cache_lru c -> c.clen
   | Linear l -> l.lcount
   | Shaped s -> s.nentries
-
-let shape_groups t =
-  match t.backend with Shaped s -> s.ngroups | Exact_hash _ | Cache_lru _ | Linear _ -> 0
-
-let update_count t = t.updates
 
 let take_update_count t =
   let n = t.updates in

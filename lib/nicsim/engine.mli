@@ -78,12 +78,6 @@ val plan_kind : t -> string
     first if stale: ["exact-hash"], ["exact-lru"] (flow cache), ["linear"],
     ["learned"], ["tree"], ["lpm-linear"] or ["ternary-skip"]. For tests and diagnostics. *)
 
-val plan_stats : t -> (string * int) list
-(** Size counters of the current compiled plan (builds it if stale):
-    segments/intervals/remainder for the learned plan,
-    tree_nodes/tree_candidates/tree_max_leaf for the decision tree;
-    [[]] otherwise. *)
-
 val learned_threshold : int
 (** Entry count at which [Auto] switches a single-key LPM table with
     fewer than four prefix lengths to the learned-index plan. *)
@@ -91,8 +85,8 @@ val learned_threshold : int
 val tree_threshold : int
 (** Entry count at which [Auto] switches a multi-group ternary table to
     the decision-tree plan. Degenerate mask sets are guarded against:
-    if the built tree's worst leaf scan ([tree_max_leaf] in
-    {!plan_stats}) is not competitive with the skip probe's per-group
+    if the built tree's worst leaf scan is not competitive with the
+    skip probe's per-group
     cost — masks sharing no bits exhaust the wildcard-duplication
     budget and leave giant leaves — [Auto] discards the tree and keeps
     the skip probe. [Force_tree] bypasses the guard. *)
@@ -120,21 +114,14 @@ val entries : t -> P4ir.Table.entry list
 val num_entries : t -> int
 (** Live entry count, kept exactly: O(1), no list built. *)
 
-val shape_groups : t -> int
-(** Number of live hash-table groups in a shaped (LPM/ternary) backend;
-    0 for exact, cache and linear backends. Deleting the last entry of a
-    group does not drop the group — the modeled hardware still probes it. *)
-
 val copy : t -> t
 (** Deep, independent copy: subsequent mutations (inserts, cache fills,
     LRU recency updates) on either side do not affect the other. The
     copy's update counter and token bucket match the original. *)
 
-val update_count : t -> int
-(** Control-plane updates since the last {!take_update_count}. *)
-
 val take_update_count : t -> int
-(** Read and reset the update counter (one profiling window). *)
+(** Read and reset the control-plane update counter (one profiling
+    window). *)
 
 val cache_fill :
   t -> now:float -> P4ir.Table.entry -> [ `Inserted | `Rate_limited | `Full_replace ]

@@ -100,14 +100,6 @@ let engine_exn t name =
 let packets_seen t = t.seen
 let drops_seen t = t.drops
 
-let reset_counters t =
-  Profile.Counter.clear t.ctrs;
-  (* Clearing discards the registry's int64 slots, orphaning any
-     compiled counter cells; drop the compiled pipeline entirely so
-     the next compiled run re-resolves against the fresh slots. *)
-  t.compiled <- None;
-  t.compiled_stale <- true
-
 let set_tracer t hook = t.tracer <- hook
 
 let telemetry t = t.tel

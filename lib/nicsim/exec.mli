@@ -65,8 +65,8 @@ val run_batch :
     order. This executor's [packets_seen] advances by [n] whatever the
     [seqs], so a caller can pin a lane to any window position. The
     pipeline compiles lazily on first use and recompiles (reusing
-    unchanged tables' artifacts) after {!replace_program},
-    {!set_telemetry}, or {!reset_counters}. All arguments are required:
+    unchanged tables' artifacts) after {!replace_program} or
+    {!set_telemetry}. All arguments are required:
     the per-burst path cannot afford optional-argument boxing, and a
     steady-state burst allocates nothing.
     @raise Invalid_argument if [out] cannot hold the burst or [seqs],
@@ -131,4 +131,3 @@ val replace_program : t -> P4ir.Program.t -> int
     engines. Returns the number of tables that needed (re)creation — the
     units of work an incremental reconfiguration pays for (§6). *)
 
-val reset_counters : t -> unit

@@ -20,9 +20,9 @@ type t = {
   mutable egress : int option;
 }
 
-let create ?(size_bytes = 512) () =
+let create () =
   { eth_src = 0L; eth_dst = 0L; eth_type = 0x0800L; ipv4_src = 0L; ipv4_dst = 0L;
-    ipv4_ttl = 64L; ipv4_proto = 6L; ipv4_dscp = 0L; ipv4_len = Int64.of_int size_bytes;
+    ipv4_ttl = 64L; ipv4_proto = 6L; ipv4_dscp = 0L; ipv4_len = 512L;
     tcp_sport = 0L; tcp_dport = 0L; tcp_flags = 0L; udp_sport = 0L; udp_dport = 0L;
     ingress_port = 0L; next_tab_id = 0L; meta = Array.make 16 0L; dropped = false;
     egress = None }
@@ -89,21 +89,12 @@ let some_port = Array.init 64 Option.some
 let set_egress p port =
   p.egress <- (if port >= 0 && port < Array.length some_port then some_port.(port) else Some port)
 
-let of_fields ?size_bytes fields =
-  let p = create ?size_bytes () in
+let of_fields fields =
+  let p = create () in
   List.iter (fun (f, v) -> set p f v) fields;
   p
 
 let copy p = { p with meta = Array.copy p.meta }
-
-let key_string p fields =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun f ->
-      Buffer.add_int64_le buf (get p f);
-      Buffer.add_char buf '|')
-    fields;
-  Buffer.contents buf
 
 let pp fmt p =
   Format.fprintf fmt "pkt{src=%Lx dst=%Lx sport=%Ld dport=%Ld%s}" p.ipv4_src p.ipv4_dst

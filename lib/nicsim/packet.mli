@@ -6,8 +6,9 @@
 
 type t
 
-val create : ?size_bytes:int -> unit -> t
-(** A zeroed packet; [size_bytes] defaults to 512 (the paper's traffic). *)
+val create : unit -> t
+(** A zeroed 512-byte IPv4/TCP packet (the paper's traffic): [ipv4_len]
+    512, TTL 64. *)
 
 val get : t -> P4ir.Field.t -> P4ir.Value.t
 val set : t -> P4ir.Field.t -> P4ir.Value.t -> unit
@@ -17,9 +18,9 @@ val mark_dropped : t -> unit
 val egress_port : t -> int option
 val set_egress : t -> int -> unit
 
-val of_fields : ?size_bytes:int -> (P4ir.Field.t * P4ir.Value.t) list -> t
+val of_fields : (P4ir.Field.t * P4ir.Value.t) list -> t
+(** {!create} with the given fields set. *)
+
 val copy : t -> t
-val key_string : t -> P4ir.Field.t list -> string
-(** Concatenated field values; a hashable flow key. *)
 
 val pp : Format.formatter -> t -> unit

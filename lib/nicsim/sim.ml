@@ -201,10 +201,9 @@ let verify_deploy t =
   | Some hook -> (
     match hook () with None -> () | Some reason -> raise (Deploy_failed reason))
 
-let reconfigure ?config ?(downtime = 0.) t prog =
-  let cfg = match config with Some c -> c | None -> Exec.config t.ex in
+let reconfigure ?(downtime = 0.) t prog =
   let old_ex = t.ex in
-  let fresh = Exec.create cfg prog in
+  let fresh = Exec.create (Exec.config old_ex) prog in
   Exec.set_telemetry fresh (Exec.telemetry old_ex);
   (* Live reconfiguration keeps the dynamic state of surviving tables;
      caches restart cold. *)
@@ -229,12 +228,8 @@ let hot_patch ?(downtime_per_table = 0.02) t prog =
   verify_deploy t;
   changed
 
-let current_profile ?window t =
-  let elapsed =
-    match window with
-    | Some w -> w
-    | None -> Float.max 1e-9 (t.clock -. t.last_profile_time)
-  in
+let current_profile t =
+  let elapsed = Float.max 1e-9 (t.clock -. t.last_profile_time) in
   t.last_profile_time <- t.clock;
   let current = Exec.counters t.ex in
   let delta = Profile.Counter.diff ~current ~baseline:t.counter_baseline in

@@ -109,7 +109,7 @@ val set_deploy_fault : t -> (unit -> string option) option -> unit
     hook means the deploy verified fine. No hook (the default) means
     deploys never fail — production behaviour is unchanged. *)
 
-val reconfigure : ?config:Exec.config -> ?downtime:float -> t -> P4ir.Program.t -> unit
+val reconfigure : ?downtime:float -> t -> P4ir.Program.t -> unit
 (** Swap in a new program. Tables whose names survive keep their dynamic
     entries (live reconfiguration on runtime-programmable NICs); caches of
     the outgoing program are not carried over. [downtime] (default 0)
@@ -128,7 +128,7 @@ val hot_patch : ?downtime_per_table:float -> t -> P4ir.Program.t -> int
     @raise Deploy_failed under an installed fault hook, as with
     {!reconfigure}; rebuilt-table downtime is still charged. *)
 
-val current_profile : ?window:float -> t -> Profile.t
+val current_profile : t -> Profile.t
 (** Profile from the counters accumulated since the last call (folded
     back onto original table names via the counter map), tagged with the
     per-table control-plane update rates for the same period. *)

@@ -6,8 +6,8 @@ let forward_action ?(extra_prims = 0) name =
   let extras = List.init extra_prims (fun i -> Action.Set_field (Field.Meta (8 + i), 1L)) in
   Action.make name (Action.Forward 1 :: extras)
 
-let acl_table ?(max_entries = 1024) ~name ~keys () =
-  Table.make ~max_entries ~name ~keys
+let acl_table ~name ~keys () =
+  Table.make ~max_entries:1024 ~name ~keys
     ~actions:[ Action.nop "allow"; Action.make "deny" [ Action.Drop ] ]
     ~default_action:"allow" ()
 

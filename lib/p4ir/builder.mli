@@ -10,9 +10,9 @@ val forward_action : ?extra_prims:int -> string -> Action.t
     [extra_prims] additional metadata writes, so [n_a = 1 + extra_prims];
     used to sweep action complexity (Fig. 5b). *)
 
-val acl_table :
-  ?max_entries:int -> name:string -> keys:Table.key list -> unit -> Table.t
-(** ACL with actions [allow] (no-op) and [deny] (drop); default [allow]. *)
+val acl_table : name:string -> keys:Table.key list -> unit -> Table.t
+(** 1024-entry ACL with actions [allow] (no-op) and [deny] (drop);
+    default [allow]. *)
 
 val exact_chain :
   ?actions_per_table:int ->

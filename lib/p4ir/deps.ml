@@ -29,19 +29,3 @@ let between a b =
   deps
 
 let independent a b = between a b = []
-
-let reorderable_chain tabs =
-  let rec go = function
-    | [] | [ _ ] -> true
-    | t :: rest -> List.for_all (independent t) rest && go rest
-  in
-  go tabs
-
-let conflict_free_groups tabs =
-  let rec go current groups = function
-    | [] -> List.rev (List.rev current :: groups)
-    | t :: rest ->
-      if List.for_all (independent t) current then go (t :: current) groups rest
-      else go [ t ] (List.rev current :: groups) rest
-  in
-  match tabs with [] -> [] | t :: rest -> go [ t ] [] rest

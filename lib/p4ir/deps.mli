@@ -21,10 +21,3 @@ val between : Table.t -> Table.t -> kind list
 val independent : Table.t -> Table.t -> bool
 (** [independent a b] is true when [a] and [b] can execute in either order:
     no field written by one is read, matched, or written by the other. *)
-
-val reorderable_chain : Table.t list -> bool
-(** Are all tables in the list pairwise independent? *)
-
-val conflict_free_groups : Table.t list -> Table.t list list
-(** Partition a chain into maximal runs of pairwise-independent tables,
-    preserving order between runs. Each run may be freely permuted. *)

@@ -9,14 +9,11 @@
 exception Error of string
 (** Message carries the source line where lowering failed. *)
 
-val lower : Ast.program -> P4ir.Program.t
-(** @raise Error on unknown fields/actions/tables, kind mismatches,
-    duplicate or missing applications, or invalid patterns. The result is
-    validated. *)
-
 val parse_program : string -> P4ir.Program.t
-(** [lower] composed with {!Parser.parse}; raises {!Error} or
-    {!Parser.Error}. *)
+(** Parse ({!Parser.parse}) and lower. The result is validated.
+    @raise Parser.Error on syntax errors.
+    @raise Error on unknown fields/actions/tables, kind mismatches,
+    duplicate or missing applications, or invalid patterns. *)
 
 val load_file : string -> P4ir.Program.t
 (** Parse and lower a [.p4l] file. *)

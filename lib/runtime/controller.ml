@@ -5,7 +5,6 @@ type config = {
   reconfig_downtime : float;
   min_relative_gain : float;
   deploy_mode : deploy_mode;
-  warm_start : bool;
   thresholds : Monitor.thresholds;
   faults : Faults.config;
   deploy_retries : int;
@@ -19,7 +18,6 @@ let default_config =
     reconfig_downtime = 0.;
     min_relative_gain = 0.03;
     deploy_mode = Full;
-    warm_start = true;
     thresholds = Monitor.default_thresholds;
     faults = Faults.disabled;
     deploy_retries = 2;
@@ -82,7 +80,6 @@ let original_program t = t.original
 let deployed_program t = t.deployed
 let generation t = t.gen
 let faults t = t.faults
-let active_exclusions t = Remediate.active t.blacklist ~now:t.ticks
 let warm_cache t = t.warm
 
 let bump t name =
@@ -527,14 +524,11 @@ let tick t =
   else begin
     let exclusions = Remediate.active t.blacklist ~now:t.ticks in
     let warm =
-      if t.cfg.warm_start then
-        Some
-          { Pipeleon.Optimizer.warm_cache = t.warm;
-            warm_signature = Incremental.pipelet_signature }
-      else None
+      { Pipeleon.Optimizer.warm_cache = t.warm;
+        warm_signature = Incremental.pipelet_signature }
     in
     let result =
-      Pipeleon.Optimizer.optimize ~config:t.cfg.optimizer ~generation:(t.gen + 1) ?warm
+      Pipeleon.Optimizer.optimize ~config:t.cfg.optimizer ~generation:(t.gen + 1) ~warm
         ~exclusions ~telemetry:tel target prof_orig t.original
     in
     let latency_original = Costmodel.Cost.expected_latency target prof_orig t.original in

@@ -34,10 +34,6 @@ type config = {
   min_relative_gain : float;
       (** redeploy only when predicted latency improves by this fraction *)
   deploy_mode : deploy_mode;
-  warm_start : bool;
-      (** carry candidate evaluations across generations; pipelets whose
-          {!Incremental.pipelet_signature} is unchanged skip
-          re-enumeration (the returned plan is gain-identical) *)
   thresholds : Monitor.thresholds;  (** health-check limits for {!tick} *)
   faults : Faults.config;
       (** fault injection ({!Faults.disabled} in production) *)
@@ -56,8 +52,8 @@ type config = {
 
 val default_config : config
 (** Live reconfiguration, 3% hysteresis, default optimizer settings and
-    thresholds, warm start on, faults disabled, 2 retries, 0.5 s backoff
-    base capped at 8 s, 5-tick blacklist. *)
+    thresholds, faults disabled, 2 retries, 0.5 s backoff base capped at
+    8 s, 5-tick blacklist. *)
 
 type t
 
@@ -83,10 +79,6 @@ val original_program : t -> P4ir.Program.t
 val deployed_program : t -> P4ir.Program.t
 val generation : t -> int
 val faults : t -> Faults.t
-val active_exclusions : t -> Pipeleon.Search.exclusion list
-(** The remediation blacklist currently in force (next search round's
-    exclusions), in deterministic order. *)
-
 val warm_cache : t -> Pipeleon.Search.eval_cache
 (** The evaluation cache this controller warm-starts from — the one
     passed to {!create}, or its private cache. *)
@@ -174,8 +166,10 @@ val tick : t -> tick_report
     ([runtime.issues.<kind>]), and one per remediation kind
     ([runtime.remediations.cache_evict] / [.merge_split] / [.shed]).
 
-    The search always runs under [config.optimizer] with
-    {!Incremental.pipelet_signature} warm-cache keys. Tuning the
+    The search always runs under [config.optimizer] and warm-starts:
+    candidate evaluations carry across generations under
+    {!Incremental.pipelet_signature} keys, so an unchanged pipelet skips
+    re-enumeration (the returned plan is gain-identical). Tuning the
     optimizer's own parameters is an offline search
     ({!Pipeleon.Tune.explore}, [pipeleonc tune]); set its chosen
     assignment into [config.optimizer] with

@@ -33,10 +33,6 @@ let diff ~old_program ~new_program =
   in
   List.rev removed @ List.rev added_or_changed
 
-let rebuild_count changes =
-  List.length
-    (List.filter (function Added _ | Removed _ | Reshaped _ -> true | _ -> false) changes)
-
 (* Three significant digits: enough that a genuinely shifted profile
    re-evaluates, coarse enough that counter noise between windows does
    not defeat the warm cache. *)

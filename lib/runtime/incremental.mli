@@ -17,10 +17,6 @@ val diff : old_program:P4ir.Program.t -> new_program:P4ir.Program.t -> change li
 (** Name-keyed structural diff of the table sets (control-flow rewiring
     shows up as added/removed cache or merged tables). *)
 
-val rebuild_count : change list -> int
-(** Changes that require touching hardware state (everything except
-    [Entries_changed], which is ordinary entry-update traffic). *)
-
 val pipelet_signature :
   Profile.t -> Pipeleon.Hotspot.hot -> P4ir.Table.t list -> string
 (** Key for the optimizer's warm-start cache

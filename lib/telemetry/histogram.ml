@@ -40,7 +40,6 @@ let create ?(sub_bits = 5) () =
     fstats = fresh_fstats () }
 
 let sub_bits t = t.sbits
-let relative_error t = 1. /. float_of_int t.sub
 let count t = t.total
 let sum t = Float.Array.get t.fstats 0
 let mean t = if t.total = 0 then nan else Float.Array.get t.fstats 0 /. float_of_int t.total
@@ -97,22 +96,17 @@ let[@inline] record t v = record_n t v ~n:1
    argument — one minor-heap block per packet. Looping here keeps the
    value unboxed from the array load into [record_n]. The internal sum
    accumulates in array order, so [sum] is bit-identical to a caller's
-   own left-to-right summation of the same range ([v *. 1.0] is exact). *)
-let record_array t ?(pos = 0) ?n a =
-  let n = match n with Some n -> n | None -> Array.length a - pos in
-  if pos < 0 || n < 0 || pos + n > Array.length a then
+   own left-to-right summation of the same prefix ([v *. 1.0] is exact). *)
+let record_array t ?n a =
+  let n = match n with Some n -> n | None -> Array.length a in
+  if n < 0 || n > Array.length a then
     invalid_arg "Histogram.record_array: range outside the array";
-  for i = pos to pos + n - 1 do
+  for i = 0 to n - 1 do
     record_n t (Array.unsafe_get a i) ~n:1
   done
 
-(* Bucket k >= 1 covers [lo, hi): octave j / sub slice s of [1, 2). *)
-let bucket_lo t k =
-  if k = 0 then 0.
-  else
-    let j = (k - 1) / t.sub and s = (k - 1) mod t.sub in
-    Float.ldexp (1. +. (float_of_int s /. float_of_int t.sub)) (e_min + j)
-
+(* Upper bound of bucket k >= 1, which covers octave j / sub slice s of
+   [1, 2). *)
 let bucket_hi t k =
   if k = 0 then 0.
   else
@@ -162,10 +156,3 @@ let copy t =
     fstats = Float.Array.copy t.fstats }
 
 let bucket_counts t = Array.copy t.counts
-
-let nonzero_buckets t =
-  let acc = ref [] in
-  for k = Array.length t.counts - 1 downto 0 do
-    if t.counts.(k) <> 0 then acc := (bucket_lo t k, bucket_hi t k, t.counts.(k)) :: !acc
-  done;
-  !acc

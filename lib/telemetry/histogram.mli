@@ -22,21 +22,19 @@ val create : ?sub_bits:int -> unit -> t
 
 val sub_bits : t -> int
 
-val relative_error : t -> float
-(** Worst-case relative quantile error, [1 / 2^sub_bits]. *)
-
 val record : t -> float -> unit
 (** Add one sample. Non-positive and NaN values land in the dedicated
     zero bucket ({!quantile} reports them as [0.]); values beyond the
     representable range clamp to the edge buckets. *)
 
-val record_array : t -> ?pos:int -> ?n:int -> float array -> unit
-(** Record [a.(pos) .. a.(pos + n - 1)] in order ([pos] defaults to [0],
-    [n] to the rest of the array). Equivalent to [n] calls of {!record}
-    but allocation-free: a cross-module per-sample [record] call boxes
-    its float argument without flambda, so hot window loops should hand
-    the whole latency array over in one call. {!sum} afterwards is
-    bit-identical to a left-to-right summation of the same range. *)
+val record_array : t -> ?n:int -> float array -> unit
+(** Record [a.(0) .. a.(n - 1)] in order ([n] defaults to the whole
+    array). Equivalent to [n] calls of {!record} but allocation-free: a
+    cross-module per-sample [record] call boxes its float argument
+    without flambda, so hot window loops should hand the whole latency
+    array over in one call. {!sum} afterwards is bit-identical to a
+    left-to-right summation of the same prefix.
+    @raise Invalid_argument if [n] is negative or exceeds the array. *)
 
 val count : t -> int
 val sum : t -> float
@@ -70,7 +68,3 @@ val copy : t -> t
 val bucket_counts : t -> int array
 (** Snapshot of the raw bucket array (index 0 is the zero bucket); used
     by tests to check merge losslessness bucket-by-bucket. *)
-
-val nonzero_buckets : t -> (float * float * int) list
-(** [(lower, upper, count)] for every occupied bucket, in value order.
-    The zero bucket reports as [(0., 0., n)]. *)

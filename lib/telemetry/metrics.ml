@@ -6,46 +6,41 @@ type metric =
   | Gauge of gauge
   | Hist of Histogram.t
 
-type entry = { mutable help : string option; metric : metric }
-
-type t = { tbl : (string, entry) Hashtbl.t }
+type t = { tbl : (string, metric) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 64 }
-let default = create ()
 
 let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge" | Hist _ -> "histogram"
 
-let register t name ~help ~make ~select =
+let register t name ~make ~select =
   match Hashtbl.find_opt t.tbl name with
-  | Some e -> (
-    (match (e.help, help) with None, Some _ -> e.help <- help | _ -> ());
-    match select e.metric with
+  | Some metric -> (
+    match select metric with
     | Some m -> m
     | None ->
       invalid_arg
-        (Printf.sprintf "Metrics: %s already registered as a %s" name (kind_name e.metric)))
+        (Printf.sprintf "Metrics: %s already registered as a %s" name (kind_name metric)))
   | None ->
-    let m = make () in
-    let metric, v = m in
-    Hashtbl.replace t.tbl name { help; metric };
+    let metric, v = make () in
+    Hashtbl.replace t.tbl name metric;
     v
 
-let counter ?help t name =
-  register t name ~help
+let counter t name =
+  register t name
     ~make:(fun () ->
       let c = { c = 0 } in
       (Counter c, c))
     ~select:(function Counter c -> Some c | _ -> None)
 
-let gauge ?help t name =
-  register t name ~help
+let gauge t name =
+  register t name
     ~make:(fun () ->
       let g = { g = 0.; g_set = false } in
       (Gauge g, g))
     ~select:(function Gauge g -> Some g | _ -> None)
 
-let histogram ?help ?sub_bits t name =
-  register t name ~help
+let histogram ?sub_bits t name =
+  register t name
     ~make:(fun () ->
       let h = Histogram.create ?sub_bits () in
       (Hist h, h))
@@ -59,32 +54,32 @@ let set g v =
 
 let find_counter t name =
   match Hashtbl.find_opt t.tbl name with
-  | Some { metric = Counter c; _ } -> Some c.c
+  | Some (Counter c) -> Some c.c
   | _ -> None
 
 let find_gauge t name =
   match Hashtbl.find_opt t.tbl name with
-  | Some { metric = Gauge g; _ } -> Some g.g
+  | Some (Gauge g) -> Some g.g
   | _ -> None
 
 let find_histogram t name =
   match Hashtbl.find_opt t.tbl name with
-  | Some { metric = Hist h; _ } -> Some h
+  | Some (Hist h) -> Some h
   | _ -> None
 
 let names t = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.tbl [])
 
 let merge_prefixed ~prefix ~dst ~src =
   Hashtbl.iter
-    (fun name (e : entry) ->
+    (fun name metric ->
       let name = prefix ^ name in
-      match e.metric with
+      match metric with
       | Counter c ->
-        let d = counter ?help:e.help dst name in
+        let d = counter dst name in
         inc ~by:c.c d
-      | Gauge g -> if g.g_set then set (gauge ?help:e.help dst name) g.g
+      | Gauge g -> if g.g_set then set (gauge dst name) g.g
       | Hist h ->
-        let d = histogram ?help:e.help ~sub_bits:(Histogram.sub_bits h) dst name in
+        let d = histogram ~sub_bits:(Histogram.sub_bits h) dst name in
         Histogram.merge_into ~dst:d ~src:h)
     src.tbl
 
@@ -103,11 +98,11 @@ let json_float f = if Float.is_nan f then P4ir.Json.Null else P4ir.Json.Float f
 let to_json t =
   let entries = sorted_entries t in
   let pick f = List.filter_map f entries in
-  let counters = pick (function n, { metric = Counter c; _ } -> Some (n, P4ir.Json.Int (Int64.of_int c.c)) | _ -> None) in
-  let gauges = pick (function n, { metric = Gauge g; _ } -> Some (n, json_float g.g) | _ -> None) in
+  let counters = pick (function n, Counter c -> Some (n, P4ir.Json.Int (Int64.of_int c.c)) | _ -> None) in
+  let gauges = pick (function n, Gauge g -> Some (n, json_float g.g) | _ -> None) in
   let hists =
     pick (function
-      | n, { metric = Hist h; _ } ->
+      | n, Hist h ->
         let fields =
           [ ("count", P4ir.Json.Int (Int64.of_int (Histogram.count h)));
             ("sum", json_float (Histogram.sum h));
@@ -136,24 +131,19 @@ let prom_float f = if Float.is_nan f then "NaN" else Printf.sprintf "%.9g" f
 
 let to_prometheus t =
   let buf = Buffer.create 1024 in
-  let header name help kind =
-    (match help with
-     | Some h -> Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name h)
-     | None -> ());
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
-  in
+  let header name kind = Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind) in
   List.iter
-    (fun (name, e) ->
+    (fun (name, metric) ->
       let pname = sanitize name in
-      match e.metric with
+      match metric with
       | Counter c ->
-        header pname e.help "counter";
+        header pname "counter";
         Buffer.add_string buf (Printf.sprintf "%s %d\n" pname c.c)
       | Gauge g ->
-        header pname e.help "gauge";
+        header pname "gauge";
         Buffer.add_string buf (Printf.sprintf "%s %s\n" pname (prom_float g.g))
       | Hist h ->
-        header pname e.help "summary";
+        header pname "summary";
         List.iter
           (fun (_, q) ->
             Buffer.add_string buf

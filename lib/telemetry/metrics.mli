@@ -1,4 +1,4 @@
-(** Process-wide metrics registry: named counters, gauges, and
+(** Metrics registry: named counters, gauges, and
     log-bucketed latency histograms ({!Histogram}), with JSON and
     Prometheus text exposition.
 
@@ -17,16 +17,12 @@ type gauge
 
 val create : unit -> t
 
-val default : t
-(** The process-wide registry, for code without an obvious owner. *)
-
-val counter : ?help:string -> t -> string -> counter
-(** Register (or fetch) the named counter. [help] is kept from the first
-    registration that supplies it.
+val counter : t -> string -> counter
+(** Register (or fetch) the named counter.
     @raise Invalid_argument if the name is bound to a different kind. *)
 
-val gauge : ?help:string -> t -> string -> gauge
-val histogram : ?help:string -> ?sub_bits:int -> t -> string -> Histogram.t
+val gauge : t -> string -> gauge
+val histogram : ?sub_bits:int -> t -> string -> Histogram.t
 
 val inc : ?by:int -> counter -> unit
 (** Add [by] (default 1). *)
@@ -60,6 +56,7 @@ val to_json : t -> P4ir.Json.t
     with every object sorted by name (deterministic output). *)
 
 val to_prometheus : t -> string
-(** Prometheus text exposition: counters and gauges as-is, histograms as
-    summaries with [quantile] labels plus [_sum]/[_count]. Names are
+(** Prometheus text exposition: a [# TYPE] line per metric, counters
+    and gauges as-is, histograms as summaries with [quantile] labels
+    plus [_sum]/[_count]. Names are
     sanitized to the Prometheus charset ([.] and [-] become [_]). *)

@@ -12,10 +12,10 @@ type t = {
 let null =
   { enabled = false; metrics = Metrics.create (); trace = None; trace_sample_every = 1 }
 
-let create ?metrics ?trace_capacity ?(trace_sample_every = 64) () =
+let create ?trace_capacity ?(trace_sample_every = 64) () =
   if trace_sample_every <= 0 then
     invalid_arg "Telemetry.create: trace_sample_every must be positive";
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let metrics = Metrics.create () in
   let trace = Option.map (fun capacity -> Trace.create ~capacity ()) trace_capacity in
   { enabled = true; metrics; trace; trace_sample_every }
 

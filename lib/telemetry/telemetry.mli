@@ -23,14 +23,8 @@ val null : t
 (** The disabled sink: {!enabled} is false, every record is a no-op, and
     nothing is ever allocated per event. *)
 
-val create :
-  ?metrics:Metrics.t ->
-  ?trace_capacity:int ->
-  ?trace_sample_every:int ->
-  unit ->
-  t
-(** An enabled sink. [metrics] defaults to a fresh registry (pass
-    {!Metrics.default} to share the process-wide one). [trace_capacity]
+val create : ?trace_capacity:int -> ?trace_sample_every:int -> unit -> t
+(** An enabled sink with a fresh metrics registry. [trace_capacity]
     enables span tracing into a ring of that many spans;
     [trace_sample_every] (default 64) traces one packet in that many.
     Without [trace_capacity] the sink collects metrics only.

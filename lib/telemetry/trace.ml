@@ -52,7 +52,7 @@ let json_of_span s =
       ("dur", P4ir.Json.Float s.dur);
       ("args", P4ir.Json.Obj (List.map (fun (k, v) -> (k, P4ir.Json.String v)) s.args)) ]
 
-let to_chrome_json ?(process_name = "pipeleon") t =
+let to_chrome_json ~process_name t =
   let meta =
     P4ir.Json.Obj
       [ ("name", P4ir.Json.String "process_name");
@@ -64,10 +64,10 @@ let to_chrome_json ?(process_name = "pipeleon") t =
     [ ("displayTimeUnit", P4ir.Json.String "ms");
       ("traceEvents", P4ir.Json.List (meta :: List.map json_of_span (spans t))) ]
 
-let write_file ?process_name t path =
+let write_file ~process_name t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (P4ir.Json.to_string ~indent:1 (to_chrome_json ?process_name t));
+      output_string oc (P4ir.Json.to_string ~indent:1 (to_chrome_json ~process_name t));
       output_char oc '\n')

@@ -37,9 +37,7 @@ val clear : t -> unit
 val spans : t -> span list
 (** Retained spans, oldest first. *)
 
-val to_chrome_json : ?process_name:string -> t -> P4ir.Json.t
-(** The Trace Event Format document: [{"traceEvents": [...]}] plus a
-    process-name metadata record. Load it in https://ui.perfetto.dev or
-    chrome://tracing. *)
-
-val write_file : ?process_name:string -> t -> string -> unit
+val write_file : process_name:string -> t -> string -> unit
+(** Write the retained spans to [path] as a Trace Event Format document:
+    [{"traceEvents": [...]}] plus a process-name metadata record. Load
+    it in https://ui.perfetto.dev or chrome://tracing. *)

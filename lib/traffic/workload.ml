@@ -12,7 +12,7 @@ let random_flows rng ~n ~fields =
 
 let apply_flow pkt flow = List.iter (fun (f, v) -> Nicsim.Packet.set pkt f v) flow
 
-let of_flows ?(zipf_s = 0.) ?size_bytes rng flows =
+let of_flows ?(zipf_s = 0.) rng flows =
   if Array.length flows = 0 then invalid_arg "Workload.of_flows: empty flow set";
   let sampler =
     if zipf_s > 0. then
@@ -21,7 +21,7 @@ let of_flows ?(zipf_s = 0.) ?size_bytes rng flows =
     else fun () -> Stdx.Prng.int rng (Array.length flows)
   in
   fun () ->
-    let pkt = Nicsim.Packet.create ?size_bytes () in
+    let pkt = Nicsim.Packet.create () in
     apply_flow pkt flows.(sampler ());
     pkt
 
@@ -33,17 +33,4 @@ let mark_fraction rng ~rate ~field ~value inner () =
 let override ~field ~value inner () =
   let pkt = inner () in
   Nicsim.Packet.set pkt field value;
-  pkt
-
-let mixture rng weighted =
-  if weighted = [] then invalid_arg "Workload.mixture: empty list";
-  let weights = Array.of_list (List.map fst weighted) in
-  let sources = Array.of_list (List.map snd weighted) in
-  fun () ->
-    let i = Stdx.Prng.weighted_index rng weights in
-    sources.(i) ()
-
-let constant ?size_bytes flow () =
-  let pkt = Nicsim.Packet.create ?size_bytes () in
-  apply_flow pkt flow;
   pkt

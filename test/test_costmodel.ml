@@ -37,7 +37,11 @@ let test_m_values () =
 let test_throughput_conversion () =
   check_float "line rate cap" target.Costmodel.Target.line_rate_gbps
     (Costmodel.Target.throughput_gbps target ~latency:0.001);
-  let latency = Costmodel.Target.latency_for_line_rate target in
+  (* The largest expected latency that still sustains line rate. *)
+  let latency =
+    float_of_int target.Costmodel.Target.num_cores *. target.Costmodel.Target.capacity
+    /. target.Costmodel.Target.line_rate_gbps
+  in
   check_float "boundary latency" target.Costmodel.Target.line_rate_gbps
     (Costmodel.Target.throughput_gbps target ~latency);
   check_bool "beyond boundary degrades" true
@@ -129,14 +133,6 @@ let test_reach_probs () =
   check_float "true arm" 0.3 (by_table "ta");
   check_float "false arm" 0.7 (by_table "tb")
 
-let test_per_node_overhead () =
-  let tabs = List.init 4 (fun i -> exact_table (Printf.sprintf "t%d" i)) in
-  let prog = P4ir.Program.linear "p" tabs in
-  let prof = Profile.uniform prog in
-  let base = Costmodel.Cost.expected_latency target prof prog in
-  let with_ovh = Costmodel.Cost.expected_latency ~per_node_overhead:0.5 target prof prog in
-  check_float "overhead per visited node" (base +. (4. *. 0.5)) with_ovh
-
 let test_hetero_migrations () =
   let tabs = List.init 2 (fun i -> exact_table (Printf.sprintf "t%d" i)) in
   let prog = P4ir.Program.linear "p" tabs in
@@ -171,7 +167,9 @@ let test_resource_accounting () =
       ()
   in
   (* exact: 4 key bytes + 8 action bytes per entry, m = 1. *)
-  Alcotest.(check int) "entry bytes" 12 (Costmodel.Resource.entry_bytes t);
+  Alcotest.(check int) "entry bytes" 12
+    (Costmodel.Resource.table_memory target
+       { t with P4ir.Table.entries = [ List.hd t.P4ir.Table.entries ] });
   Alcotest.(check int) "table memory" 120 (Costmodel.Resource.table_memory target t);
   let b = Costmodel.Resource.default_budget in
   check_bool "within" true
@@ -200,8 +198,11 @@ let test_calibration_recovers_slope () =
   check_float "r2" 1.0 c.Costmodel.Calibrate.l_mat_fit.r2;
   check_float "m_lpm" 3.0 c.Costmodel.Calibrate.m_lpm;
   check_float "m_ternary" 5.0 c.Costmodel.Calibrate.m_ternary;
-  check_float "prediction" (10. +. (20. *. (1.25 +. (2. *. 0.125))))
-    (Costmodel.Calibrate.predict_latency c ~num_tables:20 ~prims_per_table:2.)
+  (* The fitted target predicts with the recovered law. *)
+  let fitted = Costmodel.Calibrate.apply c target in
+  check_float "fitted l_mat" 1.25 fitted.Costmodel.Target.l_mat;
+  check_float "fitted l_act" 0.125 fitted.Costmodel.Target.l_act;
+  check_float "fitted l_fixed" 10. fitted.Costmodel.Target.l_fixed
 
 (* --- RMT baseline --- *)
 
@@ -257,22 +258,35 @@ let test_rmt_limits () =
 (* --- queueing --- *)
 
 let test_erlang_c_limits () =
-  (* Single server: Erlang-C reduces to rho. *)
-  check_float "M/M/1 wait probability" 0.5 (Costmodel.Queueing.erlang_c ~c:1 ~rho:0.5);
-  check_bool "vanishes at low load" true (Costmodel.Queueing.erlang_c ~c:8 ~rho:0.01 < 1e-6);
-  check_bool "approaches 1 at high load" true (Costmodel.Queueing.erlang_c ~c:8 ~rho:0.999 > 0.9);
-  Alcotest.check_raises "rho >= 1 rejected"
-    (Invalid_argument "Queueing.erlang_c: rho in [0,1)") (fun () ->
-      ignore (Costmodel.Queueing.erlang_c ~c:4 ~rho:1.0))
+  (* The wait is Erlang-C: at per-core utilization rho a packet waits
+     P_wait * S / (c * (1 - rho)) on top of its service time S. A long
+     S keeps the cores, not the line rate, the bottleneck. *)
+  let service = 1000. in
+  let sojourn (t : Costmodel.Target.t) rho =
+    let core_capacity = float_of_int t.num_cores *. t.capacity /. service in
+    Costmodel.Queueing.expected_sojourn t ~service_latency:service
+      ~offered_gbps:(rho *. core_capacity)
+  in
+  (* Single server: Erlang-C reduces to rho, so the wait is one S. *)
+  let mm1 = { target with Costmodel.Target.num_cores = 1 } in
+  check_float "M/M/1 sojourn" (2. *. service) (Option.get (sojourn mm1 0.5));
+  let c8 = { target with Costmodel.Target.num_cores = 8 } in
+  check_bool "wait vanishes at low load" true
+    (Option.get (sojourn c8 0.01) -. service < 1e-6 *. service);
+  check_bool "wait explodes at high load" true
+    (Option.get (sojourn c8 0.999) > 100. *. service);
+  check_bool "rho >= 1 unanswered" true (sojourn c8 1.0 = None)
 
 let test_sojourn_monotone () =
   let service = 30.0 in
   let capacity = Costmodel.Target.throughput_gbps target ~latency:service in
-  let points =
-    Costmodel.Queueing.latency_vs_load target ~service_latency:service
-      ~loads:[ 0.1 *. capacity; 0.5 *. capacity; 0.9 *. capacity; 0.99 *. capacity ]
+  let values =
+    List.filter_map
+      (fun load ->
+        Costmodel.Queueing.expected_sojourn target ~service_latency:service
+          ~offered_gbps:(load *. capacity))
+      [ 0.1; 0.5; 0.9; 0.99 ]
   in
-  let values = List.filter_map snd points in
   check_int "all below capacity answered" 4 (List.length values);
   let rec increasing = function
     | a :: (b :: _ as rest) -> a <= b +. 1e-9 && increasing rest
@@ -297,7 +311,6 @@ let () =
           Alcotest.test_case "branch weighting" `Quick test_branch_probability_weighting;
           Alcotest.test_case "paths = node-sum" `Quick test_paths_equal_node_sum;
           Alcotest.test_case "reach probs" `Quick test_reach_probs;
-          Alcotest.test_case "per-node overhead" `Quick test_per_node_overhead;
           Alcotest.test_case "heterogeneous migrations" `Quick test_hetero_migrations ] );
       ("resources", [ Alcotest.test_case "accounting" `Quick test_resource_accounting ]);
       ("calibration", [ Alcotest.test_case "recovers slopes" `Quick test_calibration_recovers_slope ]);

@@ -135,21 +135,34 @@ let test_gossip_propagates_exclusions () =
     (reports, fleet)
   in
   let reports, fleet = run ~gossip:true in
-  check_bool "member 0 remediated" true
-    (reports.(0).Runtime.Controller.remediations <> []);
-  let peer_exclusions i =
-    Runtime.Controller.active_exclusions (Fleet.controller (Fleet.member fleet i))
+  let shed =
+    List.concat_map Runtime.Remediate.exclusions_of_action
+      reports.(0).Runtime.Controller.remediations
   in
-  check_bool "peer 1 adopted the ban" true
-    (List.exists (fun (name, _) -> String.equal name "t0") (peer_exclusions 1));
-  check_bool "peer 2 adopted the ban" true
-    (List.exists (fun (name, _) -> String.equal name "t0") (peer_exclusions 2));
+  check_bool "member 0 shed t0" true
+    (shed <> [] && List.for_all (fun (name, _) -> String.equal name "t0") shed);
+  (* A peer counts each exclusion it newly bans; re-adopting a ban that
+     is still in force counts nothing. *)
+  let adopted fleet i =
+    Option.value ~default:0
+      (Telemetry.Metrics.find_counter
+         (Fleet.rollup ~per_nic:true fleet)
+         (Printf.sprintf "fleet.nic%d.runtime.gossip.adopted" i))
+  in
+  let readopt fleet i =
+    Runtime.Controller.adopt_exclusions (Fleet.controller (Fleet.member fleet i)) shed
+  in
+  List.iter
+    (fun i ->
+      check_int (Printf.sprintf "peer %d adopted every ban" i) (List.length shed)
+        (adopted fleet i);
+      readopt fleet i;
+      check_int (Printf.sprintf "peer %d bans in force" i) (List.length shed) (adopted fleet i))
+    [ 1; 2 ];
   let _, fleet_off = run ~gossip:false in
-  let peer_off =
-    Runtime.Controller.active_exclusions (Fleet.controller (Fleet.member fleet_off 1))
-  in
-  check_bool "no gossip, no adoption" true
-    (not (List.exists (fun (name, _) -> String.equal name "t0") peer_off))
+  check_int "no gossip, no adoption" 0 (adopted fleet_off 1);
+  readopt fleet_off 1;
+  check_int "no gossip, no ban in force" (List.length shed) (adopted fleet_off 1)
 
 let test_correlated_fault_burst () =
   (* Every member's first two deploy attempts fail; the rolling redeploy
@@ -187,15 +200,24 @@ let test_rollup_per_nic_views () =
     + count "fleet.nic2.runtime.ticks")
 
 let test_adopt_exclusions_bans () =
-  let sim = Nicsim.Sim.create target (program ()) in
+  let tel = Telemetry.create () in
+  let sim = Nicsim.Sim.create ~telemetry:tel target (program ()) in
   let ctl = Runtime.Controller.create sim ~original:(program ()) in
-  Runtime.Controller.adopt_exclusions ctl
-    [ ("t1", Pipeleon.Candidate.Cache_seg); ("t2", Pipeleon.Candidate.Merge_ternary_seg) ];
-  let active = Runtime.Controller.active_exclusions ctl in
-  check_bool "t1 cache ban active" true
-    (List.mem ("t1", Pipeleon.Candidate.Cache_seg) active);
-  check_bool "t2 merge ban active" true
-    (List.mem ("t2", Pipeleon.Candidate.Merge_ternary_seg) active)
+  let adopted () =
+    Option.value ~default:0
+      (Telemetry.Metrics.find_counter (Telemetry.metrics tel) "runtime.gossip.adopted")
+  in
+  let t1_cache = ("t1", Pipeleon.Candidate.Cache_seg)
+  and t2_merge = ("t2", Pipeleon.Candidate.Merge_ternary_seg) in
+  Runtime.Controller.adopt_exclusions ctl [ t1_cache; t2_merge ];
+  check_int "both bans adopted" 2 (adopted ());
+  (* Adoption counts only exclusions not already banned. *)
+  Runtime.Controller.adopt_exclusions ctl [ t1_cache ];
+  check_int "t1 cache ban active" 2 (adopted ());
+  Runtime.Controller.adopt_exclusions ctl [ t2_merge ];
+  check_int "t2 merge ban active" 2 (adopted ());
+  Runtime.Controller.adopt_exclusions ctl [ ("t1", Pipeleon.Candidate.Merge_ternary_seg) ];
+  check_int "other kinds stay allowed" 3 (adopted ())
 
 (* QCheck: a shared warm cache is gain-transparent — for any seed, a
    fleet sharing one cache produces, member for member and tick for

@@ -611,37 +611,6 @@ let test_placement_optimization () =
   let l_opt = Costmodel.Cost.expected_latency ~placement:opt target prof prog in
   check_bool "lower latency" true (l_opt <= l_naive)
 
-let test_merge_common_key_equivalence () =
-  (* Two tables matching on the SAME exact key: MATReduce-style merge
-     joins rows instead of cross-producting them. *)
-  let mk name tag entries =
-    P4ir.Table.make ~name
-      ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Exact ]
-      ~actions:
-        [ P4ir.Action.make "seta" [ P4ir.Action.Set_field (P4ir.Field.Meta tag, 1L) ];
-          P4ir.Action.make "setb" [ P4ir.Action.Set_field (P4ir.Field.Meta tag, 2L) ] ]
-      ~default_action:"setb"
-      ~entries:
-        (List.map (fun v -> P4ir.Table.entry [ P4ir.Pattern.Exact v ] "seta") entries)
-      ()
-  in
-  let t1 = mk "k1" 1 [ 1L; 2L; 3L ] and t2 = mk "k2" 2 [ 2L; 3L; 4L ] in
-  check_bool "compatible" true (Pipeleon.Merge.common_key_compatible [ t1; t2 ]);
-  let merged = Pipeleon.Merge.build_common_key ~name:"ck" [ t1; t2 ] in
-  (* Union of rows: {1,2,3,4} -> 4 entries, not 9. *)
-  check_int "sum not product" 4 (P4ir.Table.num_entries merged);
-  let prog = P4ir.Program.linear "orig" [ t1; t2 ] in
-  let p = the_pipelet prog in
-  let prog' =
-    Pipeleon.Transform.apply prog p
-      [ Pipeleon.Transform.Merged_plain { merged; originals = [ t1; t2 ] } ]
-  in
-  check_bool "common-key merge equivalent" true (equivalent prog prog');
-  (* Different keys are rejected. *)
-  let t3 = mk_table 2 ~entries:[ 1L ] in
-  check_bool "different keys incompatible" false
-    (Pipeleon.Merge.common_key_compatible [ t1; t3 ])
-
 let test_hetero_materialize_structure () =
   let tabs = chain 4 in
   let prog = P4ir.Program.linear "het" tabs in
@@ -746,7 +715,6 @@ let () =
           Alcotest.test_case "ternary merge equivalence" `Quick test_merge_ternary_equivalence;
           Alcotest.test_case "fallback merge equivalence" `Quick test_merge_fallback_equivalence;
           Alcotest.test_case "merge entry counts" `Quick test_merge_entry_counts;
-          Alcotest.test_case "common-key merge" `Quick test_merge_common_key_equivalence;
           Alcotest.test_case "multi-key cache + merge" `Quick test_multi_key_cache_and_merge;
           Alcotest.test_case "merge rejects dependency" `Quick test_merge_rejects_dependency;
           Alcotest.test_case "reorder respects deps" `Quick test_reorder_dependencies_respected ] );

@@ -270,16 +270,7 @@ let test_deps () =
   let other = table_matching ~name:"o" P4ir.Field.Tcp_dport in
   check_bool "match dep" false (P4ir.Deps.independent w m);
   check_bool "independent" true (P4ir.Deps.independent w other);
-  check_bool "deps listed" true (List.mem P4ir.Deps.Match_dep (P4ir.Deps.between w m));
-  check_bool "reorderable chain" true (P4ir.Deps.reorderable_chain [ w; other ]);
-  check_bool "non-reorderable chain" false (P4ir.Deps.reorderable_chain [ w; m; other ])
-
-let test_conflict_groups () =
-  let w = table_writing ~name:"w" (P4ir.Field.Meta 1) in
-  let m = table_matching ~name:"m" (P4ir.Field.Meta 1) in
-  let o = table_matching ~name:"o" P4ir.Field.Tcp_dport in
-  let groups = P4ir.Deps.conflict_free_groups [ w; o; m ] in
-  check_int "two groups" 2 (List.length groups)
+  check_bool "deps listed" true (List.mem P4ir.Deps.Match_dep (P4ir.Deps.between w m))
 
 (* --- JSON --- *)
 
@@ -452,8 +443,7 @@ let () =
           Alcotest.test_case "path limit" `Quick test_enumerate_paths_limit;
           Alcotest.test_case "conditional operators" `Quick test_eval_cond_operators ] );
       ( "deps",
-        [ Alcotest.test_case "dependencies" `Quick test_deps;
-          Alcotest.test_case "conflict groups" `Quick test_conflict_groups ] );
+        [ Alcotest.test_case "dependencies" `Quick test_deps ] );
       ( "json",
         [ Alcotest.test_case "parse" `Quick test_json_parse;
           Alcotest.test_case "string escapes" `Quick test_json_string_escapes;

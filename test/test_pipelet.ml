@@ -156,16 +156,9 @@ let test_group_detection_shapes () =
 
 let test_instrument_analysis () =
   let prog = P4ir.Program.linear "p" (List.init 3 (fun i -> exact_table (Printf.sprintf "t%d" i))) in
-  let sites = Pipeleon.Instrument.counter_sites prog in
-  (* 3 tables x 2 actions = 6 counters. *)
-  check_int "sites" 6 (List.length sites);
   let prof = Profile.uniform prog in
   check_float "expected updates = nodes visited" 3.
-    (Pipeleon.Instrument.expected_updates_per_packet prof prog);
-  check_int "max path updates" 3 (Pipeleon.Instrument.max_updates_per_packet prog);
-  let ovh = Pipeleon.Instrument.overhead_latency target prof prog ~sample_rate:1 in
-  check_float "overhead scales with sampling" (ovh /. 1024.)
-    (Pipeleon.Instrument.overhead_latency target prof prog ~sample_rate:1024)
+    (Pipeleon.Instrument.expected_updates_per_packet prof prog)
 
 let () =
   Alcotest.run "pipelet"

@@ -399,7 +399,7 @@ let test_incremental_diff () =
   let changes = Runtime.Incremental.diff ~old_program:prog ~new_program:renamed in
   check_bool "t1 removed" true (List.mem (Runtime.Incremental.Removed "t1") changes);
   check_bool "brand_new added" true (List.mem (Runtime.Incremental.Added "brand_new") changes);
-  check_int "two rebuilds" 2 (Runtime.Incremental.rebuild_count changes);
+  check_int "two rebuilds, nothing else" 2 (List.length changes);
   (* Entry-only changes are not rebuilds. *)
   let more_entries =
     P4ir.Program.linear "rt"
@@ -408,9 +408,8 @@ let test_incremental_diff () =
            (List.mapi (fun i f -> mk_table (Printf.sprintf "t%d" i) f) fields))
   in
   let changes = Runtime.Incremental.diff ~old_program:prog ~new_program:more_entries in
-  check_bool "entries_changed" true
-    (List.mem (Runtime.Incremental.Entries_changed "t0") changes);
-  check_int "no rebuilds" 0 (Runtime.Incremental.rebuild_count changes)
+  check_bool "entries_changed, no rebuilds" true
+    (changes = [ Runtime.Incremental.Entries_changed "t0" ])
 
 let test_hot_patch_preserves_state () =
   let sim = Nicsim.Sim.create target (program ()) in

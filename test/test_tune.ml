@@ -1,6 +1,8 @@
 (* Tests for the tunable-parameter registry and offline design-space
    exploration (Pipeleon.Tune):
    - registry sanity (key order, defaults in domain, validation);
+   - warm-cache salting: candidate params separate evaluations,
+     optimizer params share them;
    - qcheck: no Pareto-front point dominates another, and a singleton
      search space returns the start assignment bit-identically;
    - exploration dominates-or-matches the default and is deterministic;
@@ -33,18 +35,39 @@ let mk_table i =
 
 let program n = P4ir.Program.linear "tune" (List.init n mk_table)
 
+(* [describe] without its last line, the sweep stats (which carry the
+   wall-clock time). *)
+let front_and_chosen ex =
+  let d = Tune.describe ex in
+  String.sub d 0 (String.rindex_from d (String.length d - 2) '\n' + 1)
+
+let warm () =
+  { Pipeleon.Optimizer.warm_cache = Pipeleon.Search.create_cache ();
+    warm_signature = Runtime.Incremental.pipelet_signature }
+
 (* --- registry --- *)
 
-(* Distinct fingerprints for synthetic points: [i mod 20] picks the cache
-   size and pipelet length, [i / 20] one of five (merge length, top-k)
-   pairs, so [i] in 0..99 gives 100 distinct assignments. *)
+let find_param key = List.find (fun (p : Tune.param) -> p.Tune.key = key) Tune.params
+
+(* Every param at its registered default. *)
+let registry_defaults =
+  List.map (fun (p : Tune.param) -> (p.Tune.key, p.Tune.default)) Tune.params
+
+(* An explore sweep starts from the registry defaults. *)
+let default_assignment =
+  let prog = program 2 in
+  (Tune.explore ~budget:1 target (Profile.uniform prog) prog).Tune.start_point.Tune.assignment
+
+(* Distinct synthetic assignments: [i mod 20] picks the cache size and
+   pipelet length, [i / 20] one of five (merge length, top-k) pairs, so
+   [i] in 0..99 gives 100 distinct assignments. *)
 let nth_dom key i =
-  match (Option.get (Tune.find_param key)).Tune.domain with
+  match (find_param key).Tune.domain with
   | Tune.Ints l -> Tune.Int (List.nth l (i mod List.length l))
   | Tune.Floats l -> Tune.Float (List.nth l (i mod List.length l))
 
 let varied_assignment i =
-  let asg = Tune.default_assignment () in
+  let asg = default_assignment in
   let asg = Tune.set asg "candidate.cache_entries" (nth_dom "candidate.cache_entries" i) in
   let asg =
     Tune.set asg "optimizer.max_pipelet_len" (nth_dom "optimizer.max_pipelet_len" (i / 5))
@@ -66,17 +89,15 @@ let test_registry () =
          | Tune.Floats l, Tune.Float v -> List.mem v l
          | _ -> false))
     Tune.params;
-  check_bool "find_param hit" true (Tune.find_param "optimizer.top_k" <> None);
-  check_bool "find_param miss" true (Tune.find_param "no.such.key" = None);
-  check_int "assignment is total" (List.length Tune.params)
-    (List.length (Tune.to_list (Tune.default_assignment ())));
+  check_bool "explore starts from the registry defaults" true
+    (Tune.to_list default_assignment = registry_defaults);
   check_int "100 distinct varied assignments" 100
     (List.length
        (List.sort_uniq compare
-          (List.init 100 (fun i -> Tune.fingerprint (varied_assignment i)))))
+          (List.init 100 (fun i -> Tune.to_list (varied_assignment i)))))
 
 let test_set_validates () =
-  let asg = Tune.default_assignment () in
+  let asg = default_assignment in
   let asg = Tune.set asg "candidate.cache_entries" (Tune.Int 512) in
   check_int "set/get round trip" 512 (Tune.get_int asg "candidate.cache_entries");
   check_bool "out-of-domain value rejected" true
@@ -88,50 +109,49 @@ let test_set_validates () =
      | _ -> false
      | exception Invalid_argument _ -> true);
   check_bool "default untouched by set" true
-    (Tune.get_int (Tune.default_assignment ()) "candidate.cache_entries" = 4096)
+    (Tune.get_int default_assignment "candidate.cache_entries" = 4096)
 
+(* A one-pipelet program: every top-k fraction searches that pipelet, so
+   a sweep from a start differing only in [optimizer.top_k] evaluates
+   exactly the pipelet the first sweep did. *)
 let test_candidate_salt () =
-  let d = Tune.default_assignment () in
-  let opt = Tune.set d "optimizer.max_pipelet_len" (Tune.Int 4) in
-  check_string "optimizer params do not change the salt" (Tune.candidate_salt d)
-    (Tune.candidate_salt opt);
+  let prog = program 6 in
+  let prof = Profile.uniform prog in
+  let w = warm () in
+  let sweep start = Tune.explore ~budget:1 ~start ~warm:w target prof prog in
+  let d = default_assignment in
+  let first = sweep d in
+  check_bool "first sweep misses" true (first.Tune.stats.Tune.cache_misses > 0);
+  let opt = Tune.set d "optimizer.top_k" (Tune.Float 1.0) in
+  check_int "optimizer params do not change the salt" 0
+    (sweep opt).Tune.stats.Tune.cache_misses;
   let cand = Tune.set d "candidate.cache_entries" (Tune.Int 512) in
-  check_bool "candidate params do" true
-    (Tune.candidate_salt d <> Tune.candidate_salt cand);
-  check_bool "equal assignments, equal fingerprints" true
-    (String.equal (Tune.fingerprint d) (Tune.fingerprint (Tune.default_assignment ())))
+  check_bool "candidate params do" true ((sweep cand).Tune.stats.Tune.cache_misses > 0);
+  check_string "equal assignments, equal descriptions" (front_and_chosen first)
+    (front_and_chosen (sweep d))
 
 (* --- Pareto front (qcheck) --- *)
 
+(* Sweeps from varied starts over varied pipeline lengths. *)
 let test_pareto_no_dominated =
-  qtest ~count:300 "pareto front has no dominated points"
-    QCheck2.Gen.(
-      list_size (int_range 0 24)
-        (pair (int_bound 99) (triple (int_range 0 6) (int_range 0 6) (int_range 0 6))))
-    (fun specs ->
-      let points =
-        List.map
-          (fun (i, (l, m, u)) ->
-            { Tune.assignment = varied_assignment i;
-              objectives =
-                { Tune.latency = float_of_int l;
-                  memory = m;
-                  update_rate = float_of_int u };
-              within_budget = true;
-              predicted_gain = 0. })
-          specs
+  qtest ~count:20 "pareto front has no dominated points"
+    QCheck2.Gen.(triple (int_bound 99) (int_range 2 10) (int_range 2 12))
+    (fun (i, n, budget) ->
+      let prog = program n in
+      let ex =
+        Tune.explore ~budget ~start:(varied_assignment i) target (Profile.uniform prog) prog
       in
-      let front = Tune.pareto points in
-      let fp p = Tune.fingerprint p.Tune.assignment in
-      (* Front points come from the input... *)
-      List.for_all (fun p -> List.exists (fun q -> String.equal (fp p) (fp q)) points) front
+      let front = ex.Tune.front in
+      let key p = Tune.to_list p.Tune.assignment in
+      (* Front points are distinct assignments... *)
+      List.length (List.sort_uniq compare (List.map key front)) = List.length front
+      && ex.Tune.stats.Tune.front_size = List.length front
+      && ex.Tune.stats.Tune.evaluated <= budget
       (* ...and none dominates another. *)
       && List.for_all
            (fun p ->
              List.for_all
-               (fun q ->
-                 String.equal (fp p) (fp q)
-                 || not (Tune.dominates p.Tune.objectives q.Tune.objectives))
+               (fun q -> p == q || not (Tune.dominates p.Tune.objectives q.Tune.objectives))
                front)
            front)
 
@@ -146,9 +166,7 @@ let test_singleton_returns_start =
       let ex = Tune.explore ~budget:1 ~start target singleton_prof singleton_prog in
       List.length ex.Tune.front = 1
       && Tune.equal ex.Tune.chosen.Tune.assignment start
-      && String.equal
-           (Tune.fingerprint ex.Tune.chosen.Tune.assignment)
-           (Tune.fingerprint start)
+      && Tune.to_list ex.Tune.chosen.Tune.assignment = Tune.to_list start
       && Tune.equal ex.Tune.start_point.Tune.assignment start)
 
 let test_radius_zero_singleton () =
@@ -157,7 +175,7 @@ let test_radius_zero_singleton () =
   let ex = Tune.explore ~radius:0 target prof prog in
   check_int "radius 0: front is the default alone" 1 (List.length ex.Tune.front);
   check_bool "chosen = default" true
-    (Tune.equal ex.Tune.chosen.Tune.assignment (Tune.default_assignment ()))
+    (Tune.to_list ex.Tune.chosen.Tune.assignment = registry_defaults)
 
 (* --- exploration --- *)
 
@@ -176,13 +194,8 @@ let test_explore_dominates_or_matches () =
 let test_explore_deterministic () =
   let prog = program 10 in
   let prof = Profile.uniform prog in
-  let fingerprints () =
-    let ex = Tune.explore ~budget:12 ~radius:1 target prof prog in
-    (Tune.fingerprint ex.Tune.chosen.Tune.assignment,
-     List.map (fun p -> Tune.fingerprint p.Tune.assignment) ex.Tune.front)
-  in
-  let a = fingerprints () and b = fingerprints () in
-  check_bool "same chosen and front twice" true (a = b)
+  let sweep () = front_and_chosen (Tune.explore ~budget:12 ~radius:1 target prof prog) in
+  check_string "same chosen and front twice" (sweep ()) (sweep ())
 
 let test_warm_reexplore_all_hits () =
   (* Each assignment's evaluations are keyed by its candidate salt, so a
@@ -190,16 +203,8 @@ let test_warm_reexplore_all_hits () =
      zero misses, and the same front and chosen point byte for byte. *)
   let prog = program 10 in
   let prof = Profile.uniform prog in
-  let warm =
-    { Pipeleon.Optimizer.warm_cache = Pipeleon.Search.create_cache ();
-      warm_signature = Runtime.Incremental.pipelet_signature }
-  in
+  let warm = warm () in
   let sweep () = Tune.explore ~budget:8 ~radius:1 ~warm target prof prog in
-  (* [describe] without its last line, the sweep stats. *)
-  let front_and_chosen ex =
-    let d = Tune.describe ex in
-    String.sub d 0 (String.rindex_from d (String.length d - 2) '\n' + 1)
-  in
   let first = sweep () in
   let second = sweep () in
   check_bool "first sweep misses" true (first.Tune.stats.Tune.cache_misses > 0);
