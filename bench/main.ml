@@ -89,7 +89,7 @@ let bechamel_tests () =
      in
      let probe = Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, 512L) ] in
      Test.make ~name:"engine:exact-1k-entries"
-       (Staged.stage (fun () -> Nicsim.Engine.lookup exact_eng probe)));
+       (Staged.stage (fun () -> Nicsim.Engine.probe exact_eng probe)));
     (let tern_eng =
        Nicsim.Engine.create
          (P4ir.Table.make ~name:"t"
@@ -106,7 +106,7 @@ let bechamel_tests () =
      in
      let probe = Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, 77L) ] in
      Test.make ~name:"engine:ternary-5-masks"
-       (Staged.stage (fun () -> Nicsim.Engine.lookup tern_eng probe)));
+       (Staged.stage (fun () -> Nicsim.Engine.probe tern_eng probe)));
     (let groups =
        List.init 12 (fun g ->
            List.init 5 (fun i ->

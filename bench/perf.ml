@@ -2,7 +2,7 @@
 
    Times the table-engine lookup path by match kind (compiled plan
    against the same engine's straight-line reference probe), engine
-   construction, single-packet execution, and the window driver; then
+   construction, and the window driver; then
    the optimizer fast path (candidate enumeration, analytic evaluation,
    knapsack, end-to-end optimize, and warm-start against the cold
    optimizer). Writes the numbers to a JSON artifact (default
@@ -108,7 +108,7 @@ let lookup_bench ~name ~iters ~vs_linear tab probe_of_rng =
     time_ns ~iters (fun () -> lookup eng (probes ()))
   in
   let before_ns = if vs_linear then Some (time Nicsim.Engine.lookup_linear) else None in
-  let after_ns = time Nicsim.Engine.lookup in
+  let after_ns = time Nicsim.Engine.probe in
   { name;
     unit_ = "lookup";
     before_ns;
@@ -271,9 +271,9 @@ let hinted_lookup_bench ~name ~iters ~before_hint ~after_hint tab probe_value =
     Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, probe_value rng) ]
   in
   let probes = probe_pool ~seed:7L ~size:1024 ~of_rng in
-  let before_ns = time_ns ~iters (fun () -> Nicsim.Engine.lookup before_eng (probes ())) in
+  let before_ns = time_ns ~iters (fun () -> Nicsim.Engine.probe before_eng (probes ())) in
   let probes = probe_pool ~seed:7L ~size:1024 ~of_rng in
-  let after_ns = time_ns ~iters (fun () -> Nicsim.Engine.lookup after_eng (probes ())) in
+  let after_ns = time_ns ~iters (fun () -> Nicsim.Engine.probe after_eng (probes ())) in
   { name;
     unit_ = "lookup";
     before_ns = Some before_ns;
@@ -435,18 +435,6 @@ let run_suite ~smoke =
       iters = build_iters;
       note = None };
 
-  (* Single-packet execution through the 3-table pipeline. *)
-  let prog = window_program () in
-  let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) prog in
-  let src = window_source 11L in
-  push
-    { name = "exec/run_packet";
-      unit_ = "packet";
-      before_ns = None;
-      after_ns = time_ns ~iters:(scale 100_000) (fun () -> Nicsim.Exec.run_packet ex ~now:0. (src ()));
-      iters = scale 100_000;
-      note = None };
-
   (* The window driver on a fresh sim. *)
   let packets = scale 100_000 in
   let windows = if smoke then 1 else 3 in
@@ -464,12 +452,14 @@ let run_suite ~smoke =
   (* A many-node pipeline: 20 small exact tables over four header
      fields, the shape of real P4 programs — switch.p4-class pipelines
      run dozens of match-action tables — where per-node dispatch (name
-     lookups, counter hash probes, per-step allocation) — not match
-     width — dominates the interpreter's cost. Packets come from a
-     pre-generated cycling pool so both sides time execution, not
+     lookups, counter hash probes, per-step allocation), not match
+     width, dominates a straightforward walk's cost. Packets come from
+     a pre-generated cycling pool so both sides time execution, not
      traffic generation (all actions are nops, so pooled packets are
      never mutated and can recirculate). The compiled row's before
-     column is the reference interpreter's window on the same fixture. *)
+     column is the Fuzz.Refsim session — the independent reference the
+     tests hold the data path to — running the same window (same
+     packets, sequence numbers and timestamps) on the same fixture. *)
   let pipe_fields =
     [| P4ir.Field.Ipv4_src; P4ir.Field.Ipv4_dst; P4ir.Field.Tcp_sport; P4ir.Field.Tcp_dport |]
   in
@@ -490,10 +480,26 @@ let run_suite ~smoke =
              (Array.to_list pipe_fields)))
   in
   let reference_ns =
-    let sim = Nicsim.Sim.create target (pipeline_program ()) in
+    let s =
+      Fuzz.Refsim.session
+        { Fuzz.Refsim.target; instrumented = true; sample_rate = 1;
+          placement = Costmodel.Cost.all_asic }
+        (pipeline_program ())
+    in
     let src = pooled_source () in
-    (window_bench ~name:"pipe/interp" ~packets ~windows (fun () ->
-         Nicsim.Sim.run_window_reference sim ~duration:1.0 ~packets ~source:src))
+    let flows =
+      Array.init 1024 (fun _ ->
+          let pkt = src () in
+          List.map (fun f -> (f, Nicsim.Packet.get pkt f)) Fuzz.Refsim.observed_fields)
+    in
+    let seen = ref 0 and start = ref 0. in
+    (window_bench ~name:"pipe/refsim" ~packets ~windows (fun () ->
+         for i = 0 to packets - 1 do
+           incr seen;
+           let now = !start +. (1.0 *. float_of_int i /. float_of_int packets) in
+           ignore (Fuzz.Refsim.send s ~seq:!seen ~now flows.((!seen - 1) land 1023))
+         done;
+         start := !start +. 1.0))
       .after_ns
   in
   push
@@ -878,8 +884,8 @@ let run ~smoke ~out =
             floor_ s
       | Some s when b.name = "run_window/compiled" ->
         (* The compiled data path's headline claim: >= 5x over the
-           reference interpreter's window at full scale; at smoke scale warmup and
-           fixed costs dilute the window, so the floor relaxes to 2x. *)
+           Refsim reference's window at full scale; at smoke scale warmup
+           and fixed costs dilute the window, so the floor relaxes to 2x. *)
         let floor_ = if smoke then 2.0 else 5.0 in
         if s < floor_ then
           Printf.printf "WARNING: %s below the %.0fx compiled floor (%.2fx)\n" b.name floor_ s

@@ -314,21 +314,8 @@ let fuzz_out_arg =
        & info [ "o"; "out" ] ~docv:"DIR"
            ~doc:"Where shrunk repro bundles are written; \"none\" disables writing.")
 
-let driver_arg =
-  let drv_conv =
-    let parse s =
-      match Fuzz.Oracle.driver_of_string s with
-      | Some d -> Ok d
-      | None -> Error (`Msg ("unknown driver: " ^ s ^ " (interp|compiled)"))
-    in
-    Arg.conv (parse, fun fmt d -> Format.pp_print_string fmt (Fuzz.Oracle.driver_to_string d))
-  in
-  Arg.(value & opt drv_conv Fuzz.Oracle.Interp
-       & info [ "driver" ] ~docv:"DRIVER"
-           ~doc:"Execution path carrying the packets under test: interp (the \
-                 reference interpreter, default) or compiled (one-packet bursts through \
-                 the data path's compiled walk — in chaos mode each deploy and \
-                 rollback also exercises recompilation).")
+let at_packet (d : Fuzz.Oracle.divergence) =
+  if d.packet_index >= 0 then Printf.sprintf "packet %d: " d.packet_index else ""
 
 let report_findings report =
   print_string (Fuzz.Driver.summary report);
@@ -347,9 +334,9 @@ let fuzz_cmd =
   let mode_arg =
     Arg.(value & opt mode_conv Fuzz.Driver.Optim_equiv
          & info [ "m"; "mode" ] ~docv:"MODE"
-             ~doc:"Oracle: sim-diff (reference interpreter vs simulator), optim-equiv \
-                   (original vs optimized program), serialize-roundtrip, or chaos \
-                   (self-healing runtime under fault injection).")
+             ~doc:"Oracle: sim-diff (Refsim reference vs simulator, latency included), \
+                   optim-equiv (original vs optimized program), serialize-roundtrip, or \
+                   chaos (self-healing runtime under fault injection).")
   in
   let mutant_arg =
     Arg.(value & opt (some string) None
@@ -384,7 +371,7 @@ let fuzz_cmd =
     in
     Term.(ret (const needs_optim_equiv $ mode_arg $ autotune_flag))
   in
-  let run mode seed budget packets out mutant replay telemetry driver target rules autotune =
+  let run mode seed budget packets out mutant replay telemetry target rules autotune =
     let mutate =
       Option.map
         (fun name ->
@@ -398,7 +385,7 @@ let fuzz_cmd =
     match replay with
     | Some dir -> (
       match
-        Fuzz.Driver.replay ~autotune ?mutate ~telemetry ~driver ~target
+        Fuzz.Driver.replay ~autotune ?mutate ~telemetry ~target
           mode ~dir
       with
       | None ->
@@ -425,7 +412,7 @@ let fuzz_cmd =
       in
       report_findings
         (Fuzz.Driver.run ?out_dir ~autotune ?mutate ?params
-           ~n_packets:packets ~telemetry ~driver ~target mode ~seed ~budget)
+           ~n_packets:packets ~telemetry ~target mode ~seed ~budget)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -435,7 +422,7 @@ let fuzz_cmd =
           persist any divergence.")
     Term.(const run $ mode_arg $ seed_arg $ fuzz_budget_arg ~default:200 $ fuzz_packets_arg
           $ fuzz_out_arg $ mutant_arg $ replay_arg $ telemetry_flag
-          $ driver_arg $ target_arg $ rules_arg $ autotune_arg)
+          $ target_arg $ rules_arg $ autotune_arg)
 
 let chaos_cmd =
   let remediations_arg =
@@ -448,11 +435,11 @@ let chaos_cmd =
   in
   (* Chaos cases cost a whole control loop each (several ticks, deploys,
      rollbacks), so the default budget is far below fuzz's. *)
-  let run seed budget packets out telemetry driver remediations target =
+  let run seed budget packets out telemetry remediations target =
     let out_dir = if out = "none" then None else Some out in
     if not remediations then
       report_findings
-        (Fuzz.Driver.run ?out_dir ~n_packets:packets ~telemetry ~driver ~target
+        (Fuzz.Driver.run ?out_dir ~n_packets:packets ~telemetry ~target
            Fuzz.Driver.Chaos ~seed ~budget)
     else begin
       (* One sink across all cases, so the remediation counters aggregate
@@ -463,15 +450,11 @@ let chaos_cmd =
       let divergences = ref 0 in
       for i = 0 to budget - 1 do
         let case = Fuzz.Gen.case ~n_packets:packets (Fuzz.Driver.case_rng ~seed i) in
-        match Fuzz.Chaos.check ~driver ~sink target case with
+        match Fuzz.Chaos.check ~sink target case with
         | None -> ()
         | Some d ->
           incr divergences;
-          Printf.printf "case %d: %s%s\n" i
-            (if d.Fuzz.Oracle.packet_index >= 0 then
-               Printf.sprintf "packet %d: " d.Fuzz.Oracle.packet_index
-             else "")
-            d.Fuzz.Oracle.reason
+          Printf.printf "case %d: %s%s\n" i (at_packet d) d.Fuzz.Oracle.reason
       done;
       let m = Telemetry.metrics sink in
       let count name =
@@ -491,10 +474,10 @@ let chaos_cmd =
          "Fuzz the self-healing runtime: drive a live controller with fault \
           injection enabled (failed deploys, dropped and corrupted entry updates, \
           skewed profile counters) and require it to converge back to a healthy \
-          layout with forwarding bit-identical to the reference interpreter \
+          layout with forwarding bit-identical to the Refsim reference \
           throughout. Equivalent to `fuzz --mode chaos`.")
     Term.(const run $ seed_arg $ fuzz_budget_arg ~default:25 $ fuzz_packets_arg
-          $ fuzz_out_arg $ telemetry_flag $ driver_arg $ remediations_arg $ target_arg)
+          $ fuzz_out_arg $ telemetry_flag $ remediations_arg $ target_arg)
 
 (* --- fleet: many controllers as one deployment (lib/fleet) --- *)
 
@@ -611,22 +594,18 @@ let fleet_run_cmd =
 let fleet_chaos_cmd =
   (* Each case costs nics fleet members plus nics solo twins, every one a
      full chaos control loop — the default budget is tiny. *)
-  let run seed budget packets nics driver target =
+  let run seed budget packets nics target =
     let sink = Telemetry.create () in
     Printf.printf "fleet chaos seed=%d budget=%d nics=%d packets/case=%d\n" seed budget
       nics packets;
     let divergences = ref 0 in
     for i = 0 to budget - 1 do
       let case = Fuzz.Gen.case ~n_packets:packets (Fuzz.Driver.case_rng ~seed i) in
-      match Fuzz.Fleet_oracle.check ~nics ~driver ~sink target case with
+      match Fuzz.Fleet_oracle.check ~nics ~sink target case with
       | None -> ()
       | Some d ->
         incr divergences;
-        Printf.printf "case %d: %s%s\n" i
-          (if d.Fuzz.Oracle.packet_index >= 0 then
-             Printf.sprintf "packet %d: " d.Fuzz.Oracle.packet_index
-           else "")
-          d.Fuzz.Oracle.reason
+        Printf.printf "case %d: %s%s\n" i (at_packet d) d.Fuzz.Oracle.reason
     done;
     let m = Telemetry.metrics sink in
     let count name = Option.value ~default:0 (Telemetry.Metrics.find_counter m name) in
@@ -644,10 +623,10 @@ let fleet_chaos_cmd =
          "Fuzz the fleet couplings: for each generated case, run an n-member fleet \
           (shared cache + gossip, fault injection per member) next to n solo twin \
           controllers and require every member to forward its packet shard \
-          bit-identically to the reference interpreter and to its twin, through \
+          bit-identically to the Refsim reference and to its twin, through \
           churn, faults, and fleet ticks.")
     Term.(const run $ seed_arg $ fuzz_budget_arg ~default:6 $ fuzz_packets_arg
-          $ nics_arg $ driver_arg $ target_arg)
+          $ nics_arg $ target_arg)
 
 let fleet_cmd =
   Cmd.group

@@ -14,8 +14,8 @@ type options = {
 let default_options =
   { max_merge_len = 2; max_cache_len = 4; max_combos = 4096; cache_capacity = 4096 }
 
-(* Fills/sec of every cache a candidate builds. {!Search.with_groups}'
-   group caches get the same limit as {!Group.build_cache}'s default. *)
+(* Fills/sec of every cache a candidate builds; {!Group.build_cache}
+   gives group caches the same limit. *)
 let cache_fill_rate = 1000.
 
 type evaluated = {

@@ -46,7 +46,7 @@ let cond_of prog id =
   | P4ir.Program.Cond c -> c
   | _ -> invalid_arg "Group: branch node is not a conditional"
 
-let build_cache ?(capacity = 4096) ?(insert_limit = 1000.) ~name prog g =
+let build_cache ?(capacity = 4096) ~name prog g =
   let c = cond_of prog g.branch in
   let member_tabs = List.map (fun p -> Pipelet.tables prog p) g.members in
   if not (List.for_all Cache.cacheable member_tabs) then None
@@ -87,7 +87,9 @@ let build_cache ?(capacity = 4096) ?(insert_limit = 1000.) ~name prog g =
              (P4ir.Table.Cache
                 { P4ir.Table.cached_tables = covered;
                   capacity;
-                  insert_limit;
+                  (* the fill rate of every generated cache
+                     (Candidate.cache_fill_rate) *)
+                  insert_limit = 1000.;
                   auto_insert = true })
            ())
     end

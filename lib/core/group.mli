@@ -25,10 +25,9 @@ type evaluated = {
   update_delta : float;
 }
 
-val build_cache :
-  ?capacity:int -> ?insert_limit:float -> name:string -> P4ir.Program.t -> t ->
-  P4ir.Table.t option
-(** [None] when a member is not cacheable or the fused-action space
+val build_cache : ?capacity:int -> name:string -> P4ir.Program.t -> t -> P4ir.Table.t option
+(** A cache admitting 1000 fills/sec, the rate of every generated cache;
+    [None] when a member is not cacheable or the fused-action space
     explodes. *)
 
 val evaluate :

@@ -250,8 +250,9 @@ let point_order a b =
       if c <> 0 then c
       else compare (fingerprint a.assignment) (fingerprint b.assignment)
 
-let explore ?(budget = 32) ?(radius = 1) ?(start = default_assignment) ?warm
-    ?(config = Optimizer.default_config) target prof prog =
+let explore ?(budget = 32) ?(radius = 1) ?warm ?(config = Optimizer.default_config) target prof
+    prog =
+  let start = default_assignment in
   let t0 = Sys.time () in
   let base =
     ( Costmodel.Cost.expected_latency target prof prog,

@@ -109,15 +109,14 @@ type exploration = {
 val explore :
   ?budget:int ->
   ?radius:int ->
-  ?start:assignment ->
   ?warm:Optimizer.warm ->
   ?config:Optimizer.config ->
   Costmodel.Target.t ->
   Profile.t ->
   P4ir.Program.t ->
   exploration
-(** Deterministic bounded neighborhood sweep: starting from [start]
-    (default: every param at its [default]), breadth-first over
+(** Deterministic bounded neighborhood sweep: starting from the start
+    assignment (every param at its [default]), breadth-first over
     single-param moves of at most [radius] domain steps (default 1),
     evaluating at most [budget] assignments (default 32) and never
     re-evaluating an assignment. Each assignment is evaluated plan-only

@@ -23,28 +23,20 @@ let controller_config ~salt =
     backoff_cap = 0.4;
     blacklist_ttl = 2 }
 
-(* Replay the whole stream against the reference interpreter running the
-   controller's current original program (the control plane's source of
-   truth, entries included). The live engine is stateful across the
-   stream — flow caches fill — which is exactly how the NIC behaves;
-   traces are not compared because the deployed layout legitimately
-   differs from the original. *)
-let compare_round ?driver ~round ctl =
+let against_original ~label ctl =
   let original = Runtime.Controller.original_program ctl in
-  let sim = Runtime.Controller.sim ctl in
+  let ex = Nicsim.Sim.exec (Runtime.Controller.sim ctl) in
   let rec go i = function
     | [] -> None
     | flow :: rest -> (
-      let want = Refsim.run original flow in
-      let got = Oracle.exec_obs ?driver (Nicsim.Sim.exec sim) flow in
-      match Refsim.diff_obs ~compare_trace:false want got with
+      match Refsim.diff_obs (Refsim.run original flow) (Oracle.exec_obs ex flow) with
       | Some reason ->
-        Some
-          { Oracle.packet_index = i;
-            reason = Printf.sprintf "round %d: %s" round reason }
+        Some { Oracle.packet_index = i; reason = Printf.sprintf "%s: %s" label reason }
       | None -> go (i + 1) rest)
   in
   go 0
+
+let compare_round ~round = against_original ~label:(Printf.sprintf "round %d" round)
 
 (* Control-plane churn through the (faulty) update path: recycle an
    existing entry of a random table (delete + immediate re-insert keeps
@@ -79,12 +71,12 @@ let churn rng ~fresh_tag ctl =
     in
     Runtime.Controller.insert ctl ~table:tab.name entry
 
-(* With [driver = Compiled], every compare round runs the controller's
-   live simulator through the compiled data path — so each tick's deploy
-   (full reconfigure, incremental hot patch, or fault-forced rollback)
-   exercises recompilation against a pipeline that was already compiled
-   for the previous layout. *)
-let check ?(telemetry = false) ?driver ?sink target (case : Gen.case) =
+(* Every compare round runs the controller's live simulator through the
+   compiled data path — so each tick's deploy (full reconfigure,
+   incremental hot patch, or fault-forced rollback) exercises
+   recompilation against a pipeline that was already compiled for the
+   previous layout. *)
+let check ?(telemetry = false) ?sink target (case : Gen.case) =
   if not (Oracle.supported case.program) then
     invalid_arg "Chaos.check: program carries optimizer-generated tables";
   let salt = case_salt case in
@@ -105,7 +97,7 @@ let check ?(telemetry = false) ?driver ?sink target (case : Gen.case) =
     let rec round r =
       if r > rounds then None
       else
-        match compare_round ?driver ~round:r ctl case.packets with
+        match compare_round ~round:r ctl case.packets with
         | Some d -> Some d
         | None ->
           churn rng ~fresh_tag:r ctl;
@@ -118,6 +110,6 @@ let check ?(telemetry = false) ?driver ?sink target (case : Gen.case) =
     | None ->
       (* Convergence: after the last tick (and whatever faults it ate),
          the deployed layout must still forward bit-identically. *)
-      compare_round ?driver ~round:(rounds + 1) ctl case.packets
+      compare_round ~round:(rounds + 1) ctl case.packets
   with e ->
     Some { Oracle.packet_index = -1; reason = "exception: " ^ Printexc.to_string e }

@@ -11,8 +11,8 @@
 
     The property checked is the paper's §3.2 requirement end-to-end:
     whatever the injector does, the controller must converge back to a
-    healthy layout with forwarding bit-identical to the reference
-    interpreter throughout — after every round and after the final
+    healthy layout with forwarding bit-identical to {!Refsim}
+    throughout — after every round and after the final
     tick. Deterministic: the fault seed, churn, and deploy mode derive
     from the case contents, so a shrunk case replays identically. *)
 
@@ -23,6 +23,15 @@ val case_salt : Gen.case -> int
 (** The case-derived salt seeding everything stochastic in a chaos run
     (fault seed, churn, deploy mode) — shared with {!Fleet_oracle} so a
     fleet run and its solo twins draw identical streams. *)
+
+val against_original :
+  label:string -> Runtime.Controller.t -> Gen.flow list -> Oracle.divergence option
+(** Replay the stream through the controller's live data path and
+    compare each packet's observable state (not its trace: the deployed
+    layout legitimately differs) with {!Refsim} running the controller's
+    current original program, entries included; the reason of the first
+    divergence is prefixed with [label]. The data path is stateful
+    across the stream — flow caches fill — as the NIC is. *)
 
 val controller_config : salt:int -> Runtime.Controller.config
 (** The chaos controller configuration for a salt: fault injection from
@@ -39,7 +48,6 @@ val churn : Stdx.Prng.t -> fresh_tag:int -> Runtime.Controller.t -> unit
 
 val check :
   ?telemetry:bool ->
-  ?driver:Oracle.exec_driver ->
   ?sink:Telemetry.t ->
   Costmodel.Target.t ->
   Gen.case ->
@@ -48,14 +56,14 @@ val check :
     (the reason is prefixed with the round it happened in) or the
     controller raised. With [telemetry] the simulator carries an enabled
     sink, so the runtime's remediation counters and rollback spans are
-    exercised under fault load too. [driver] selects the execution path
-    for every compare round ({!Oracle.exec_obs}); [Compiled] makes each
-    tick's deploy — including fault-forced rollbacks — recompile a
-    pipeline that was already compiled for the previous layout. [sink]
+    exercised under fault load too. Every compare round runs the data
+    path ({!Oracle.exec_obs}), so each tick's deploy — including
+    fault-forced rollbacks — recompiles a pipeline that was already
+    compiled for the previous layout. [sink]
     overrides the telemetry default with a caller-owned sink — shared
     across cases it aggregates the [runtime.remediations.*] counters,
     which is how [pipeleonc chaos] reports what the injector provoked
     and the controller repaired.
     @raise Invalid_argument if the program carries non-[Regular] tables
-    (the reference interpreter cannot model them; generated cases never
+    (the original program is the reference; generated cases never
     do). *)

@@ -18,11 +18,11 @@ let mode_of_string = function
 (* Fuzzing wants every pipelet rewritten, not just the profitable fifth. *)
 let optimizer_config = { Pipeleon.Optimizer.default_config with top_k = 1.0 }
 
-let check ?(autotune = false) ?mutate ?telemetry ?driver target mode (case : Shrink.case) =
+let check ?(autotune = false) ?mutate ?telemetry target mode (case : Shrink.case) =
   match mode with
-  | Sim_diff -> Oracle.sim_diff ?telemetry ?driver target case.program case.packets
-  | Roundtrip -> Oracle.roundtrip ?telemetry ?driver target case.program case.packets
-  | Chaos -> Chaos.check ?telemetry ?driver target case
+  | Sim_diff -> Oracle.sim_diff ?telemetry target case.program case.packets
+  | Roundtrip -> Oracle.roundtrip ?telemetry target case.program case.packets
+  | Chaos -> Chaos.check ?telemetry target case
   | Optim_equiv ->
     (* With [autotune], each case first picks its own optimizer settings
        by a small design-space exploration over the case profile — the
@@ -40,7 +40,7 @@ let check ?(autotune = false) ?mutate ?telemetry ?driver target mode (case : Shr
     in
     Oracle.optim_equiv ~config
       ?mutate:(Option.map (fun (m : Mutate.t) -> m.apply) mutate)
-      ?telemetry ?driver target case.profile case.program case.packets
+      ?telemetry target case.profile case.program case.packets
 
 type finding = {
   case_index : int;
@@ -66,12 +66,12 @@ let case_rng ~seed i =
   Stdx.Prng.create
     Int64.(add (mul (of_int (seed + 1)) 0x9E3779B97F4A7C15L) (of_int i))
 
-let run ?(params = Gen.default_params) ?(n_packets = 64) ?out_dir ?autotune ?mutate ?telemetry ?driver
+let run ?(params = Gen.default_params) ?(n_packets = 64) ?out_dir ?autotune ?mutate ?telemetry
     ?(target = Costmodel.Target.bluefield2) mode ~seed ~budget =
   let findings = ref [] in
   for i = 0 to budget - 1 do
     let case = Gen.case ~params ~n_packets (case_rng ~seed i) in
-    let checker = check ?autotune ?mutate ?telemetry ?driver target mode in
+    let checker = check ?autotune ?mutate ?telemetry target mode in
     match checker case with
     | None -> ()
     | Some first ->
@@ -115,7 +115,7 @@ let summary report =
     (Printf.sprintf "divergences=%d cases=%d\n" (List.length report.findings) report.budget);
   Buffer.contents buf
 
-let replay ?autotune ?mutate ?telemetry ?driver
+let replay ?autotune ?mutate ?telemetry
     ?(target = Costmodel.Target.bluefield2) mode ~dir =
-  check ?autotune ?mutate ?telemetry ?driver target mode
+  check ?autotune ?mutate ?telemetry target mode
     (Repro.load_case ~dir)

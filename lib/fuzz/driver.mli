@@ -4,13 +4,13 @@
     two runs produce byte-identical summaries. *)
 
 type mode =
-  | Sim_diff  (** reference interpreter vs [Nicsim.Exec] on the raw program *)
+  | Sim_diff  (** {!Refsim} session vs [Nicsim.Exec] on the raw program *)
   | Optim_equiv  (** original vs [Pipeleon.Optimizer]-rewritten program *)
   | Roundtrip  (** JSON + P4-lite serialization round trips *)
   | Chaos
       (** self-healing runtime under injected faults: a live
           {!Runtime.Controller} must keep forwarding bit-identical to
-          the reference interpreter through failed deploys, corrupted
+          {!Refsim} through failed deploys, corrupted
           updates, and skewed profiles ({!Chaos.check}) *)
 
 val mode_to_string : mode -> string
@@ -25,7 +25,6 @@ val check :
   ?autotune:bool ->
   ?mutate:Mutate.t ->
   ?telemetry:bool ->
-  ?driver:Oracle.exec_driver ->
   Costmodel.Target.t ->
   mode ->
   Shrink.case ->
@@ -40,11 +39,9 @@ val check :
     is proved, deterministically in the case.
     [telemetry] (default [false]) attaches an enabled {!Telemetry} sink
     to every executor under test, turning each differential check into an
-    observe-only proof for the instrumentation. [driver] (default
-    [Interp]) selects which execution path carries the packets
-    ({!Oracle.exec_driver}) — fuzzing with [Compiled] differentially
-    tests the compiled data path, including recompilation across the
-    chaos oracle's deploys and rollbacks. *)
+    observe-only proof for the instrumentation. Packets always run
+    through the compiled data path, so the chaos oracle also exercises
+    recompilation across its deploys and rollbacks. *)
 
 type finding = {
   case_index : int;
@@ -70,7 +67,6 @@ val run :
   ?autotune:bool ->
   ?mutate:Mutate.t ->
   ?telemetry:bool ->
-  ?driver:Oracle.exec_driver ->
   ?target:Costmodel.Target.t ->
   mode ->
   seed:int ->
@@ -89,7 +85,6 @@ val replay :
   ?autotune:bool ->
   ?mutate:Mutate.t ->
   ?telemetry:bool ->
-  ?driver:Oracle.exec_driver ->
   ?target:Costmodel.Target.t ->
   mode ->
   dir:string ->

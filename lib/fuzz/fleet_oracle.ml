@@ -4,7 +4,7 @@ module C = Runtime.Controller
    equal generator streams, derived purely from (salt, i): the two
    controllers' original programs receive identical entry operations and
    stay equal, so both must forward every shard packet bit-identically
-   to the reference interpreter on that shared original — whatever the
+   to Refsim on that shared original — whatever the
    shared cache, the gossip, or the injected faults do to the layouts. *)
 let churn_rng ~salt i = Stdx.Prng.fork (Stdx.Prng.create (Int64.of_int (salt + 1))) i
 
@@ -12,32 +12,17 @@ let churn_rng ~salt i = Stdx.Prng.fork (Stdx.Prng.create (Int64.of_int (salt + 1
 let shard packets ~nics i =
   List.filteri (fun j _ -> j mod nics = i) packets
 
-let compare_stream ?driver ~label ctl packets =
-  let original = C.original_program ctl in
-  let ex = Nicsim.Sim.exec (C.sim ctl) in
-  let rec go k = function
-    | [] -> None
-    | flow :: rest -> (
-      let want = Refsim.run original flow in
-      let got = Oracle.exec_obs ?driver ex flow in
-      match Refsim.diff_obs ~compare_trace:false want got with
-      | Some reason ->
-        Some { Oracle.packet_index = k; reason = Printf.sprintf "%s: %s" label reason }
-      | None -> go (k + 1) rest)
-  in
-  go 0 packets
-
 (* Member vs solo, packet by packet: both controllers execute the same
    shard, and their observations must agree field for field even when
    their deployed layouts legitimately differ. *)
-let compare_pair ?driver ~label member solo packets =
+let compare_pair ~label member solo packets =
   let mex = Nicsim.Sim.exec (C.sim member) in
   let sex = Nicsim.Sim.exec (C.sim solo) in
   let rec go k = function
     | [] -> None
     | flow :: rest -> (
-      let m = Oracle.exec_obs ?driver mex flow in
-      let s = Oracle.exec_obs ?driver sex flow in
+      let m = Oracle.exec_obs mex flow in
+      let s = Oracle.exec_obs sex flow in
       match Refsim.diff_obs ~compare_trace:false m s with
       | Some reason ->
         Some
@@ -57,7 +42,7 @@ let fleet_spec ~salt ~nics ~telemetry =
     telemetry;
     common_traffic = false }
 
-let check ?(nics = 4) ?driver ?sink target (case : Gen.case) =
+let check ?(nics = 4) ?sink target (case : Gen.case) =
   if not (Oracle.supported case.program) then
     invalid_arg "Fleet_oracle.check: program carries optimizer-generated tables";
   let salt = Chaos.case_salt case in
@@ -80,14 +65,14 @@ let check ?(nics = 4) ?driver ?sink target (case : Gen.case) =
         else
           let label what = Printf.sprintf "nic %d round %d (%s)" i round what in
           let member = Fleet.controller (Fleet.member fleet i) in
-          match compare_stream ?driver ~label:(label "member vs ref") member shards.(i) with
+          match Chaos.against_original ~label:(label "member vs ref") member shards.(i) with
           | Some d -> Some d
           | None -> (
-            match compare_stream ?driver ~label:(label "solo vs ref") solos.(i) shards.(i) with
+            match Chaos.against_original ~label:(label "solo vs ref") solos.(i) shards.(i) with
             | Some d -> Some d
             | None -> (
               match
-                compare_pair ?driver ~label:(label "member vs solo") member solos.(i)
+                compare_pair ~label:(label "member vs solo") member solos.(i)
                   shards.(i)
               with
               | Some d -> Some d

@@ -22,7 +22,6 @@
 
 val check :
   ?nics:int ->
-  ?driver:Oracle.exec_driver ->
   ?sink:Telemetry.t ->
   Costmodel.Target.t ->
   Gen.case ->
@@ -30,8 +29,7 @@ val check :
 (** Run one case over a [nics]-member fleet (default 4); [Some d] when
     any member's forwarding diverged from the reference or from its solo
     twin (the reason names the NIC and round), or anything raised.
-    [driver] selects the execution path for every comparison
-    ({!Oracle.exec_obs}). [sink] (enabled) accumulates the fleet's
+    [sink] (enabled) accumulates the fleet's
     merged runtime counters across cases — remediations, rollbacks,
     [runtime.gossip.adopted] — which is how [pipeleonc fleet chaos]
     reports what the injector provoked.

@@ -18,8 +18,7 @@ let exec_config target =
 (* With [telemetry], the executor under test carries an enabled sink
    (metrics plus a sampled trace ring). The differential comparison then
    doubles as an observe-only proof: any instrumentation that leaks into
-   packet outcomes, engine state, or latencies diverges from the
-   uninstrumented reference interpreter. *)
+   packet outcomes, engine state, or latencies diverges from Refsim. *)
 let mk_exec ~telemetry target prog =
   let ex = Nicsim.Exec.create (exec_config target) prog in
   if telemetry then
@@ -27,77 +26,72 @@ let mk_exec ~telemetry target prog =
       (Telemetry.create ~trace_capacity:1024 ~trace_sample_every:7 ());
   ex
 
-type exec_driver = Interp | Compiled
-
-let driver_to_string = function
-  | Interp -> "interp"
-  | Compiled -> "compiled"
-
-let driver_of_string = function
-  | "interp" -> Some Interp
-  | "compiled" -> Some Compiled
-  | _ -> None
-
-(* One lane through the burst entry at an explicit sequence number. *)
-let run_lane ex ~seq pkt =
-  ignore
-    (Nicsim.Exec.run_batch ex ~seqs:[| seq |] ~nows:[| 0. |] ~pos:0 ~n:1 ~out:[| 0. |]
-       [| pkt |])
-
-(* One packet through a live executor, observed the same way Refsim
-   reports: final field values, drop flag, egress, action trace. The
-   driver picks which execution path carries the packet — both claim
-   bit-identity with [run_packet], and this observation is where the
-   fuzzer holds them to it. *)
-let exec_obs ?(driver = Interp) ex flow : Refsim.obs =
+(* One packet through a live executor as a one-lane burst through the
+   data path, observed the same way Refsim reports (final field values,
+   drop flag, egress, action trace), with its latency. *)
+let exec_lane ex flow =
   let pkt = Nicsim.Packet.of_fields flow in
   let trace = ref [] in
-  let hook =
-    Some (fun (e : Nicsim.Exec.trace_event) -> trace := (e.name, e.outcome) :: !trace)
-  in
-  let seq = Nicsim.Exec.packets_seen ex + 1 in
-  (match driver with
-  | Interp ->
-    Nicsim.Exec.set_tracer ex hook;
-    ignore (Nicsim.Exec.run_packet ex ~now:0. pkt);
-    Nicsim.Exec.set_tracer ex None
-  | Compiled ->
-    (* A burst of one through the data path's compiled walk. *)
-    Nicsim.Exec.set_tracer ex hook;
-    run_lane ex ~seq pkt;
-    Nicsim.Exec.set_tracer ex None);
-  { Refsim.fields = List.map (fun f -> (f, Nicsim.Packet.get pkt f)) Refsim.observed_fields;
-    dropped = Nicsim.Packet.is_dropped pkt;
-    egress = Nicsim.Packet.egress_port pkt;
-    trace = List.rev !trace }
+  Nicsim.Exec.set_tracer ex
+    (Some (fun (e : Nicsim.Exec.trace_event) -> trace := (e.name, e.outcome) :: !trace));
+  let latency = Nicsim.Exec.run_packet ex ~now:0. pkt in
+  Nicsim.Exec.set_tracer ex None;
+  ( { Refsim.fields = List.map (fun f -> (f, Nicsim.Packet.get pkt f)) Refsim.observed_fields;
+      dropped = Nicsim.Packet.is_dropped pkt;
+      egress = Nicsim.Packet.egress_port pkt;
+      trace = List.rev !trace },
+    latency )
+
+let exec_obs ex flow = fst (exec_lane ex flow)
 
 let guard f =
   try f () with e -> Some { packet_index = -1; reason = "exception: " ^ Printexc.to_string e }
 
-let find_diff ?compare_trace pairs =
+let find_diff pairs =
   let rec go i = function
     | [] -> None
     | (a, b) :: rest -> (
-      match Refsim.diff_obs ?compare_trace a b with
+      match Refsim.diff_obs a b with
       | Some reason -> Some { packet_index = i; reason }
       | None -> go (i + 1) rest)
   in
   go 0 pairs
 
-let sim_diff ?(telemetry = false) ?driver target prog packets =
+(* Each packet against a Refsim session under the executor's own cost
+   parameters: observable state and action trace first, then the
+   latency bits of the section 3.1 model. *)
+let sim_diff ?(telemetry = false) target prog packets =
   if not (supported prog) then
     invalid_arg "Oracle.sim_diff: program carries optimizer-generated tables";
   guard (fun () ->
       let ex = mk_exec ~telemetry target prog in
-      find_diff ~compare_trace:true
-        (List.map (fun flow -> (Refsim.run prog flow, exec_obs ?driver ex flow)) packets))
+      let { Nicsim.Exec.instrumented; sample_rate; placement; _ } = Nicsim.Exec.config ex in
+      let s =
+        Refsim.session { target; instrumented; sample_rate; placement } prog
+      in
+      let rec go i = function
+        | [] -> None
+        | flow :: rest -> (
+          let want = Refsim.send s ~seq:(Nicsim.Exec.packets_seen ex + 1) ~now:0. flow in
+          let got, latency = exec_lane ex flow in
+          match Refsim.diff_obs ~compare_trace:true want.obs got with
+          | Some reason -> Some { packet_index = i; reason }
+          | None ->
+            if Int64.equal (Int64.bits_of_float want.latency) (Int64.bits_of_float latency)
+            then go (i + 1) rest
+            else
+              Some
+                { packet_index = i;
+                  reason = Printf.sprintf "latency: %h vs %h" want.latency latency })
+      in
+      go 0 packets)
 
-let replay_diff ?(telemetry = false) ?driver target prog_a prog_b packets =
+let replay_diff ?(telemetry = false) target prog_a prog_b packets =
   guard (fun () ->
       let ex_a = mk_exec ~telemetry target prog_a in
       let ex_b = mk_exec ~telemetry target prog_b in
-      find_diff ~compare_trace:false
-        (List.map (fun flow -> (exec_obs ?driver ex_a flow, exec_obs ?driver ex_b flow))
+      find_diff
+        (List.map (fun flow -> (exec_obs ex_a flow, exec_obs ex_b flow))
            packets))
 
 (* The cost model never picks a ternary merge on current targets — the
@@ -152,18 +146,18 @@ let force_ternary_merges prog =
     (fun prog p -> match merge_pair prog p with Some prog' -> prog' | None -> prog)
     prog pipelets
 
-let optim_equiv ?config ?mutate ?telemetry ?driver target profile prog packets =
+let optim_equiv ?config ?mutate ?telemetry target profile prog packets =
   guard (fun () ->
       let result = Pipeleon.Optimizer.optimize ?config target profile prog in
       let optimized = force_ternary_merges result.Pipeleon.Optimizer.program in
       match mutate with
-      | None -> replay_diff ?telemetry ?driver target prog optimized packets
+      | None -> replay_diff ?telemetry target prog optimized packets
       | Some m -> (
         match m optimized with
         | None -> None (* nothing for this mutation to corrupt *)
-        | Some corrupted -> replay_diff ?telemetry ?driver target prog corrupted packets))
+        | Some corrupted -> replay_diff ?telemetry target prog corrupted packets))
 
-let roundtrip ?(telemetry = false) ?driver target prog packets =
+let roundtrip ?(telemetry = false) target prog packets =
   if not (supported prog) then
     invalid_arg "Oracle.roundtrip: program carries optimizer-generated tables";
   guard (fun () ->
@@ -178,9 +172,8 @@ let roundtrip ?(telemetry = false) ?driver target prog packets =
         if src1 <> src2 then
           Some { packet_index = -1; reason = "p4l emit/parse/emit not a fixpoint" }
         else begin
-          (* Behaviour must survive both round trips. The reference
-             interpreter arbitrates so a bug symmetric in Exec cannot
-             cancel out. P4-lite has no syntax for conditional names
+          (* Behaviour must survive both round trips. Refsim arbitrates
+             so a bug symmetric in Exec cannot cancel out. P4-lite has no syntax for conditional names
              (the frontend invents them), so for the p4l leg branch
              trace entries are compared by position and outcome only. *)
           let erase_cond_names p (obs : Refsim.obs) =
@@ -198,7 +191,7 @@ let roundtrip ?(telemetry = false) ?driver target prog packets =
             | flow :: rest -> (
               let want = Refsim.run prog flow in
               match
-                Refsim.diff_obs ~compare_trace:true want (exec_obs ?driver ex_json flow)
+                Refsim.diff_obs ~compare_trace:true want (exec_obs ex_json flow)
               with
               | Some reason ->
                 Some { packet_index = i; reason = "json round-trip: " ^ reason }
@@ -206,7 +199,7 @@ let roundtrip ?(telemetry = false) ?driver target prog packets =
                 match
                   Refsim.diff_obs ~compare_trace:true
                     (erase_cond_names prog want)
-                    (erase_cond_names reparsed (exec_obs ?driver ex_p4l flow))
+                    (erase_cond_names reparsed (exec_obs ex_p4l flow))
                 with
                 | Some reason ->
                   Some { packet_index = i; reason = "p4l round-trip: " ^ reason }

@@ -8,40 +8,30 @@ type divergence = {
 }
 
 val supported : P4ir.Program.t -> bool
-(** [sim_diff] and [roundtrip] require every table to be [Regular]: the
-    reference interpreter models neither flow-cache fills nor migration
-    metadata, so programs already rewritten by Pipeleon are compared
-    engine-vs-engine ({!optim_equiv}) instead. *)
+(** [sim_diff] and [roundtrip] require every table to be [Regular]:
+    they check generated programs against {!Refsim}; programs already
+    rewritten by Pipeleon (caches, merges, migration metadata) are
+    compared engine-vs-engine ({!optim_equiv}) instead. *)
 
-type exec_driver = Interp | Compiled
-(** Which execution path carries each packet of a differential check:
-    the DAG interpreter ({!Nicsim.Exec.run_packet}) or a one-lane burst
-    through the data path ({!Nicsim.Exec.run_batch}). Both claim
-    bit-identical packet outcomes; fuzzing under each driver holds them
-    to it against the reference interpreter. *)
-
-val driver_to_string : exec_driver -> string
-val driver_of_string : string -> exec_driver option
-(** ["interp"], ["compiled"]. *)
-
-val exec_obs : ?driver:exec_driver -> Nicsim.Exec.t -> Gen.flow -> Refsim.obs
-(** One packet through a live executor, observed the way {!Refsim}
+val exec_obs : Nicsim.Exec.t -> Gen.flow -> Refsim.obs
+(** One packet through a live executor — a one-lane burst through the
+    data path at its next sequence number — observed the way {!Refsim}
     reports (final fields, drop flag, egress, action trace) so the two
     sides compare with {!Refsim.diff_obs}. The executor is stateful —
     caches fill, counters advance — which is the point: it is the
-    system under test. [driver] (default [Interp]) selects the execution
-    path. Used by the oracles here and by {!Chaos}, which needs the
-    observation against a controller-owned simulator. *)
+    system under test. Used by the oracles here and by {!Chaos}, which
+    needs the observation against a controller-owned simulator. *)
 
 val sim_diff :
   ?telemetry:bool ->
-  ?driver:exec_driver ->
   Costmodel.Target.t ->
   P4ir.Program.t ->
   Gen.flow list ->
   divergence option
 (** {!Refsim} vs {!Nicsim.Exec} on the same program, comparing final
-    field state, drop flag, egress and the per-packet action trace.
+    field state, drop flag, egress, the per-packet action trace, and
+    the latency bits of a {!Refsim.session} under the executor's own
+    target, sampling and placement.
     With [telemetry] (default [false]) the executor under test carries
     an enabled {!Telemetry} sink with trace sampling, so the comparison
     also proves the instrumentation is observe-only.
@@ -51,7 +41,6 @@ val optim_equiv :
   ?config:Pipeleon.Optimizer.config ->
   ?mutate:(P4ir.Program.t -> P4ir.Program.t option) ->
   ?telemetry:bool ->
-  ?driver:exec_driver ->
   Costmodel.Target.t ->
   Profile.t ->
   P4ir.Program.t ->
@@ -71,7 +60,6 @@ val optim_equiv :
 
 val roundtrip :
   ?telemetry:bool ->
-  ?driver:exec_driver ->
   Costmodel.Target.t ->
   P4ir.Program.t ->
   Gen.flow list ->

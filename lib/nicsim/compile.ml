@@ -1,10 +1,11 @@
 (* The pipeline compiler: at deploy time, flatten a program DAG and its
    runtime engines into a linear array of fused match->action ops with
-   successor indices resolved to array positions. The op walk replaces
-   the interpreter's per-node map lookups, closure allocations, and
-   counter hash probes with array indexing, precomputed per-op costs,
-   and pre-resolved counter cells — semantics (latencies, counters,
-   telemetry, fills, traces) stay bit-identical to {!Exec.run_packet}.
+   successor indices resolved to array positions. The op walk uses
+   array indexing, precomputed per-op costs, and pre-resolved counter
+   cells in place of per-node map lookups, closure allocations, and
+   counter hash probes; the tests hold its latencies, counters,
+   telemetry, fills and traces bit-identical to Fuzz.Refsim's cost
+   model.
 
    Layering: this module sits below {!Exec}; it receives the raw pieces
    (program, engine resolver, placement, counters, telemetry) instead of
@@ -15,7 +16,7 @@ type tracer = P4ir.Program.node_id -> string -> string -> unit
 
 (* One action of one table, fully resolved: the action body, its
    precomputed cost contribution (primitive count x l_act x core factor,
-   multiplied in the interpreter's association order so the float is the
+   multiplied in the cost model's association order so the float is the
    same one), and the profile-counter cell for (table, action). *)
 type act_info = {
   ai_action : P4ir.Action.t;
@@ -79,8 +80,9 @@ type op_table = {
 
 type op = Op_cond of op_cond | Op_table of op_table
 
-(* A flow-cache fill in flight; field-for-field the interpreter's
-   [pending_fill] so completion installs identical entries. *)
+(* A flow-cache fill in flight: the packet missed an auto-insert cache
+   and is now traversing the covered region; completion installs the
+   fused result of what it fired there (section 3.2.2). *)
 type fill = {
   f_cache : Engine.t;
   f_keys : P4ir.Pattern.t list;
@@ -106,7 +108,7 @@ type t = {
   (* Walk state as scratch fields: a compiled pipeline belongs to one
      executor on one domain, so reusing them keeps the steady-state walk
      allocation-free (fills and spans only allocate on cache misses and
-     traced packets respectively, exactly when the interpreter does).
+     traced packets respectively).
      The latency accumulator is a one-slot floatarray rather than a
      mutable float field: float fields of a mixed record are boxed, so
      every [<-] would allocate; floatarray stores are unboxed. *)
@@ -120,10 +122,9 @@ type t = {
 
 let tables_reused t = t.reused
 let tables_rebuilt t = t.rebuilt
-let drop_observed t = t.s_dropped
 
 
-(* --- shared packet/action semantics (also used by Exec) --- *)
+(* --- packet/action semantics --- *)
 
 let apply_primitive pkt (p : P4ir.Action.primitive) =
   match p with
@@ -138,8 +139,7 @@ let apply_primitive pkt (p : P4ir.Action.primitive) =
   | P4ir.Action.Nop -> ()
 
 (* A plain recursion rather than [List.iter (apply_primitive pkt)]: the
-   partial application builds a closure on every action, on both the
-   interpreted and compiled paths. *)
+   partial application would build a closure on every action. *)
 let rec apply_prims pkt = function
   | [] -> ()
   | p :: tl ->
@@ -190,7 +190,7 @@ let build_art (target : Costmodel.Target.t) counters (tab : P4ir.Table.t) ~facto
         { ai_action = a;
           ai_name = a.name;
           ai_idx = i;
-          (* Same association order as the interpreter's
+          (* The cost model's association order,
              [n *. l_act *. factor], folded at compile time. *)
           ai_cost = float_of_int (P4ir.Action.num_primitives a) *. target.l_act *. factor;
           ai_cell = Profile.Counter.cell counters ~owner:tab.name ~label:a.name })
@@ -199,8 +199,8 @@ let build_art (target : Costmodel.Target.t) counters (tab : P4ir.Table.t) ~facto
     match Hashtbl.find_opt acts tab.default_action with
     | Some i -> i
     | None ->
-      (* The interpreter would raise on the first packet; surface the
-         same defect at compile time instead. *)
+      (* The walk would raise on the first miss; surface the defect
+         at compile time instead. *)
       invalid_arg
         (Printf.sprintf "Compile: table %s: unknown default action %s" tab.name
            tab.default_action)
@@ -338,9 +338,8 @@ let build ?reuse ~target ~placement ~counters ~telemetry ~engine_of prog =
     match root with Some r -> placement r | None -> Costmodel.Cost.Asic
   in
   let base_latency =
-    (* The interpreter starts at l_fixed and, for a CPU entry, adds
-       migration_latency with one more addition — same two floats, same
-       order. *)
+    (* l_fixed and, for a CPU entry, migration_latency with one more
+       addition — the cost model's two floats in its order. *)
     if entry_core = Costmodel.Cost.Cpu then
       target.Costmodel.Target.l_fixed +. target.Costmodel.Target.migration_latency
     else target.Costmodel.Target.l_fixed
@@ -368,11 +367,11 @@ let build ?reuse ~target ~placement ~counters ~telemetry ~engine_of prog =
 
 (* --- the compiled walk --- *)
 
-(* Mirrors [Exec.exec_packet] step for step; every latency addition uses
-   the same operands in the same order, so the result is bit-identical.
-   Counter updates go through pre-resolved cells (same int64 slots the
-   interpreter's hash probes reach). Core comparisons use physical
-   equality — [Costmodel.Cost.core] has only constant constructors, so
+(* Every latency addition uses the cost model's operands in its
+   documented order (see Fuzz.Refsim.send), so the result is
+   bit-identical to the reference. Counter updates go through
+   pre-resolved cells (the registry's own slots). Core comparisons use
+   physical equality — [Costmodel.Cost.core] has only constant constructors, so
    [==]/[!=] is structural equality without the polymorphic-compare
    call. The timestamp is read from, and the latency written to, the
    caller's float arrays: a float argument or result crossing a
@@ -437,7 +436,7 @@ let run p ~tracer ~sampled ~seq ~nows ~out ~pos i pkt =
          comes back through the engine, not a result tuple. *)
       let result = Engine.probe tb.t_eng pkt in
       let accesses = Engine.last_accesses tb.t_eng in
-      (* Runtime association order matches the interpreter:
+      (* The cost model's association order:
          (accesses *. l_mat) *. factor. *)
       Float.Array.unsafe_set lb 0 (Float.Array.unsafe_get lb 0 +. (float_of_int accesses *. p.l_mat *. tb.t_factor));
       let info =
@@ -457,7 +456,7 @@ let run p ~tracer ~sampled ~seq ~nows ~out ~pos i pkt =
                every action change. *)
             let acts = tb.t_art.ta_acts and name = e.P4ir.Table.action in
             if not (Hashtbl.mem acts name) then begin
-              (* Same failure the interpreter's find_action_exn raises. *)
+              (* The failure find_action_exn raises. *)
               ignore (P4ir.Table.find_action_exn tb.t_tab name);
               assert false
             end;
@@ -525,8 +524,7 @@ let run p ~tracer ~sampled ~seq ~nows ~out ~pos i pkt =
       end
   done;
   (* Tail migration back to the ASIC datapath applies only to packets
-     that ran to the sink (a drop halts in place), as in the
-     interpreter. *)
+     that ran to the sink (a drop halts in place). *)
   if (not p.s_dropped) && p.s_core == Costmodel.Cost.Cpu then Float.Array.unsafe_set lb 0 (Float.Array.unsafe_get lb 0 +. p.migration);
   (match p.s_fills with
    | [] -> ()

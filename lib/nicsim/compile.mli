@@ -6,15 +6,14 @@
     (body, precomputed cost, profile-counter cell) resolved into hash
     tables with a one-slot memo, telemetry handles pre-resolved, and
     per-op costs that are constant (action cost, branch cost) folded at
-    compile time in the interpreter's own float association order.
+    compile time in the cost model's float association order
+    ([n x l_act x factor]).
 
-    [run] then executes the array with the exact semantics of
-    {!Exec.run_packet}: identical latencies bit for bit, identical
-    profile counters (the cells alias the same registry slots the
-    interpreter's hash probes reach), identical telemetry counters,
-    spans, and sampling, and identical flow-cache fill behaviour. It is
-    the only compiled walk. {!Exec} owns compiled instances, their
-    staleness, and the burst entry ({!Exec.run_batch}); this module is
+    [run] then executes the array: the only walk, held bit-identical
+    by the tests to the independent reference [Fuzz.Refsim] — latencies,
+    profile counters, telemetry counters, spans and sampling, and
+    flow-cache fills. {!Exec} owns compiled instances, their staleness,
+    and the burst entry ({!Exec.run_batch}); this module is
     engine-level machinery below it. *)
 
 type t
@@ -54,33 +53,14 @@ val run :
   unit
 (** [run p ~tracer ~sampled ~seq ~nows ~out ~pos i pkt] walks one packet
     through the op array at timestamp [nows.(i)] and writes its latency
-    to [out.(pos + i)], bit-identical to {!Exec.run_packet} under the
-    same (sampled, seq, now) inputs and engine state. The packet is
-    mutated. The timestamp and latency travel through the caller's
-    arrays because a float argument or result of a non-inlined call is
-    boxed; all arguments are required for the same reason. Steady-state
-    calls allocate nothing: fills allocate only on cache misses, spans
-    only on traced packets, exactly when the interpreter does. The
-    arrays are not bounds-checked; {!Exec.run_batch} checks them. After
-    the call, {!drop_observed} tells whether a table action dropped the
-    packet during this walk (the interpreter's drop-accounting event). *)
-
-val drop_observed : t -> bool
-(** Whether the last {!run} halted on an in-walk drop. Distinct from
-    {!Packet.is_dropped}, which is also true for packets that arrived
-    already dropped — the interpreter only counts the former. *)
+    to [out.(pos + i)]. The packet is mutated. The timestamp and
+    latency travel through the caller's arrays because a float argument
+    or result of a non-inlined call is boxed; all arguments are required
+    for the same reason. Steady-state calls allocate nothing: fills
+    allocate only on cache misses, spans only on traced packets. The
+    arrays are not bounds-checked; {!Exec.run_batch} checks them. *)
 
 val tables_reused : t -> int
 (** Tables whose compiled artifact was carried over from [reuse]. *)
 
 val tables_rebuilt : t -> int
-
-(** {2 Shared packet semantics}
-
-    The single definition of P4 action application, used by both the
-    interpreter and the compiled walk. *)
-
-val apply_action : Packet.t -> P4ir.Action.t -> unit
-val node_cat : P4ir.Table.t -> string
-(** ["cache"] / ["merged"] / ["table"] — telemetry span category and
-    metric-name segment for a table node. *)

@@ -168,6 +168,9 @@ type t = {
   mutable last_acc : int;  (* accesses of the most recent plan probe *)
   mutable tokens : float;  (* cache-fill token bucket *)
   mutable token_time : float;
+  mutable fills : int;  (* cache fills admitted, refreshes included *)
+  mutable evictions : int;
+  mutable limited : int;  (* cache fills the bucket refused *)
 }
 
 let def t = t.table
@@ -1196,7 +1199,10 @@ let create ?(hint = Auto) (tab : P4ir.Table.t) =
       updates = 0;
       last_acc = 1;
       tokens;
-      token_time = 0. }
+      token_time = 0.;
+      fills = 0;
+      evictions = 0;
+      limited = 0 }
   in
   (match backend with
    | Exact_hash _ | Cache_lru _ | Shaped _ -> List.iter (raw_insert t) tab.entries
@@ -1359,6 +1365,7 @@ let probe t pkt =
   | Shaped s -> shaped_probe t s pkt
 
 let last_accesses t = t.last_acc
+let cache_counts t = (t.fills, t.evictions, t.limited)
 
 let plan_kind t =
   match t.backend with
@@ -1372,7 +1379,7 @@ let plan_kind t =
      | P_tree _ -> "tree"
      | P_none -> if s.lpm_ordered then "lpm-linear" else "ternary-skip")
 
-let lookup t pkt =
+let lookup_linear t pkt =
   match t.backend with
   | Exact_hash ex ->
     let vals = read_values t pkt in
@@ -1388,16 +1395,12 @@ let lookup t pkt =
   | Linear l ->
     let tab = { t.table with P4ir.Table.entries = l.lentries } in
     (P4ir.Table.lookup tab (Packet.get pkt), max 1 l.lcount)
-  | Cache_lru _ | Shaped _ ->
-    let r = probe t pkt in
-    (r, t.last_acc)
-
-let lookup_linear t pkt =
-  match t.backend with
   | Shaped s ->
     let r = straight_probe ~skip:false t s (read_values t pkt) in
     (r, t.last_acc)
-  | Exact_hash _ | Cache_lru _ | Linear _ -> lookup t pkt
+  | Cache_lru _ ->
+    let r = probe t pkt in
+    (r, t.last_acc)
 
 let validate_entry t e =
   (* Reuse Table.make's validation by round-tripping through add_entry. *)
@@ -1555,9 +1558,17 @@ let cache_fill t ~now e =
       t.token_time <- now
     end
     else t.tokens <- 1.;
-    if limit > 0. && t.tokens < 1. then `Rate_limited
+    if limit > 0. && t.tokens < 1. then begin
+      t.limited <- t.limited + 1;
+      `Rate_limited
+    end
     else begin
       if limit > 0. then t.tokens <- t.tokens -. 1.;
-      if cache_put c (exact_values e.P4ir.Table.patterns) e then `Full_replace else `Inserted
+      t.fills <- t.fills + 1;
+      if cache_put c (exact_values e.P4ir.Table.patterns) e then begin
+        t.evictions <- t.evictions + 1;
+        `Full_replace
+      end
+      else `Inserted
     end
   | _ -> invalid_arg "Engine.cache_fill: not a cache table"

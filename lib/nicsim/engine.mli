@@ -37,12 +37,12 @@ val probe : t -> Packet.t -> P4ir.Table.entry option
 (** The compiled data path's lookup, one call for every backend: the
     match result, with the modeled access count left in
     {!last_accesses} instead of a result tuple. A hit returns a
-    preallocated [Some entry] (the same physical entry {!lookup}
-    returns), so a steady-state probe allocates nothing:
+    preallocated [Some entry] (the same physical entry
+    {!lookup_linear} returns), so a steady-state probe allocates nothing:
     - exact tables probe an open-addressing index over the mixing hash
       (one access);
     - flow caches probe their own index and move the hit to the front
-      of the recency list, exactly as {!lookup} does (one access);
+      of the recency list (one access);
     - range tables scan their entries pre-sorted in
       {!P4ir.Table.lookup}'s winner order (priority, then specificity,
       then insertion order), so the first match wins ([max 1 n]
@@ -55,23 +55,19 @@ val probe : t -> Packet.t -> P4ir.Table.entry option
     it stale and the next probe rebuilds it. *)
 
 val last_accesses : t -> int
-(** Modeled memory accesses of the most recent {!probe} or {!lookup}.
+(** Modeled memory accesses of the most recent {!probe} or
+    {!lookup_linear}.
     Meaningful immediately after the call. *)
 
-val lookup : t -> Packet.t -> P4ir.Table.entry option * int
-(** The interpreter's reference lookup: match result plus the number of
-    memory accesses performed. Exact tables go through the hash store,
-    range tables through {!P4ir.Table.lookup}; caches and LPM/ternary
-    tables answer as {!probe}. A miss in a shaped table costs one
-    access per probed hash table. Whatever the plan, the reported
-    access count stays that of the modeled hardware — the longest-first
-    linear probe for LPM, one probe per mask group for ternary — so the
-    cost model is unaffected by host-side shortcuts. *)
-
 val lookup_linear : t -> Packet.t -> P4ir.Table.entry option * int
-(** {!lookup} with the compiled plan disabled: always the straight-line
-    reference probe. Used by tests and the differential fuzzer to check
-    the plan against the model it compiles. *)
+(** The reference lookup {!probe} is tested against: match result plus
+    modeled accesses, from the straight-line store of each backend and
+    no compiled plan. Exact tables go through the hash store, range
+    tables through {!P4ir.Table.lookup}, LPM and ternary tables through
+    the unskipped probe of every shape group (longest prefix first for
+    LPM; one access per group probed, every group on a miss or for
+    ternary), and flow caches answer as {!probe}, recency update
+    included. *)
 
 val plan_kind : t -> string
 (** Which backend the table is currently running, building the plan
@@ -131,6 +127,12 @@ val cache_fill :
     cached key replaces its entry, moves it to the front and reports
     [`Inserted]).
     @raise Invalid_argument on a non-cache table. *)
+
+val cache_counts : t -> int * int * int
+(** [(fills, evictions, rate_limited)] of {!cache_fill} since {!create}
+    (a {!copy} carries them): fills admitted (refreshes of a cached key
+    included), evictions they caused, fills the token bucket refused.
+    All zero for a non-cache table. *)
 
 val invalidate : t -> unit
 (** Drop every entry (a cache's entry-update invalidation), back to the

@@ -30,16 +30,12 @@ val engine : t -> string -> Engine.t option
 val engine_exn : t -> string -> Engine.t
 
 val run_packet : t -> now:float -> Packet.t -> float
-(** The DAG interpreter: process one packet; returns the latency in
-    target latency-units (including the fixed per-packet overhead and any
-    migrations). The packet is mutated (header rewrites, drop flag,
-    egress). This is the reference {!run_batch} is tested against — the
-    one independent model of latency, counters, cache fills and spans —
-    not a production path; the simulator's window reaches it only
-    through {!Sim.run_window_reference}. The packet takes the executor's
-    next global sequence number ([packets_seen + 1]), which keys both
-    counter sampling ([instrumented && seq mod sample_rate = 0]) and
-    telemetry trace sampling. *)
+(** One packet as a one-lane {!run_batch} at the executor's next global
+    sequence number ([packets_seen + 1]), which keys both counter
+    sampling ([instrumented && seq mod sample_rate = 0]) and telemetry
+    trace sampling; returns its latency in target latency-units
+    (including the fixed per-packet overhead and any migrations). The
+    packet is mutated (header rewrites, drop flag, egress). *)
 
 val run_batch :
   t ->
@@ -58,11 +54,11 @@ val run_batch :
     only compiled walk). Lane [i] uses global sequence number
     [seqs.(i)] (keying counter and trace sampling) and timestamp
     [nows.(i)], and its latency lands in [out.(pos + i)]; returns the
-    number of dropped packets. The result is bit-identical to
-    {!run_packet} at the same sequence numbers — same latency floats,
-    profile counters, telemetry (hit/miss counters, packets/drops,
-    sampled spans), flow-cache fills, and tracer callbacks in lane
-    order. This executor's [packets_seen] advances by [n] whatever the
+    number of dropped packets. The tests hold it bit-identical to the
+    independent reference [Fuzz.Refsim] — latency floats, profile
+    counters, telemetry (hit/miss counters, packets/drops, sampled
+    spans), flow-cache contents, and tracer callbacks in lane order.
+    This executor's [packets_seen] advances by [n] whatever the
     [seqs], so a caller can pin a lane to any window position. The
     pipeline compiles lazily on first use and recompiles (reusing
     unchanged tables' artifacts) after {!replace_program} or
@@ -85,14 +81,13 @@ val precompile : t -> int * int
 
 val replicate : t -> t
 (** Deep copy: engines are independently copied (aliasing between
-    program nodes preserved), counters start empty, packet/drop counts
-    start at zero, the tracer is not carried over, and telemetry goes to
+    program nodes preserved), counters start empty, the packet count
+    starts at zero, the tracer is not carried over, and telemetry goes to
     a {!Telemetry.fork}ed sink. The program, target, and placement are
     shared (immutable). A replica answers probes without disturbing the
     original's engines or counters. *)
 
 val packets_seen : t -> int
-val drops_seen : t -> int
 
 type trace_event = {
   node : P4ir.Program.node_id;

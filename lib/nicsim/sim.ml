@@ -65,9 +65,9 @@ let scratch t packets =
   t.lat_scratch
 
 (* Fold a filled latency buffer into stats and advance the clock. The
-   summation runs in packet-index order so the window and the reference
-   produce bit-identical floats; the
-   histogram fill rides the same pass (bucket increments, order-free).
+   summation runs in packet-index order, so the stats are a fixed
+   function of the per-packet latencies; the histogram fill rides the
+   same pass (bucket increments, order-free).
    avg/p99 keep the original sorted-scratch computation bit for bit; the
    p50/p90/p99.9 trio is histogram-derived (<= 3.125% high). *)
 let finish t ~start ~duration ~packets ~drops latencies =
@@ -119,21 +119,6 @@ let finish t ~start ~duration ~packets ~drops latencies =
     throughput_gbps = throughput;
     drop_fraction }
 
-let packet_time ~start ~duration ~packets i =
-  start +. (duration *. float_of_int i /. float_of_int packets)
-
-let run_window_reference t ~duration ~packets ~source =
-  if packets <= 0 then invalid_arg "Sim.run_window_reference: packets must be positive";
-  let start = t.clock in
-  let latencies = scratch t packets in
-  let drops = ref 0 in
-  for i = 0 to packets - 1 do
-    let pkt = source () in
-    latencies.(i) <- Exec.run_packet t.ex ~now:(packet_time ~start ~duration ~packets i) pkt;
-    if Packet.is_dropped pkt then incr drops
-  done;
-  finish t ~start ~duration ~packets ~drops:!drops latencies
-
 let burst = 64
 
 (* Parks the staging slots between windows, so a sim does not keep the
@@ -162,16 +147,16 @@ let run_window t ~duration ~packets ~source =
   let pos = ref 0 in
   while !pos < packets do
     let n = min burst (packets - !pos) in
-    (* Pull the burst in index order: the source sees the same call
-       sequence as the one-at-a-time reference loop. *)
+    (* Pull the burst in index order: the source sees one call per
+       packet, in packet order. *)
     for i = 0 to n - 1 do
       pkts.(i) <- source ()
     done;
     let base = !pos in
     let base_seen = Exec.packets_seen t.ex in
-    (* [packet_time] open-coded: a call through a float-returning
-       function would box every result, and this loop must not allocate.
-       Same formula, same operand order, bit-identical timestamps. *)
+    (* The timestamp formula open-coded: a call through a
+       float-returning function would box every result, and this loop
+       must not allocate. *)
     for i = 0 to n - 1 do
       Array.unsafe_set seqs i (base_seen + i + 1);
       Array.unsafe_set nows i (start +. (duration *. float_of_int (base + i) /. fpackets))

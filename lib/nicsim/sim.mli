@@ -66,16 +66,11 @@ val run_window :
     (asserted by a [Gc.minor_words] test), and no packet outlives its
     window in that scratch.
 
-    Stats, counters, telemetry metrics, spans, tracer events and
-    per-packet latencies are bit-identical to {!run_window_reference}.
+    The tests hold per-packet latencies, stats, counters, telemetry
+    metrics, spans and tracer events bit-identical to the independent
+    reference [Fuzz.Refsim] fed the same packets at the same sequence
+    numbers and timestamps.
     @raise Invalid_argument if [packets <= 0]. *)
-
-val run_window_reference :
-  t -> duration:float -> packets:int -> source:(unit -> Packet.t) -> window_stats
-(** {!run_window} one packet at a time through the DAG interpreter
-    ({!Exec.run_packet}): the reference the tests compare the data path
-    against, not a production path. Same source call sequence, same
-    timestamps, same sampling. *)
 
 val run_window_compiled :
   ?soa:bool ->

@@ -1,38 +1,3 @@
-type change =
-  | Added of string
-  | Removed of string
-  | Reshaped of string
-  | Entries_changed of string
-
-let table_map prog =
-  List.fold_left
-    (fun acc (_, (t : P4ir.Table.t)) -> (t.name, t) :: acc)
-    []
-    (P4ir.Program.tables prog)
-
-let diff ~old_program ~new_program =
-  let old_tabs = table_map old_program in
-  let new_tabs = table_map new_program in
-  let removed =
-    List.filter_map
-      (fun (name, _) ->
-        if List.mem_assoc name new_tabs then None else Some (Removed name))
-      old_tabs
-  in
-  let added_or_changed =
-    List.filter_map
-      (fun (name, (nt : P4ir.Table.t)) ->
-        match List.assoc_opt name old_tabs with
-        | None -> Some (Added name)
-        | Some ot ->
-          if ot.P4ir.Table.keys <> nt.keys || ot.actions <> nt.actions || ot.role <> nt.role
-          then Some (Reshaped name)
-          else if ot.entries <> nt.entries then Some (Entries_changed name)
-          else None)
-      new_tabs
-  in
-  List.rev removed @ List.rev added_or_changed
-
 (* Three significant digits: enough that a genuinely shifted profile
    re-evaluates, coarse enough that counter noise between windows does
    not defeat the warm cache. *)

@@ -1,21 +1,8 @@
-(** Program diffing for incremental reconfiguration (§6: "compute new
-    optimizations as well as compile and deploy updates incrementally").
-
-    A redeploy rarely changes the whole program: most tables survive by
-    name with identical shape, and only caches/merged tables and a few
-    rewired originals differ. Deploying just the delta shrinks the
-    service interruption on reload-based NICs from a full reflash to a
-    per-table cost. *)
-
-type change =
-  | Added of string  (** table new in the target layout *)
-  | Removed of string
-  | Reshaped of string  (** same name, different keys/actions/role *)
-  | Entries_changed of string  (** same shape, different static entries *)
-
-val diff : old_program:P4ir.Program.t -> new_program:P4ir.Program.t -> change list
-(** Name-keyed structural diff of the table sets (control-flow rewiring
-    shows up as added/removed cache or merged tables). *)
+(** Incremental re-optimization (§6: "compute new optimizations as well
+    as compile and deploy updates incrementally"): the pipelet signature
+    that lets a round reuse the previous round's candidate evaluations.
+    Deploying only the changed tables is {!Nicsim.Sim.hot_patch}'s own
+    table comparison. *)
 
 val pipelet_signature :
   Profile.t -> Pipeleon.Hotspot.hot -> P4ir.Table.t list -> string

@@ -46,15 +46,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let weighted_index t weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then invalid_arg "Prng.weighted_index: zero total weight";
-  let target = float t *. total in
-  let rec go i acc =
-    if i >= Array.length weights - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else go (i + 1) acc
-  in
-  go 0 0.

@@ -40,6 +40,3 @@ val choice : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val weighted_index : t -> float array -> int
-(** Sample an index proportionally to the (non-negative) weights.
-    @raise Invalid_argument if all weights are zero. *)

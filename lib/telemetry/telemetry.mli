@@ -39,8 +39,8 @@ val trace : t -> Trace.t option
 val should_trace : t -> seq:int -> bool
 (** Whether the packet with global sequence number [seq] is sampled for
     tracing: enabled, tracing on, and [seq mod trace_sample_every = 0].
-    Keyed on the global sequence number so the compiled window samples
-    the same packets as the reference interpreter. *)
+    Keyed on the global sequence number, so a packet's sampling does
+    not depend on the burst or window it runs in. *)
 
 val add_span : t -> Trace.span -> unit
 (** No-op when tracing is off. *)

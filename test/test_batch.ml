@@ -1,7 +1,8 @@
 (* Tests for the compiled window walk: bit-identity against the
-   reference interpreter (fixed pipelines with branches, per-action
-   successors and drops, random programs, telemetry), and the
-   no-per-window-allocation guarantee of the steady-state window loop. *)
+   independent reference (Fuzz.Refsim, through the Refcheck harness) on
+   fixed pipelines with branches, per-action successors and drops,
+   random programs and telemetry, and the no-per-window-allocation
+   guarantee of the steady-state window loop. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -153,33 +154,20 @@ let drop_source seed =
   let base = Traffic.Workload.of_flows rng flows in
   Traffic.Workload.mark_fraction rng ~rate:0.2 ~field:P4ir.Field.Ipv4_dst ~value:9L base
 
-(* --- window walk: bit-identity --- *)
+(* --- window walk: bit-identity against Refsim --- *)
 
-let window_stats_bits (s : Nicsim.Sim.window_stats) =
-  List.map Int64.bits_of_float
-    [ s.window_start; s.window_duration; s.avg_latency; s.p99_latency; s.p50_latency;
-      s.p90_latency; s.p999_latency; s.throughput_gbps; s.drop_fraction ]
-  @ [ Int64.of_int s.sampled_packets; Int64.of_int s.sampled_drops ]
+let config ?(sample_rate = 3) () =
+  { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate }
 
-let window_obs ?(sample_rate = 3) ?source prog run =
-  let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate } in
-  let sim = Nicsim.Sim.create ~config:cfg target prog in
-  let source = match source with Some s -> s | None -> zipf_source 21L in
-  let stats = run sim ~duration:1.0 ~packets:300 ~source in
-  let ex = Nicsim.Sim.exec sim in
-  ( window_stats_bits stats,
-    Nicsim.Exec.drops_seen ex,
-    Profile.Counter.dump (Nicsim.Exec.counters ex) )
+let window ?(source = zipf_source 21L) prog =
+  Refcheck.windows (config ()) prog [ Refcheck.Window (300, source) ]
 
-(* The compiled window must agree with the interpreter — including the
+(* The compiled window must agree with Refsim — including the
    divergence fixtures, where packets split at a cond or a per-action
    successor and rejoin. *)
 let test_compiled_window_identity () =
   List.iter
-    (fun prog ->
-      let interp = window_obs prog Nicsim.Sim.run_window_reference in
-      let compiled = window_obs prog (fun sim -> Nicsim.Sim.run_window sim) in
-      check_bool "interp = compiled" true (interp = compiled))
+    (fun prog -> ignore (Refcheck.check "window" (window prog)))
     [ P4ir.Program.linear "lin" (chain 3);
       branching_prog ();
       per_action_prog ();
@@ -187,99 +175,48 @@ let test_compiled_window_identity () =
 
 (* Mid-burst drops: a packet halts at its dropping table while the rest
    of the burst keeps walking; drop accounting and latencies must match
-   the interpreter. *)
+   Refsim. *)
 let test_compiled_drops_identity () =
-  let prog = acl_route_prog () in
-  let interp = window_obs ~source:(drop_source 5L) prog Nicsim.Sim.run_window_reference in
-  let compiled =
-    window_obs ~source:(drop_source 5L) prog (fun sim -> Nicsim.Sim.run_window sim)
-  in
-  check_bool "drops actually happen" true (match interp with _, d, _ -> d > 0);
-  check_bool "interp = compiled (drops included)" true (interp = compiled)
+  let _, r = Refcheck.check "drops" (window ~source:(drop_source 5L) (acl_route_prog ())) in
+  check_bool "drops actually happen" true (r.drops > 0)
 
 (* Per-packet latencies out of the batch entry point, compared float for
    float (not just window aggregates). *)
-let batch_obs prog run =
-  let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
-  let ex = Nicsim.Exec.create cfg prog in
-  let source = zipf_source 21L in
-  let n = 300 in
-  let pkts = Array.init n (fun _ -> source ()) in
-  let nows = Array.init n (fun i -> 0.001 *. float_of_int i) in
-  let out = Array.make n 0. in
-  let dropped = run ex ~nows ~out pkts in
-  ( Array.map Int64.bits_of_float out,
-    dropped,
-    Nicsim.Exec.drops_seen ex,
-    Profile.Counter.dump (Nicsim.Exec.counters ex) )
-
 let test_compiled_batch_latencies () =
   List.iter
     (fun prog ->
-      let interp =
-        batch_obs prog (fun ex ~nows ~out pkts ->
-            Array.iteri (fun i p -> out.(i) <- Nicsim.Exec.run_packet ex ~now:nows.(i) p) pkts;
-            Array.fold_left
-              (fun d p -> if Nicsim.Packet.is_dropped p then d + 1 else d) 0 pkts)
-      in
-      let compiled =
-        batch_obs prog (fun ex ~nows ~out pkts ->
-            let n = Array.length pkts in
-            Nicsim.Exec.run_batch ex ~seqs:(Array.init n (fun i -> i + 1)) ~nows ~pos:0 ~n
-              ~out pkts)
-      in
-      check_bool "per-packet latency bits + drops + counters" true (interp = compiled))
+      let source = zipf_source 21L in
+      let pkts = Array.init 300 (fun _ -> source ()) in
+      let nows = Array.init 300 (fun i -> 0.001 *. float_of_int i) in
+      ignore (Refcheck.check "batch" (Refcheck.burst (config ()) prog ~nows pkts)))
     [ P4ir.Program.linear "lin" (chain 3); branching_prog (); acl_route_prog (); range_prog () ]
 
 (* Telemetry under the compiled walk: spans must come out in the exact
    per-packet order. *)
 let test_compiled_telemetry_identity () =
-  let obs driver =
-    let tel = Telemetry.create ~trace_capacity:4096 ~trace_sample_every:7 () in
-    let sim = Nicsim.Sim.create ~telemetry:tel target (acl_route_prog ()) in
-    let stats = driver sim ~duration:1.0 ~packets:400 ~source:(drop_source 13L) in
-    (tel, window_stats_bits stats)
+  let a, _ =
+    Refcheck.check "telemetry"
+      (Refcheck.windows ~trace_every:7 (config ~sample_rate:1 ()) (acl_route_prog ())
+         [ Refcheck.Window (400, drop_source 13L) ])
   in
-  let tel_a, bits_a = obs Nicsim.Sim.run_window_reference in
-  let tel_b, bits_b = obs (fun sim -> Nicsim.Sim.run_window sim) in
-  check_bool "stats identical under sink" true (bits_a = bits_b);
-  let ma = Telemetry.metrics tel_a and mb = Telemetry.metrics tel_b in
-  Alcotest.(check (list string)) "metric names" (Telemetry.Metrics.names ma)
-    (Telemetry.Metrics.names mb);
-  List.iter
-    (fun n ->
-      check_bool (n ^ " counter") true
-        (Telemetry.Metrics.find_counter ma n = Telemetry.Metrics.find_counter mb n))
-    (Telemetry.Metrics.names ma);
-  let spans t = Telemetry.Trace.spans (Option.get (Telemetry.trace t)) in
-  check_bool "sampled spans identical (order included)" true (spans tel_a = spans tel_b);
-  check_bool "spans nonempty" true (spans tel_a <> [])
+  check_bool "spans nonempty" true (a.spans <> [])
 
 (* Random programs (exact/LPM/ternary/range tables, branching, switch,
-   drops): the compiled window must match the reference interpreter on
-   whole windows. *)
+   drops): the compiled window must match Refsim on whole windows. *)
 let test_compiled_random_programs =
   qtest ~count:40 "compiled window = reference window on random programs"
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
       let case = Fuzz.Gen.case ~n_packets:48 (Stdx.Prng.create (Int64.of_int seed)) in
       let flows = Array.of_list case.Fuzz.Gen.packets in
-      let mk_source () =
-        let k = ref 0 in
-        fun () ->
-          let f = flows.(!k mod Array.length flows) in
-          incr k;
-          Nicsim.Packet.of_fields f
+      let k = ref 0 in
+      let source () =
+        let f = flows.(!k mod Array.length flows) in
+        incr k;
+        Nicsim.Packet.of_fields f
       in
-      let run driver =
-        let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
-        let sim = Nicsim.Sim.create ~config:cfg target case.Fuzz.Gen.program in
-        let stats = driver sim ~duration:1.0 ~packets:200 ~source:(mk_source ()) in
-        ( window_stats_bits stats,
-          Nicsim.Exec.drops_seen (Nicsim.Sim.exec sim),
-          Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)) )
-      in
-      run Nicsim.Sim.run_window_reference = run (fun sim -> Nicsim.Sim.run_window sim))
+      Refcheck.same
+        (Refcheck.windows (config ()) case.Fuzz.Gen.program [ Refcheck.Window (200, source) ]))
 
 (* --- allocation: the steady-state window loop must not churn --- *)
 

@@ -1,10 +1,10 @@
-(* Tests for the pipeline compiler (Nicsim.Compile) and the compiled
-   window drivers: op-array flattening (the nodes a compiled walk
-   traverses: resolved successors, branching, switch-case), and the
-   differential harness proving the
-   compiled data path bit-identical to the interpreter — window stats,
-   profile counters, per-packet latencies, telemetry metrics and spans,
-   flow-cache fills, replicas, and incremental recompilation. *)
+(* Tests for the pipeline compiler (Nicsim.Compile) and the window:
+   op-array flattening (the nodes a compiled walk traverses: resolved
+   successors, branching, switch-case), incremental recompilation, and
+   the compiled data path held bit-identical to the independent
+   reference (Fuzz.Refsim, through the Refcheck harness) — latencies,
+   drops, profile counters, telemetry counters and spans, flow-cache
+   contents, tracer events, replicas and hot patches. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -65,6 +65,31 @@ let merged_prog () =
   let merged = Pipeleon.Merge.build_ternary ~name:"m01" tabs in
   Pipeleon.Transform.apply prog p
     [ Pipeleon.Transform.Merged_plain { merged; originals = tabs } ]
+
+(* A group cache (§3.2.3) in front of a branch whose arms exit to a
+   common table: its fills carry the branch outcome with the arm's
+   actions, so both arms must fill. Ipv4_src = 1 holds for a third of
+   the hitting flows of [zipf_source]. *)
+let group_cached_prog () =
+  let prog = P4ir.Program.empty "group-fix" in
+  let prog, exit_id =
+    P4ir.Program.add_node prog
+      (P4ir.Program.Table (mk_table 3 ~entries:[ 1L; 2L ], P4ir.Program.Uniform None))
+  in
+  let arm prog tab = P4ir.Builder.chain_into prog [ tab ] ~exit:(Some exit_id) in
+  let prog, arm1 = arm prog (mk_table 1 ~entries:[ 1L; 2L ]) in
+  let prog, arm2 = arm prog (mk_table 2 ~entries:[ 2L; 3L ]) in
+  let prog, c =
+    P4ir.Program.add_node prog
+      (P4ir.Builder.cond ~name:"c0" ~field:P4ir.Field.Ipv4_src ~op:P4ir.Program.Eq ~arg:1L
+         ~on_true:(Some arm1) ~on_false:(Some arm2))
+  in
+  let prog = P4ir.Program.with_root prog (Some c) in
+  let g = List.hd (Pipeleon.Group.detect prog ~candidates:(Pipeleon.Pipelet.form prog)) in
+  let cache = Option.get (Pipeleon.Group.build_cache ~name:"gc" prog g) in
+  let prog = Pipeleon.Group.apply prog g ~cache in
+  P4ir.Program.validate_exn prog;
+  prog
 
 (* cond -> (ta | tb) -> join, for flattening and branching identity. *)
 let branching_prog () =
@@ -180,18 +205,12 @@ let test_flatten_cache_and_merge () =
   Alcotest.(check (list string)) "merged program collapses to one op" [ "m01" ]
     (walk_names merged [ (P4ir.Field.Ipv4_src, 1L); (P4ir.Field.Ipv4_dst, 1L) ])
 
-(* --- window-level differential harness --- *)
+(* --- window-level identity against Refsim --- *)
 
-let window_stats_bits (s : Nicsim.Sim.window_stats) =
-  List.map Int64.bits_of_float
-    [ s.window_start; s.window_duration; s.avg_latency; s.p99_latency; s.p50_latency;
-      s.p90_latency; s.p999_latency; s.throughput_gbps; s.drop_fraction ]
-  @ [ Int64.of_int s.sampled_packets; Int64.of_int s.sampled_drops ]
-
-(* Same acl+route fixture as test_props's driver_fixture: a drop-capable
-   ACL plus a multi-length LPM, sample_rate 3 so sampling alignment is
+(* Same acl+route fixture as test_props's: a drop-capable ACL plus a
+   multi-length LPM, sample_rate 3 so sampling alignment is
    load-bearing. *)
-let driver_fixture seed packets run =
+let acl_route seed =
   let acl =
     P4ir.Table.add_entry
       (P4ir.Builder.acl_table ~name:"acl"
@@ -215,73 +234,64 @@ let driver_fixture seed packets run =
            [ 8; 12; 16; 20; 24 ])
       ()
   in
-  let prog = P4ir.Program.linear "drv" [ acl; route ] in
-  let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
-  let sim = Nicsim.Sim.create ~config:cfg target prog in
   let rng = Stdx.Prng.create seed in
   let flows =
     Traffic.Workload.random_flows rng ~n:32
       ~fields:[ P4ir.Field.Ipv4_src; P4ir.Field.Ipv4_dst; P4ir.Field.Tcp_sport ]
   in
   let base = Traffic.Workload.of_flows rng flows in
-  let source =
-    Traffic.Workload.mark_fraction rng ~rate:0.2 ~field:P4ir.Field.Ipv4_dst ~value:9L base
-  in
-  let stats = run sim ~duration:1.0 ~packets ~source in
-  (window_stats_bits stats, Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)))
+  ( P4ir.Program.linear "drv" [ acl; route ],
+    Traffic.Workload.mark_fraction rng ~rate:0.2 ~field:P4ir.Field.Ipv4_dst ~value:9L base )
+
+let config ?(sample_rate = 1) ?(placement = Costmodel.Cost.all_asic) () =
+  { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate; placement }
 
 let test_compiled_window_identical =
   qtest ~count:20 "compiled windows = sequential (bits + counters)"
     QCheck2.Gen.(pair (map Int64.of_int int) (int_range 16 400))
     (fun (seed, packets) ->
-      let seq = driver_fixture seed packets Nicsim.Sim.run_window_reference in
-      let compiled = driver_fixture seed packets (fun sim -> Nicsim.Sim.run_window sim) in
-      seq = compiled)
+      let prog, source = acl_route seed in
+      Refcheck.same
+        (Refcheck.windows (config ~sample_rate:3 ()) prog [ Refcheck.Window (packets, source) ]))
 
 (* Cache-role tables: LRU recency, auto-insert fills, and the token
    bucket all mutate per packet; the compiled walk must reproduce every
    bit of it. *)
-let cache_fixture seed run =
-  let prog = cached_prog () in
-  let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 2 } in
-  let sim = Nicsim.Sim.create ~config:cfg target prog in
-  let stats = run sim ~duration:1.0 ~packets:600 ~source:(zipf_source seed) in
-  let filled =
-    match Nicsim.Exec.engine (Nicsim.Sim.exec sim) "c0" with
-    | Some eng -> Nicsim.Engine.num_entries eng
-    | None -> -1
-  in
-  ( window_stats_bits stats,
-    Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)),
-    filled )
-
 let test_compiled_cache_identical =
   qtest ~count:15 "compiled = sequential on flow-cached program (fills included)"
     QCheck2.Gen.(map Int64.of_int int)
     (fun seed ->
-      let ((_, _, filled) as seq) = cache_fixture seed Nicsim.Sim.run_window_reference in
-      let compiled = cache_fixture seed (fun sim -> Nicsim.Sim.run_window sim) in
+      let ((_, _, r) as run) =
+        Refcheck.windows (config ~sample_rate:2 ()) (cached_prog ())
+          [ Refcheck.Window (600, zipf_source seed) ]
+      in
       (* The fixture must actually exercise the fill path. *)
-      filled > 0 && seq = compiled)
+      List.exists (fun (_, (c : Fuzz.Refsim.cache_report)) -> c.fills > 0) r.caches
+      && Refcheck.same run)
 
 let test_compiled_merged_identical () =
-  let run prog driver =
-    let sim = Nicsim.Sim.create target prog in
-    let stats = driver sim ~duration:1.0 ~packets:500 ~source:(zipf_source 3L) in
-    (window_stats_bits stats, Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)))
+  let _, r =
+    Refcheck.check "group-cached program"
+      (Refcheck.windows (config ()) (group_cached_prog ())
+         [ Refcheck.Window (500, zipf_source 3L) ])
   in
+  let fused =
+    List.sort_uniq compare
+      (List.map (fun (e : P4ir.Table.entry) -> e.action) (List.assoc "gc" r.caches).lru)
+  in
+  check_bool "both arms fill the group cache" true (List.length fused >= 2);
   List.iter
     (fun prog ->
-      let seq = run prog Nicsim.Sim.run_window_reference in
-      let compiled = run prog (fun sim -> Nicsim.Sim.run_window sim) in
-      check_bool "merged/branching/switch program identical" true (seq = compiled))
+      ignore
+        (Refcheck.check "merged/branching/switch program"
+           (Refcheck.windows (config ()) prog [ Refcheck.Window (500, zipf_source 3L) ])))
     [ merged_prog ();
       (let p, _, _, _, _ = branching_prog () in p);
       (let p, _, _, _ = per_action_prog () in p) ]
 
 (* Whole-optimizer output: whatever plan the search picks (caches,
-   merges, reorders, groups), the compiled walk must agree with the
-   interpreter on it. *)
+   merges, reorders, groups), the compiled walk must agree with Refsim
+   on it. *)
 let test_compiled_optimizer_output_identical () =
   let prog = P4ir.Program.linear "opt" (chain 4) in
   let prof = Profile.with_default_cache_hit 0.9 (Profile.uniform prog) in
@@ -292,13 +302,9 @@ let test_compiled_optimizer_output_identical () =
   in
   let optimized = result.Pipeleon.Optimizer.program in
   P4ir.Program.validate_exn optimized;
-  let run driver =
-    let sim = Nicsim.Sim.create target optimized in
-    let stats = driver sim ~duration:1.0 ~packets:800 ~source:(zipf_source 11L) in
-    (window_stats_bits stats, Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)))
-  in
-  check_bool "optimized program identical under compiled driver" true
-    (run Nicsim.Sim.run_window_reference = run (fun sim -> Nicsim.Sim.run_window sim))
+  ignore
+    (Refcheck.check "optimized program"
+       (Refcheck.windows (config ()) optimized [ Refcheck.Window (800, zipf_source 11L) ]))
 
 (* --- batch-level identity: per-packet latencies --- *)
 
@@ -308,139 +314,81 @@ let run_lane ex ~seq ~now pkt =
   ignore (Nicsim.Exec.run_batch ex ~seqs:[| seq |] ~nows:[| now |] ~pos:0 ~n:1 ~out [| pkt |]);
   out.(0)
 
-let batch_obs prog run =
-  let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
-  let ex = Nicsim.Exec.create cfg prog in
-  let source = zipf_source 21L in
-  let n = 300 in
-  let pkts = Array.init n (fun _ -> source ()) in
-  let nows = Array.init n (fun i -> 0.001 *. float_of_int i) in
-  let out = Array.make n 0. in
-  let dropped = run ex ~nows ~out pkts in
-  ( Array.map Int64.bits_of_float out,
-    dropped,
-    Nicsim.Exec.drops_seen ex,
-    Profile.Counter.dump (Nicsim.Exec.counters ex) )
-
-let interp_batch ex ~nows ~out pkts =
-  Array.iteri
-    (fun i pkt -> out.(i) <- Nicsim.Exec.run_packet ex ~now:nows.(i) pkt)
-    pkts;
-  Array.fold_left (fun d p -> if Nicsim.Packet.is_dropped p then d + 1 else d) 0 pkts
-
-let walk_batch ex ~nows ~out pkts =
-  let n = Array.length pkts in
-  Nicsim.Exec.run_batch ex ~seqs:(Array.init n (fun i -> i + 1)) ~nows ~pos:0 ~n ~out pkts
-
 let test_batch_latencies_bit_identical () =
   List.iter
     (fun prog ->
-      check_bool "per-packet latency bits + drops + counters" true
-        (batch_obs prog interp_batch = batch_obs prog walk_batch))
+      let source = zipf_source 21L in
+      let pkts = Array.init 300 (fun _ -> source ()) in
+      let nows = Array.init 300 (fun i -> 0.001 *. float_of_int i) in
+      ignore
+        (Refcheck.check "per-packet latency bits"
+           (Refcheck.burst (config ~sample_rate:3 ()) prog ~nows pkts)))
     [ P4ir.Program.linear "lin" (chain 3); cached_prog (); merged_prog () ]
 
 (* --- replicas --- *)
 
 let test_replica_compiled_identical () =
   let prog = P4ir.Program.linear "rep" (chain 3) in
-  let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
+  let cfg = config ~sample_rate:3 () in
   let ex = Nicsim.Exec.create cfg prog in
-  (* Warm the parent, so the replica's explicit sequence numbers differ
-     from its own packet count. *)
+  let s = Fuzz.Refsim.session (Refcheck.refsim_config cfg) prog in
+  (* Warm the parent (and the session), so the replica's explicit
+     sequence numbers differ from its own packet count. *)
   let warm = zipf_source 4L in
-  for _ = 1 to 50 do
-    ignore (Nicsim.Exec.run_packet ex ~now:0. (warm ()))
+  for i = 1 to 50 do
+    let pkt = warm () in
+    ignore (Fuzz.Refsim.send s ~seq:i ~now:0. (Refcheck.fields_of pkt));
+    ignore (run_lane ex ~seq:i ~now:0. pkt)
   done;
-  let baseline = Profile.Counter.snapshot (Nicsim.Exec.counters ex) in
+  let baseline = (Fuzz.Refsim.report s).counters in
   let r = Nicsim.Exec.replicate ex in
-  let src_a = zipf_source 5L and src_b = zipf_source 5L in
+  let src = zipf_source 5L in
   let ok = ref true in
   for i = 1 to 200 do
-    (* The parent interprets packet i at sequence number 50 + i. *)
-    let a = Nicsim.Exec.run_packet ex ~now:0.01 (src_a ()) in
-    let b = run_lane r ~seq:(50 + i) ~now:0.01 (src_b ()) in
-    if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then ok := false
+    let pkt = src () in
+    let want = Fuzz.Refsim.send s ~seq:(50 + i) ~now:0.01 (Refcheck.fields_of pkt) in
+    let got = run_lane r ~seq:(50 + i) ~now:0.01 pkt in
+    if not (Int64.equal (Int64.bits_of_float want.latency) (Int64.bits_of_float got)) then
+      ok := false
   done;
   check_bool "replica latencies bit-identical" true !ok;
-  check_bool "replica counters identical" true
-    (Profile.Counter.dump
-       (Profile.Counter.diff ~current:(Nicsim.Exec.counters ex) ~baseline)
-    = Profile.Counter.dump (Nicsim.Exec.counters r))
+  let since_replica =
+    List.filter_map
+      (fun (k, v) ->
+        let d = v - Option.value ~default:0 (List.assoc_opt k baseline) in
+        if d > 0 then Some (k, d) else None)
+      (Fuzz.Refsim.report s).counters
+  in
+  check_bool "replica counters = reference since the copy" true
+    (since_replica
+    = List.map
+        (fun ((k : Profile.Counter.key), v) -> ((k.owner, k.label), Int64.to_int v))
+        (Profile.Counter.dump (Nicsim.Exec.counters r)))
 
 (* --- telemetry identity --- *)
 
-module M = Telemetry.Metrics
-module Tr = Telemetry.Trace
-module H = Telemetry.Histogram
-
-let telemetry_obs driver =
-  let tel = Telemetry.create ~trace_capacity:4096 ~trace_sample_every:7 () in
-  let sim = Nicsim.Sim.create ~telemetry:tel target (cached_prog ()) in
-  let stats = driver sim ~duration:1.0 ~packets:400 ~source:(zipf_source 13L) in
-  (tel, window_stats_bits stats)
-
 let test_compiled_telemetry_identical () =
-  let tel_a, bits_a = telemetry_obs Nicsim.Sim.run_window_reference in
-  let tel_b, bits_b = telemetry_obs (fun sim -> Nicsim.Sim.run_window sim) in
-  check_bool "stats identical under sink" true (bits_a = bits_b);
-  let ma = Telemetry.metrics tel_a and mb = Telemetry.metrics tel_b in
-  Alcotest.(check (list string)) "metric names" (M.names ma) (M.names mb);
-  List.iter
-    (fun n ->
-      check_bool (n ^ " counter") true (M.find_counter ma n = M.find_counter mb n);
-      check_bool (n ^ " gauge") true
-        (match (M.find_gauge ma n, M.find_gauge mb n) with
-        | Some a, Some b -> Float.equal a b
-        | None, None -> true
-        | _ -> false);
-      check_bool (n ^ " histogram") true
-        (match (M.find_histogram ma n, M.find_histogram mb n) with
-        | Some a, Some b -> H.bucket_counts a = H.bucket_counts b
-        | None, None -> true
-        | _ -> false))
-    (M.names ma);
-  let spans t = Tr.spans (Option.get (Telemetry.trace t)) in
-  check_bool "sampled spans identical" true (spans tel_a = spans tel_b);
-  check_bool "spans nonempty" true (spans tel_a <> [])
+  let a, _ =
+    Refcheck.check "telemetry (1 in 7 traced)"
+      (Refcheck.windows ~trace_every:7 (config ()) (cached_prog ())
+         [ Refcheck.Window (400, zipf_source 13L) ])
+  in
+  check_bool "spans nonempty" true (a.spans <> [])
 
-(* --- the walk against the interpreter reference --- *)
-
-let reference = Nicsim.Sim.run_window_reference
-let walk sim = Nicsim.Sim.run_window sim
-
-let metrics_obs tel =
-  let m = Telemetry.metrics tel in
-  List.map
-    (fun n ->
-      ( n,
-        M.find_counter m n,
-        Option.map Int64.bits_of_float (M.find_gauge m n),
-        Option.map H.bucket_counts (M.find_histogram m n) ))
-    (M.names m)
+(* --- the walk against Refsim under placement and sampling --- *)
 
 (* Three windows (an odd packet count, so each window's first global
-   sequence number lands at a different sampling phase) with a
-   trace-ring sink and a tracer hook installed. *)
-let reference_obs ?(sample_rate = 1) ~placement ~source prog run =
-  let cfg =
-    { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate; placement }
-  in
-  let tel = Telemetry.create ~trace_capacity:8192 ~trace_sample_every:5 () in
-  let sim = Nicsim.Sim.create ~config:cfg ~telemetry:tel target prog in
+   sequence number lands at a different sampling phase) with a sink
+   tracing one packet in five and a tracer hook installed. *)
+let check_against_reference ?sample_rate ~placement ~source prog =
   let source = source () in
-  let events = ref [] in
-  Nicsim.Exec.set_tracer (Nicsim.Sim.exec sim) (Some (fun e -> events := e :: !events));
-  let windows =
-    List.init 3 (fun _ -> window_stats_bits (run sim ~duration:1.0 ~packets:301 ~source))
+  let a, r =
+    Refcheck.check "walk = Refsim"
+      (Refcheck.windows ~trace_every:5 (config ?sample_rate ~placement ()) prog
+         (List.init 3 (fun _ -> Refcheck.Window (301, source))))
   in
-  let ex = Nicsim.Sim.exec sim in
-  ( ( windows,
-      Profile.Counter.dump (Nicsim.Exec.counters ex),
-      Nicsim.Exec.packets_seen ex,
-      Nicsim.Exec.drops_seen ex,
-      metrics_obs tel ),
-    Tr.spans (Option.get (Telemetry.trace tel)),
-    List.rev !events )
+  check_bool "spans and events nonempty" true (a.spans <> [] && a.events <> []);
+  r.drops
 
 let cpu_on names prog id =
   let name =
@@ -474,16 +422,6 @@ let drop_zipf_source seed =
   let rng = Stdx.Prng.create (Int64.add seed 7L) in
   Traffic.Workload.mark_fraction rng ~rate:0.15 ~field:P4ir.Field.Ipv4_dst ~value:9L
     (zipf_source seed)
-
-let check_against_reference ?sample_rate ~placement ~source prog =
-  let obs run = reference_obs ?sample_rate ~placement ~source prog run in
-  let ((_, _, _, drops, _) as r_core), r_spans, r_events = obs reference in
-  let w_core, w_spans, w_events = obs walk in
-  check_bool "walk = reference (stats, counters, telemetry)" true (r_core = w_core);
-  check_bool "walk spans = reference" true (r_spans = w_spans);
-  check_bool "walk tracer events = reference" true (r_events = w_events);
-  check_bool "spans and events nonempty" true (r_spans <> [] && r_events <> []);
-  drops
 
 let test_walk_heterogeneous_placement () =
   let drops =
@@ -534,25 +472,18 @@ let test_incremental_recompile_reuses_artifacts () =
   check_int "three artifacts reused" 3 reused;
   check_int "one artifact rebuilt" 1 rebuilt
 
-let deploy_fixture seed run =
-  let sim = Nicsim.Sim.create target (P4ir.Program.linear "dep" (chain 4)) in
-  let obs () =
-    Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim))
-  in
-  let w1 = run sim ~duration:1.0 ~packets:200 ~source:(zipf_source seed) in
-  let tabs' =
-    List.mapi (fun i _ -> mk_table ~extra_action:(i = 1) i ~entries:[ 1L; 2L; 3L ]) (chain 4)
-  in
-  ignore (Nicsim.Sim.hot_patch sim (P4ir.Program.linear "dep" tabs'));
-  let w2 = run sim ~duration:1.0 ~packets:200 ~source:(zipf_source (Int64.add seed 1L)) in
-  (window_stats_bits w1, window_stats_bits w2, obs ())
-
 let test_compiled_across_hot_patch_identical =
   qtest ~count:10 "window / hot_patch / window: compiled = sequential"
     QCheck2.Gen.(map Int64.of_int int)
     (fun seed ->
-      deploy_fixture seed Nicsim.Sim.run_window_reference
-      = deploy_fixture seed (fun sim -> Nicsim.Sim.run_window sim))
+      let tabs' =
+        List.mapi (fun i _ -> mk_table ~extra_action:(i = 1) i ~entries:[ 1L; 2L; 3L ]) (chain 4)
+      in
+      Refcheck.same
+        (Refcheck.windows (config ()) (P4ir.Program.linear "dep" (chain 4))
+           [ Refcheck.Window (200, zipf_source seed);
+             Refcheck.Hot_patch (P4ir.Program.linear "dep" tabs');
+             Refcheck.Window (200, zipf_source (Int64.add seed 1L)) ]))
 
 let () =
   Alcotest.run "compile"

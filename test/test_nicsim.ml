@@ -2,6 +2,11 @@
    run-to-completion executor, and the multicore throughput model. *)
 
 let check_bool = Alcotest.(check bool)
+
+(* The data path's lookup: the match and its modeled access count. *)
+let lookup eng pkt =
+  let r = Nicsim.Engine.probe eng pkt in
+  (r, Nicsim.Engine.last_accesses eng)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 let check_float = Alcotest.(check (float 1e-6))
@@ -43,10 +48,10 @@ let test_engine_exact () =
       ()
   in
   let eng = Nicsim.Engine.create tab in
-  let hit, accesses = Nicsim.Engine.lookup eng (pkt_dst 5L) in
+  let hit, accesses = lookup eng (pkt_dst 5L) in
   check_bool "hit" true (Option.is_some hit);
   check_int "one access" 1 accesses;
-  let miss, accesses = Nicsim.Engine.lookup eng (pkt_dst 6L) in
+  let miss, accesses = lookup eng (pkt_dst 6L) in
   check_bool "miss" true (miss = None);
   check_int "miss one access" 1 accesses
 
@@ -62,17 +67,17 @@ let lpm_table () =
 
 let test_engine_lpm_longest_first () =
   let eng = Nicsim.Engine.create (lpm_table ()) in
-  let hit, accesses = Nicsim.Engine.lookup eng (pkt_dst 0x0A0B0C0DL) in
+  let hit, accesses = lookup eng (pkt_dst 0x0A0B0C0DL) in
   (match hit with
    | Some e -> check_string "longest prefix wins" "a24" e.action
    | None -> Alcotest.fail "expected hit");
   check_int "first probe suffices" 1 accesses;
-  let hit, accesses = Nicsim.Engine.lookup eng (pkt_dst 0x0AFFFFFFL) in
+  let hit, accesses = lookup eng (pkt_dst 0x0AFFFFFFL) in
   (match hit with
    | Some e -> check_string "short prefix" "a8" e.action
    | None -> Alcotest.fail "expected /8 hit");
   check_int "two probes" 2 accesses;
-  let miss, accesses = Nicsim.Engine.lookup eng (pkt_dst 0x0B000000L) in
+  let miss, accesses = lookup eng (pkt_dst 0x0B000000L) in
   check_bool "miss" true (miss = None);
   check_int "all groups probed on miss" 2 accesses
 
@@ -88,7 +93,7 @@ let test_engine_ternary_priority () =
       ()
   in
   let eng = Nicsim.Engine.create tab in
-  let hit, accesses = Nicsim.Engine.lookup eng (pkt_dst 0x0A0B0000L) in
+  let hit, accesses = lookup eng (pkt_dst 0x0A0B0000L) in
   (match hit with
    | Some e -> check_string "priority wins" "high" e.action
    | None -> Alcotest.fail "expected hit");
@@ -104,7 +109,7 @@ let test_engine_range_linear () =
       ()
   in
   let eng = Nicsim.Engine.create tab in
-  match Nicsim.Engine.lookup eng (pkt_dst 1L) with
+  match lookup eng (pkt_dst 1L) with
   | Some e, _ -> check_string "range hit" "web" e.action
   | None, _ -> Alcotest.fail "expected range hit"
 
@@ -119,7 +124,7 @@ let test_engine_insert_delete () =
   Nicsim.Engine.insert eng (P4ir.Table.entry [ P4ir.Pattern.Exact 7L ] "hit");
   check_int "one entry" 1 (Nicsim.Engine.num_entries eng);
   check_bool "hit after insert" true
-    (fst (Nicsim.Engine.lookup eng (pkt_dst 7L)) <> None);
+    (fst (lookup eng (pkt_dst 7L)) <> None);
   check_bool "delete" true (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Exact 7L ]);
   check_int "empty" 0 (Nicsim.Engine.num_entries eng);
   check_int "both updates counted" 2 (Nicsim.Engine.take_update_count eng);
@@ -282,7 +287,7 @@ let test_lru_model =
                    else
                      Option.map
                        (fun (e : P4ir.Table.entry) -> e.action)
-                       (fst (Nicsim.Engine.lookup !eng (pkt_dst k)))
+                       (fst (lookup !eng (pkt_dst k)))
                  in
                  got = model_find m k
                | Delete k ->
@@ -323,6 +328,8 @@ let test_exec_drop_halts () =
   let prog = P4ir.Program.linear "p" (acl :: after) in
   let target = Costmodel.Target.bluefield2 in
   let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) prog in
+  let tel = Telemetry.create () in
+  Nicsim.Exec.set_telemetry ex tel;
   let dropped = pkt_dst 9L in
   let lat_dropped = Nicsim.Exec.run_packet ex ~now:0. dropped in
   check_bool "dropped" true (Nicsim.Packet.is_dropped dropped);
@@ -330,7 +337,8 @@ let test_exec_drop_halts () =
   let lat_passed = Nicsim.Exec.run_packet ex ~now:0. passed in
   check_bool "not dropped" false (Nicsim.Packet.is_dropped passed);
   check_bool "early drop is cheaper" true (lat_dropped < lat_passed);
-  check_int "drops counted" 1 (Nicsim.Exec.drops_seen ex)
+  check_bool "drops counted" true
+    (Telemetry.Metrics.find_counter (Telemetry.metrics tel) "nicsim.drops" = Some 1)
 
 let test_exec_actions_apply () =
   let tab =
@@ -609,7 +617,7 @@ let test_lpm_plan_matches_linear () =
     lens;
   let agree probe =
     let pkt = pkt_dst probe in
-    let plan_hit, plan_acc = Nicsim.Engine.lookup eng pkt in
+    let plan_hit, plan_acc = lookup eng pkt in
     let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
     check_bool
       (Printf.sprintf "same result at %Lx" probe)
@@ -685,7 +693,7 @@ let lpm_lengths_table ~lens ~per =
 
 let plan_agrees_with_linear ?(pkt_of = pkt_dst) eng probe =
   let pkt = pkt_of probe in
-  let plan_hit, plan_acc = Nicsim.Engine.lookup eng pkt in
+  let plan_hit, plan_acc = lookup eng pkt in
   let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
   check_bool
     (Printf.sprintf "plan = linear at %Lx" probe)
@@ -793,16 +801,16 @@ let test_plan_staleness () =
   let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned (empty_lpm_table ()) in
   Nicsim.Engine.insert eng (lpm_entry ~len:16 0x0A0B0000L);
   check_string "learned from the start" "learned" (Nicsim.Engine.plan_kind eng);
-  check_bool "/16 hit" true (fst (Nicsim.Engine.lookup eng (pkt_dst 0x0A0B0C0DL)) <> None);
+  check_bool "/16 hit" true (fst (lookup eng (pkt_dst 0x0A0B0C0DL)) <> None);
   (* Every control-plane mutation must invalidate the compiled plan. *)
   Nicsim.Engine.insert eng (lpm_entry ~len:24 0x0A0B0C00L);
-  (match fst (Nicsim.Engine.lookup eng (pkt_dst 0x0A0B0C0DL)) with
+  (match fst (lookup eng (pkt_dst 0x0A0B0C0DL)) with
    | Some e ->
      check_bool "rebuilt after insert" true
        (e.P4ir.Table.patterns = [ P4ir.Pattern.Lpm (0x0A0B0C00L, 24) ])
    | None -> Alcotest.fail "expected hit after insert");
   ignore (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Lpm (0x0A0B0C00L, 24) ]);
-  (match fst (Nicsim.Engine.lookup eng (pkt_dst 0x0A0B0C0DL)) with
+  (match fst (lookup eng (pkt_dst 0x0A0B0C0DL)) with
    | Some e ->
      check_bool "rebuilt after delete" true
        (e.P4ir.Table.patterns = [ P4ir.Pattern.Lpm (0x0A0B0000L, 16) ])
@@ -810,13 +818,13 @@ let test_plan_staleness () =
   Nicsim.Engine.load_entries eng [ lpm_entry ~len:8 0x0B000000L ];
   check_int "reloaded entry count" 1 (Nicsim.Engine.num_entries eng);
   check_bool "rebuilt after load_entries" true
-    (fst (Nicsim.Engine.lookup eng (pkt_dst 0x0B123456L)) <> None);
+    (fst (lookup eng (pkt_dst 0x0B123456L)) <> None);
   check_bool "old entries gone" true
-    (fst (Nicsim.Engine.lookup eng (pkt_dst 0x0A0B0C0DL)) = None);
+    (fst (lookup eng (pkt_dst 0x0A0B0C0DL)) = None);
   Nicsim.Engine.invalidate eng;
   check_int "invalidated" 0 (Nicsim.Engine.num_entries eng);
   check_bool "rebuilt after invalidate" true
-    (fst (Nicsim.Engine.lookup eng (pkt_dst 0x0B123456L)) = None)
+    (fst (lookup eng (pkt_dst 0x0B123456L)) = None)
 
 let test_learned_remainder_store () =
   (* A dense run of /32 hosts makes the piecewise-linear fit trivial;
@@ -890,7 +898,7 @@ let test_engine_copy_independent () =
   Nicsim.Engine.insert eng (lpm_entry ~len:24 0x0A0B0C00L);
   check_int "copy unaffected by later insert" 1 (Nicsim.Engine.num_entries snap);
   check_int "original grew" 2 (Nicsim.Engine.num_entries eng);
-  (match fst (Nicsim.Engine.lookup snap (pkt_dst 0x0A0B0C0DL)) with
+  (match fst (lookup snap (pkt_dst 0x0A0B0C0DL)) with
    | Some e -> check_bool "copy still matches /8" true (e.P4ir.Table.patterns = [ P4ir.Pattern.Lpm (0x0A000000L, 8) ])
    | None -> Alcotest.fail "copy lost its entry");
   ignore (Nicsim.Engine.delete snap ~patterns:[ P4ir.Pattern.Lpm (0x0A000000L, 8) ]);
@@ -915,18 +923,7 @@ let test_prng_fork_deterministic () =
        (Stdx.Prng.next64 (Stdx.Prng.fork c 0))
        (Stdx.Prng.next64 (Stdx.Prng.fork c 1)))
 
-(* --- windows: the compiled walk against the reference interpreter --- *)
-
-let stats_bits_equal (a : Nicsim.Sim.window_stats) (b : Nicsim.Sim.window_stats) =
-  let f x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  f a.window_start b.window_start
-  && f a.window_duration b.window_duration
-  && a.sampled_packets = b.sampled_packets
-  && a.sampled_drops = b.sampled_drops
-  && f a.avg_latency b.avg_latency
-  && f a.p99_latency b.p99_latency
-  && f a.throughput_gbps b.throughput_gbps
-  && f a.drop_fraction b.drop_fraction
+(* --- windows: the compiled walk against Refsim --- *)
 
 (* Exact + LPM + ternary pipeline with a drop entry some packets hit. *)
 let driver_program () =
@@ -968,34 +965,20 @@ let driver_source seed =
   let base = Traffic.Workload.of_flows rng flows in
   Traffic.Workload.mark_fraction rng ~rate:0.2 ~field:P4ir.Field.Ipv4_dst ~value:9L base
 
-let driver_sim () =
-  let target = Costmodel.Target.bluefield2 in
-  (* A non-trivial sample rate makes the global-sequence sampling pinning
-     observable: get it wrong and counters AND latencies diverge. *)
-  let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
-  Nicsim.Sim.create ~config:cfg target (driver_program ())
-
-let check_driver_identical name run_alt =
-  let sim_a = driver_sim () in
-  let stats_a =
-    Nicsim.Sim.run_window_reference sim_a ~duration:1.0 ~packets:1000
-      ~source:(driver_source 5L)
-  in
-  let sim_b = driver_sim () in
-  let stats_b = run_alt sim_b (driver_source 5L) in
-  check_bool (name ^ ": stats bit-identical") true (stats_bits_equal stats_a stats_b);
-  check_bool (name ^ ": counters identical") true
-    (Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim_a))
-    = Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim_b)));
-  check_int (name ^ ": packets seen") (Nicsim.Exec.packets_seen (Nicsim.Sim.exec sim_a))
-    (Nicsim.Exec.packets_seen (Nicsim.Sim.exec sim_b));
-  check_int (name ^ ": drops seen") (Nicsim.Exec.drops_seen (Nicsim.Sim.exec sim_a))
-    (Nicsim.Exec.drops_seen (Nicsim.Sim.exec sim_b))
-
 let test_window_batched_identical () =
-  (* 1000 packets in bursts of 64 end on a ragged burst of 40. *)
-  check_driver_identical "batched" (fun sim source ->
-      Nicsim.Sim.run_window sim ~duration:1.0 ~packets:1000 ~source)
+  (* 1000 packets in bursts of 64 end on a ragged burst of 40. A
+     non-trivial sample rate makes the global-sequence sampling pinning
+     observable: get it wrong and counters AND latencies diverge. *)
+  let cfg =
+    { (Nicsim.Exec.default_config Costmodel.Target.bluefield2) with
+      Nicsim.Exec.sample_rate = 3 }
+  in
+  let _, r =
+    Refcheck.check "batched"
+      (Refcheck.windows cfg (driver_program ()) [ Refcheck.Window (1000, driver_source 5L) ])
+  in
+  check_int "batched: packets seen" 1000 r.packets;
+  check_bool "batched: drops seen" true (r.drops > 0)
 
 let () =
   Alcotest.run "nicsim"

@@ -536,7 +536,7 @@ let test_group_detection_and_equivalence () =
   let groups = Pipeleon.Group.detect prog ~candidates:pipelets in
   check_int "one group detected" 1 (List.length groups);
   let g = List.hd groups in
-  match Pipeleon.Group.build_cache ~name:"gc" ~insert_limit:1e9 prog g with
+  match Pipeleon.Group.build_cache ~name:"gc" prog g with
   | None -> Alcotest.fail "group cache should build"
   | Some cache ->
     let prog' = Pipeleon.Group.apply prog g ~cache in
@@ -557,7 +557,7 @@ let test_group_cache_fills_and_hits () =
   in
   let prog = P4ir.Program.with_root prog (Some c) in
   let g = List.hd (Pipeleon.Group.detect prog ~candidates:(Pipeleon.Pipelet.form prog)) in
-  let cache = Option.get (Pipeleon.Group.build_cache ~name:"gc" ~insert_limit:1e9 prog g) in
+  let cache = Option.get (Pipeleon.Group.build_cache ~name:"gc" prog g) in
   let prog' = Pipeleon.Group.apply prog g ~cache in
   let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) prog' in
   let send proto src =

@@ -1,12 +1,18 @@
 (* Property-based tests (QCheck) on the core invariants:
    - bit-level helpers (truncate, prefix masks, pattern semantics);
    - engine lookups agree with the reference Table.lookup semantics;
+   - windows agree with the Refsim reference on random sizes;
    - node-sum expected latency equals path enumeration on random DAGs;
    - the optimizer preserves program semantics on random programs;
    - knapsack solutions respect budgets and beat greedy;
    - LRU never exceeds capacity. *)
 
 let target = Costmodel.Target.bluefield2
+
+(* The data path's lookup: the match and its modeled access count. *)
+let lookup eng pkt =
+  let r = Nicsim.Engine.probe eng pkt in
+  (r, Nicsim.Engine.last_accesses eng)
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -88,7 +94,7 @@ let test_engine_matches_reference =
     (fun (tab, probe) ->
       let eng = Nicsim.Engine.create tab in
       let pkt = Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, Int64.of_int probe) ] in
-      let engine_hit, _ = Nicsim.Engine.lookup eng pkt in
+      let engine_hit, _ = lookup eng pkt in
       let ref_hit = P4ir.Table.lookup tab (fun _ -> Int64.of_int probe) in
       match (engine_hit, ref_hit) with
       | None, None -> true
@@ -156,7 +162,7 @@ let test_lpm_plan_equals_linear =
     (fun (tab, probe) ->
       let eng = Nicsim.Engine.create tab in
       let pkt = lpm_probe_packet probe in
-      let plan_hit, plan_acc = Nicsim.Engine.lookup eng pkt in
+      let plan_hit, plan_acc = lookup eng pkt in
       let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
       plan_acc = lin_acc
       &&
@@ -176,7 +182,7 @@ let test_learned_plan_equals_linear =
     (fun (tab, probe) ->
       let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned tab in
       let pkt = lpm_probe_packet probe in
-      let plan_hit, plan_acc = Nicsim.Engine.lookup eng pkt in
+      let plan_hit, plan_acc = lookup eng pkt in
       let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
       String.equal (Nicsim.Engine.plan_kind eng) "learned"
       && plan_acc = lin_acc
@@ -222,7 +228,7 @@ let test_tree_plan_equals_linear =
     (fun (tab, probe) ->
       let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree tab in
       let pkt = Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, Int64.of_int probe) ] in
-      let plan_hit, plan_acc = Nicsim.Engine.lookup eng pkt in
+      let plan_hit, plan_acc = lookup eng pkt in
       let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
       String.equal (Nicsim.Engine.plan_kind eng) "tree"
       && plan_acc = lin_acc
@@ -232,15 +238,9 @@ let test_tree_plan_equals_linear =
       | Some a, Some b -> a.P4ir.Table.priority = b.P4ir.Table.priority
       | _ -> false)
 
-(* --- window drivers --- *)
+(* --- the window against Refsim --- *)
 
-let window_stats_bits (s : Nicsim.Sim.window_stats) =
-  List.map Int64.bits_of_float
-    [ s.window_start; s.window_duration; s.avg_latency; s.p99_latency;
-      s.throughput_gbps; s.drop_fraction ]
-  @ [ Int64.of_int s.sampled_packets; Int64.of_int s.sampled_drops ]
-
-let driver_fixture seed packets run =
+let acl_route seed =
   let acl =
     P4ir.Table.add_entry
       (P4ir.Builder.acl_table ~name:"acl"
@@ -264,28 +264,22 @@ let driver_fixture seed packets run =
            [ 8; 12; 16; 20; 24 ])
       ()
   in
-  let prog = P4ir.Program.linear "drv" [ acl; route ] in
-  let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
-  let sim = Nicsim.Sim.create ~config:cfg target prog in
   let rng = Stdx.Prng.create seed in
   let flows =
     Traffic.Workload.random_flows rng ~n:32
       ~fields:[ P4ir.Field.Ipv4_src; P4ir.Field.Ipv4_dst; P4ir.Field.Tcp_sport ]
   in
   let base = Traffic.Workload.of_flows rng flows in
-  let source =
-    Traffic.Workload.mark_fraction rng ~rate:0.2 ~field:P4ir.Field.Ipv4_dst ~value:9L base
-  in
-  let stats = run sim ~duration:1.0 ~packets ~source in
-  (window_stats_bits stats, Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)))
+  ( P4ir.Program.linear "drv" [ acl; route ],
+    Traffic.Workload.mark_fraction rng ~rate:0.2 ~field:P4ir.Field.Ipv4_dst ~value:9L base )
 
 let test_window_drivers_identical =
   qtest ~count:20 "batched windows = sequential (bits + counters)"
     QCheck2.Gen.(pair (map Int64.of_int int) (int_range 16 400))
     (fun (seed, packets) ->
-      let seq = driver_fixture seed packets Nicsim.Sim.run_window_reference in
-      let batched = driver_fixture seed packets (fun sim -> Nicsim.Sim.run_window sim) in
-      seq = batched)
+      let prog, source = acl_route seed in
+      let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
+      Refcheck.same (Refcheck.windows cfg prog [ Refcheck.Window (packets, source) ]))
 
 let synth_gen =
   let open QCheck2.Gen in
@@ -568,7 +562,7 @@ let test_range_scan_equals_reference =
             in
             same
             && Nicsim.Engine.last_accesses eng = max 1 (Nicsim.Engine.num_entries eng)
-            && fst (Nicsim.Engine.lookup eng pkt) = got)
+            && fst (Nicsim.Engine.lookup_linear eng pkt) = got)
           probes
       in
       agree ()

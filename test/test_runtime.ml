@@ -7,6 +7,11 @@ let check_int = Alcotest.(check int)
 
 let target = Costmodel.Target.bluefield2
 
+(* The data path's lookup: the match and its modeled access count. *)
+let lookup eng pkt =
+  let r = Nicsim.Engine.probe eng pkt in
+  (r, Nicsim.Engine.last_accesses eng)
+
 let fields = [ P4ir.Field.Ipv4_src; P4ir.Field.Ipv4_dst; P4ir.Field.Tcp_sport; P4ir.Field.Tcp_dport ]
 
 let mk_table ?(entries = 3) name field =
@@ -108,7 +113,7 @@ let test_insert_survives_redeploy () =
      carried over by the simulator's live reconfiguration. *)
   let eng = Nicsim.Exec.engine_exn (Nicsim.Sim.exec sim) "t0" in
   check_bool "entry survived" true
-    (fst (Nicsim.Engine.lookup eng (Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_src, 99L) ])) <> None)
+    (fst (lookup eng (Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_src, 99L) ])) <> None)
 
 let test_downtime_advances_clock () =
   let config = { Runtime.Controller.default_config with reconfig_downtime = 3.0 } in
@@ -366,7 +371,7 @@ let test_update_faults_repaired () =
   let eng = Nicsim.Exec.engine_exn (Nicsim.Sim.exec sim) "t0" in
   check_int "dropped ops repaired" 3 (Nicsim.Engine.num_entries eng);
   check_bool "inserted entry reachable" true
-    (fst (Nicsim.Engine.lookup eng (Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_src, 77L) ])) <> None);
+    (fst (lookup eng (Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_src, 77L) ])) <> None);
   check_bool "repairs counted" true
     (Telemetry.Metrics.find_counter (Telemetry.metrics tel) "runtime.remediations.update_repair"
     = Some 2);
@@ -380,36 +385,12 @@ let test_update_faults_repaired () =
   let ctl2 = Runtime.Controller.create ~config sim2 ~original:(program ()) in
   Runtime.Controller.insert ctl2 ~table:"t0" (P4ir.Table.entry [ P4ir.Pattern.Exact 88L ] "act");
   let eng2 = Nicsim.Exec.engine_exn (Nicsim.Sim.exec sim2) "t0" in
-  match fst (Nicsim.Engine.lookup eng2 (Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_src, 88L) ])) with
+  match fst (lookup eng2 (Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_src, 88L) ])) with
   | None -> Alcotest.fail "corrupted insert vanished"
   | Some (e : P4ir.Table.entry) ->
     Alcotest.(check string) "corruption repaired to the requested action" "act" e.P4ir.Table.action
 
 (* --- incremental reconfiguration --- *)
-
-let test_incremental_diff () =
-  let prog = program () in
-  let renamed =
-    P4ir.Program.linear "rt"
-      (mk_table "t0" P4ir.Field.Ipv4_src
-      :: mk_table "brand_new" P4ir.Field.Udp_sport
-      :: List.filteri (fun i _ -> i >= 2)
-           (List.mapi (fun i f -> mk_table (Printf.sprintf "t%d" i) f) fields))
-  in
-  let changes = Runtime.Incremental.diff ~old_program:prog ~new_program:renamed in
-  check_bool "t1 removed" true (List.mem (Runtime.Incremental.Removed "t1") changes);
-  check_bool "brand_new added" true (List.mem (Runtime.Incremental.Added "brand_new") changes);
-  check_int "two rebuilds, nothing else" 2 (List.length changes);
-  (* Entry-only changes are not rebuilds. *)
-  let more_entries =
-    P4ir.Program.linear "rt"
-      (mk_table ~entries:5 "t0" P4ir.Field.Ipv4_src
-      :: List.filteri (fun i _ -> i >= 1)
-           (List.mapi (fun i f -> mk_table (Printf.sprintf "t%d" i) f) fields))
-  in
-  let changes = Runtime.Incremental.diff ~old_program:prog ~new_program:more_entries in
-  check_bool "entries_changed, no rebuilds" true
-    (changes = [ Runtime.Incremental.Entries_changed "t0" ])
 
 let test_hot_patch_preserves_state () =
   let sim = Nicsim.Sim.create target (program ()) in
@@ -432,7 +413,20 @@ let test_hot_patch_preserves_state () =
   let counters_after =
     Profile.Counter.owner_total (Nicsim.Exec.counters (Nicsim.Sim.exec sim)) "t0"
   in
-  check_bool "counters survive" true (Int64.equal counters_before counters_after)
+  check_bool "counters survive" true (Int64.equal counters_before counters_after);
+  (* A renamed table is a new table (removing the old one rebuilds
+     nothing), and a table whose static entries alone changed keeps its
+     engine. *)
+  let renamed =
+    P4ir.Program.linear "rt"
+      (mk_table ~entries:5 "t0" P4ir.Field.Ipv4_src
+      :: mk_table "brand_new" P4ir.Field.Udp_sport
+      :: List.filteri (fun i _ -> i >= 2)
+           (List.mapi (fun i f -> mk_table (Printf.sprintf "t%d" i) f) fields))
+  in
+  check_int "renamed table rebuilt, entry-only change not" 1 (Nicsim.Sim.hot_patch sim renamed);
+  check_int "t0 keeps its live entries" 4
+    (Nicsim.Engine.num_entries (Nicsim.Exec.engine_exn (Nicsim.Sim.exec sim) "t0"))
 
 let test_incremental_deploy_cheaper () =
   let run mode =
@@ -564,6 +558,5 @@ let () =
             test_exclusions_prevent_reselection;
           Alcotest.test_case "update faults repaired" `Quick test_update_faults_repaired ] );
       ( "incremental",
-        [ Alcotest.test_case "diff" `Quick test_incremental_diff;
-          Alcotest.test_case "hot patch preserves state" `Quick test_hot_patch_preserves_state;
+        [ Alcotest.test_case "hot patch preserves state" `Quick test_hot_patch_preserves_state;
           Alcotest.test_case "deploy cost" `Quick test_incremental_deploy_cheaper ] ) ]

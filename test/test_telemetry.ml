@@ -1,7 +1,7 @@
 (* Tests for the telemetry subsystem: histogram bucketing and quantile
    error bounds, lossless merges (the property that makes fleet rollups
    exact), the metrics registry, the trace ring, the sink facade,
-   and the nicsim integration (driver-independent metrics, observe-only
+   and the nicsim integration (metrics against the Refsim reference, observe-only
    stats, deterministic trace sampling). *)
 
 module H = Telemetry.Histogram
@@ -271,49 +271,25 @@ let source seed =
   in
   Traffic.Workload.of_flows rng flows
 
-let run_with_sink driver =
+let test_sim_metrics_driver_independent () =
+  (* The window's per-table hit/miss counters, packet and drop counts
+     and spans must be exactly what the independent reference counts;
+     the latency histogram takes every packet. *)
   let tel = Telemetry.create () in
   let sim = Nicsim.Sim.create ~telemetry:tel target (program ()) in
-  ignore (driver sim (source 9L));
-  Telemetry.metrics tel
-
-let metrics_equal name ma mb =
-  Alcotest.(check (list string)) (name ^ ": same metric names") (M.names ma) (M.names mb);
-  List.iter
-    (fun n ->
-      (match (M.find_counter ma n, M.find_counter mb n) with
-      | Some a, Some b -> check_int (Printf.sprintf "%s: counter %s" name n) a b
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: counter %s present on one side only" name n);
-      (match (M.find_gauge ma n, M.find_gauge mb n) with
-      | Some a, Some b ->
-        check_bool (Printf.sprintf "%s: gauge %s" name n) true (Float.equal a b)
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: gauge %s present on one side only" name n);
-      match (M.find_histogram ma n, M.find_histogram mb n) with
-      | Some a, Some b ->
-        check_bool (Printf.sprintf "%s: histogram %s buckets" name n) true
-          (H.bucket_counts a = H.bucket_counts b)
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: histogram %s present on one side only" name n)
-    (M.names ma)
-
-let test_sim_metrics_driver_independent () =
-  (* The reference interpreter and the compiled walk must land the exact
-     same counters and histogram buckets: the walk only changes
-     dispatch. *)
-  let seq = run_with_sink (fun sim source ->
-      Nicsim.Sim.run_window_reference sim ~duration:1.0 ~packets:600 ~source)
-  in
-  let batched = run_with_sink (fun sim source ->
-      Nicsim.Sim.run_window sim ~duration:1.0 ~packets:600 ~source)
-  in
-  check_bool "packets counted" true (M.find_counter seq "nicsim.packets" = Some 600);
+  ignore (Nicsim.Sim.run_window sim ~duration:1.0 ~packets:600 ~source:(source 9L));
+  let m = Telemetry.metrics tel in
+  check_bool "packets counted" true (M.find_counter m "nicsim.packets" = Some 600);
   check_bool "latency histogram filled" true
-    (match M.find_histogram seq "nicsim.latency" with
+    (match M.find_histogram m "nicsim.latency" with
     | Some h -> H.count h = 600
     | None -> false);
-  metrics_equal "batched" seq batched
+  let _, r =
+    Refcheck.check "metrics vs Refsim"
+      (Refcheck.windows (Nicsim.Exec.default_config target) (program ())
+         [ Refcheck.Window (600, source 9L) ])
+  in
+  check_bool "both tables counted" true (List.length r.tables = 2)
 
 let stats_bits (s : Nicsim.Sim.window_stats) =
   List.map Int64.bits_of_float

@@ -22,17 +22,6 @@ let test_prng_ranges () =
     if i < 0 || i >= 10 then Alcotest.fail "int out of range"
   done
 
-let test_prng_weighted () =
-  let rng = Stdx.Prng.create 11L in
-  let counts = Array.make 3 0 in
-  for _ = 1 to 3000 do
-    let i = Stdx.Prng.weighted_index rng [| 1.; 2.; 7. |] in
-    counts.(i) <- counts.(i) + 1
-  done;
-  check_bool "heaviest wins" true (counts.(2) > counts.(1) && counts.(1) > counts.(0));
-  Alcotest.check_raises "zero weights" (Invalid_argument "Prng.weighted_index: zero total weight")
-    (fun () -> ignore (Stdx.Prng.weighted_index rng [| 0.; 0. |]))
-
 (* --- Stats --- *)
 
 let test_stats_basics () =
@@ -187,8 +176,7 @@ let () =
   Alcotest.run "traffic"
     [ ( "prng",
         [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
-          Alcotest.test_case "ranges" `Quick test_prng_ranges;
-          Alcotest.test_case "weighted" `Quick test_prng_weighted ] );
+          Alcotest.test_case "ranges" `Quick test_prng_ranges ] );
       ( "stats",
         [ Alcotest.test_case "basics" `Quick test_stats_basics;
           Alcotest.test_case "regression" `Quick test_stats_regression;

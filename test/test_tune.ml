@@ -4,7 +4,7 @@
    - warm-cache salting: candidate params separate evaluations,
      optimizer params share them;
    - qcheck: no Pareto-front point dominates another, and a singleton
-     search space returns the start assignment bit-identically;
+     search space returns the start (default) assignment bit-identically;
    - exploration dominates-or-matches the default and is deterministic;
    - a second sweep over a warm cache is all hits and picks the same
      front and point;
@@ -111,36 +111,35 @@ let test_set_validates () =
   check_bool "default untouched by set" true
     (Tune.get_int default_assignment "candidate.cache_entries" = 4096)
 
-(* A one-pipelet program: every top-k fraction searches that pipelet, so
-   a sweep from a start differing only in [optimizer.top_k] evaluates
-   exactly the pipelet the first sweep did. *)
+(* A one-pipelet program: every top-k fraction searches that pipelet.
+   A sweep evaluates the start (the defaults) and then its neighbours in
+   key order — two moves each of candidate.cache_entries,
+   candidate.max_merge_len, optimizer.max_pipelet_len and
+   optimizer.top_k — so growing the budget on one warm cache adds one
+   assignment at a time. *)
 let test_candidate_salt () =
   let prog = program 6 in
   let prof = Profile.uniform prog in
   let w = warm () in
-  let sweep start = Tune.explore ~budget:1 ~start ~warm:w target prof prog in
-  let d = default_assignment in
-  let first = sweep d in
+  let sweep budget = Tune.explore ~budget ~warm:w target prof prog in
+  let first = sweep 1 in
   check_bool "first sweep misses" true (first.Tune.stats.Tune.cache_misses > 0);
-  let opt = Tune.set d "optimizer.top_k" (Tune.Float 1.0) in
+  check_bool "candidate params do" true ((sweep 3).Tune.stats.Tune.cache_misses > 0);
+  ignore (sweep 7);
   check_int "optimizer params do not change the salt" 0
-    (sweep opt).Tune.stats.Tune.cache_misses;
-  let cand = Tune.set d "candidate.cache_entries" (Tune.Int 512) in
-  check_bool "candidate params do" true ((sweep cand).Tune.stats.Tune.cache_misses > 0);
+    (sweep 9).Tune.stats.Tune.cache_misses;
   check_string "equal assignments, equal descriptions" (front_and_chosen first)
-    (front_and_chosen (sweep d))
+    (front_and_chosen (sweep 1))
 
 (* --- Pareto front (qcheck) --- *)
 
-(* Sweeps from varied starts over varied pipeline lengths. *)
+(* Sweeps of varied radius and budget over varied pipeline lengths. *)
 let test_pareto_no_dominated =
   qtest ~count:20 "pareto front has no dominated points"
-    QCheck2.Gen.(triple (int_bound 99) (int_range 2 10) (int_range 2 12))
-    (fun (i, n, budget) ->
+    QCheck2.Gen.(triple (int_range 1 2) (int_range 2 10) (int_range 2 12))
+    (fun (radius, n, budget) ->
       let prog = program n in
-      let ex =
-        Tune.explore ~budget ~start:(varied_assignment i) target (Profile.uniform prog) prog
-      in
+      let ex = Tune.explore ~budget ~radius target (Profile.uniform prog) prog in
       let front = ex.Tune.front in
       let key p = Tune.to_list p.Tune.assignment in
       (* Front points are distinct assignments... *)
@@ -155,19 +154,20 @@ let test_pareto_no_dominated =
                front)
            front)
 
-let singleton_prof = Profile.uniform (program 6)
-let singleton_prog = program 6
 
 let test_singleton_returns_start =
   qtest ~count:15 "singleton search space returns start bit-identically"
-    QCheck2.Gen.(int_bound 99)
-    (fun i ->
-      let start = varied_assignment i in
-      let ex = Tune.explore ~budget:1 ~start target singleton_prof singleton_prog in
+    QCheck2.Gen.(pair bool (int_range 2 8))
+    (fun (budget_one, n) ->
+      let prog = program n in
+      let prof = Profile.uniform prog in
+      let ex =
+        if budget_one then Tune.explore ~budget:1 target prof prog
+        else Tune.explore ~radius:0 target prof prog
+      in
       List.length ex.Tune.front = 1
-      && Tune.equal ex.Tune.chosen.Tune.assignment start
-      && Tune.to_list ex.Tune.chosen.Tune.assignment = Tune.to_list start
-      && Tune.equal ex.Tune.start_point.Tune.assignment start)
+      && Tune.to_list ex.Tune.chosen.Tune.assignment = registry_defaults
+      && Tune.equal ex.Tune.start_point.Tune.assignment ex.Tune.chosen.Tune.assignment)
 
 let test_radius_zero_singleton () =
   let prog = program 6 in
