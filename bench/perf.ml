@@ -1,8 +1,9 @@
 (* `main.exe perf`: the nicsim + optimizer fast-path micro-suite.
 
-   Times the table-engine lookup path by match kind (compiled plan
-   against the same engine's straight-line reference probe), engine
-   construction, and the window driver; then
+   Times the table-engine lookup path by match kind (the ternary skip
+   probe against the same engine's unskipped reference probe, the other
+   kinds and the rule-scale tables after-only), engine construction,
+   and the window driver; then
    the optimizer fast path (candidate enumeration, analytic evaluation,
    knapsack, end-to-end optimize, and warm-start against the cold
    optimizer). Writes the numbers to a JSON artifact (default
@@ -97,10 +98,10 @@ let probe_pool ~seed ~size ~of_rng =
     i := (!i + 1) mod size;
     p
 
-(* Lookups through one auto-planned engine. With [~vs_linear] the before
-   column is the same engine's straight-line reference probe
-   ([Engine.lookup_linear]), so the row answers whether the selected
-   plan pays for itself; otherwise the row is after-only. *)
+(* Lookups through one engine. With [~vs_linear] the before column is
+   the same engine's reference probe ([Engine.lookup_linear]), so the
+   row answers whether [Engine.probe]'s shortcuts pay for themselves;
+   otherwise the row is after-only. *)
 let lookup_bench ~name ~iters ~vs_linear tab probe_of_rng =
   let eng = Nicsim.Engine.create tab in
   let time lookup =
@@ -114,8 +115,7 @@ let lookup_bench ~name ~iters ~vs_linear tab probe_of_rng =
     before_ns;
     after_ns;
     iters;
-    note =
-      (if vs_linear then Some ("linear -> " ^ Nicsim.Engine.plan_kind eng) else None) }
+    note = (if vs_linear then Some "lookup_linear -> probe" else None) }
 
 let dst_packet rng =
   Nicsim.Packet.of_fields
@@ -156,7 +156,7 @@ let range_table () =
        [ (22L, 22L, 3); (80L, 80L, 2); (443L, 443L, 2); (8080L, 8090L, 2); (53L, 53L, 2);
          (1024L, 49151L, 1); (49152L, 65535L, 1); (0L, 1023L, 0) ])
 
-(* --- rule-scale fixtures (learned-index LPM, decision-tree ternary) --- *)
+(* --- rule-scale fixtures --- *)
 
 (* 16 prefix lengths (17..32) x n/16 prefixes each. The odd-multiplier
    bijection keeps prefixes distinct per length at million-rule scale
@@ -194,17 +194,11 @@ let scale_lpm_fixture n =
 (* 64 ClassBench-style prefix-pair masks x n/64 entries each with
    unique priorities: the 32-bit key is read as two 16-bit halves
    (src/dst prefixes of a compressed 5-tuple ACL), each mask a prefix
-   of length 9..16 over each half — 8 x 8 = 64 masks sharing their top
-   nine bits on both halves (18 clean split bits), popcount >= 18 so a
-   million rules stay distinct at ~6% fill. That is the mask structure
-   real ACL rule sets have (and what a TCAM expands ranges into);
-   fully random dense masks share no bits, which no decision tree can
-   split — the engine's degeneracy guard exists for exactly that
-   shape, and very short prefixes (wildcard on most split bits) blow
-   the duplication budget the same way at million-rule scale. Values
-   spread an odd-multiplier bijection of the entry index across the
-   mask's set bits, so every entry is distinct and splits stay
-   balanced at depth. *)
+   of length 9..16 over each half — 8 x 8 = 64 masks, popcount >= 18 so
+   a million rules stay distinct at ~6% fill. That is the mask
+   structure real ACL rule sets have (and what a TCAM expands ranges
+   into). Values spread an odd-multiplier bijection of the entry index
+   across the mask's set bits, so every entry is distinct. *)
 let scale_ternary_fixture n =
   let pairs = ref [] in
   for a = 16 downto 9 do
@@ -257,33 +251,6 @@ let scale_ternary_fixture n =
   in
   (tab, probe)
 
-(* Same table under two forced plans. Hints (rather than Auto) keep the
-   comparison meaningful at smoke scale, where the shrunk tables fall
-   below the auto-selection thresholds. Plans build during the untimed
-   warmup pass; the note records what actually ran. *)
-let hinted_lookup_bench ~name ~iters ~before_hint ~after_hint tab probe_value =
-  let engine hint =
-    Nicsim.Engine.create ~hint tab
-  in
-  let before_eng = engine before_hint in
-  let after_eng = engine after_hint in
-  let of_rng rng =
-    Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, probe_value rng) ]
-  in
-  let probes = probe_pool ~seed:7L ~size:1024 ~of_rng in
-  let before_ns = time_ns ~iters (fun () -> Nicsim.Engine.probe before_eng (probes ())) in
-  let probes = probe_pool ~seed:7L ~size:1024 ~of_rng in
-  let after_ns = time_ns ~iters (fun () -> Nicsim.Engine.probe after_eng (probes ())) in
-  { name;
-    unit_ = "lookup";
-    before_ns = Some before_ns;
-    after_ns;
-    iters;
-    note =
-      Some
-        (Printf.sprintf "%s -> %s" (Nicsim.Engine.plan_kind before_eng)
-           (Nicsim.Engine.plan_kind after_eng)) }
-
 (* --- window fixtures --- *)
 
 (* Exact + LPM + ternary pipeline, no cache tables. *)
@@ -335,7 +302,7 @@ let run_suite ~smoke =
          Nicsim.Packet.of_fields
            [ (P4ir.Field.Ipv4_dst, Int64.of_int (Stdx.Prng.int rng 8192)) ]));
   push
-    (lookup_bench ~name:"engine-lookup/lpm-16len" ~iters:lookup_iters ~vs_linear:true
+    (lookup_bench ~name:"engine-lookup/lpm-16len" ~iters:lookup_iters ~vs_linear:false
        (lpm_table ~nlens:16 ~per_len:64)
        dst_packet);
   push
@@ -364,7 +331,7 @@ let run_suite ~smoke =
        before_ns = None;
        after_ns = time_ns ~iters:lookup_iters (fun () -> Nicsim.Engine.probe warm (probes ()));
        iters = lookup_iters;
-       note = Some (Nicsim.Engine.plan_kind warm) });
+       note = None });
   push
     (let churn = cache_engine ~capacity:1024 in
      let fills = Array.init 4096 cache_fill_entry in
@@ -392,29 +359,28 @@ let run_suite ~smoke =
        before_ns = None;
        after_ns = time_ns ~iters:lookup_iters (fun () -> Nicsim.Engine.probe eng (probes ()));
        iters = lookup_iters;
-       note = Some (Nicsim.Engine.plan_kind eng) });
+       note = None });
 
-  (* Rule-scale rows: the learned-index LPM plan vs the longest-first
-     probe, and the decision-tree ternary plan vs the skip probe, at
-     100k and 1M rules (tables shrink with [scale] in smoke mode — the
-     forced hints keep both plans engaged below the auto thresholds).
-     After-only exact rows ride along for scale context. Floors are
-     enforced in [run]. *)
+  (* Rule-scale rows, after-only: the longest-first LPM probe over 16
+     prefix lengths, the ternary skip probe over 64 masks and the exact
+     hash, at 100k and 1M rules (tables shrink with [scale] in smoke
+     mode). *)
+  let dst_probe probe_value rng =
+    Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, probe_value rng) ]
+  in
   List.iter
     (fun (n, label) ->
       let sz = scale n in
       let lpm_tab, lpm_probe = scale_lpm_fixture sz in
       push
-        (hinted_lookup_bench
+        (lookup_bench
            ~name:(Printf.sprintf "engine-lookup/lpm-%s" label)
-           ~iters:lookup_iters ~before_hint:Nicsim.Engine.Force_linear
-           ~after_hint:Nicsim.Engine.Force_learned lpm_tab lpm_probe);
+           ~iters:lookup_iters ~vs_linear:false lpm_tab (dst_probe lpm_probe));
       let ter_tab, ter_probe = scale_ternary_fixture sz in
       push
-        (hinted_lookup_bench
+        (lookup_bench
            ~name:(Printf.sprintf "engine-lookup/ternary-%s" label)
-           ~iters:lookup_iters ~before_hint:Nicsim.Engine.Force_linear
-           ~after_hint:Nicsim.Engine.Force_tree ter_tab ter_probe);
+           ~iters:lookup_iters ~vs_linear:false ter_tab (dst_probe ter_probe));
       push
         (lookup_bench
            ~name:(Printf.sprintf "engine-lookup/exact-%s" label)
@@ -863,25 +829,6 @@ let run ~smoke ~out =
         if s < 0.98 then
           Printf.printf
             "WARNING: disabled telemetry exceeds the 2%% overhead budget (%.3fx)\n" s
-      | Some s
-        when List.mem b.name
-               [ "engine-lookup/lpm-100k"; "engine-lookup/lpm-1M";
-                 "engine-lookup/ternary-100k"; "engine-lookup/ternary-1M" ] ->
-        (* The rule-scale claim: learned LPM and decision-tree ternary
-           plans >= 2x over the longest-first / skip probes at full
-           scale. The million-rule rows get a softer floor — there both
-           sides are cache-miss bound (tens of MB of plan arrays), which
-           compresses the ratio. In smoke mode the tables shrink 50x, so
-           the asymptotic gap narrows and the floor only guards against
-           regression. *)
-        let floor_ =
-          if smoke then 1.05
-          else if String.ends_with ~suffix:"-1M" b.name then 1.5
-          else 2.0
-        in
-        if s < floor_ then
-          Printf.printf "WARNING: %s below the %.2fx rule-scale floor (%.2fx)\n" b.name
-            floor_ s
       | Some s when b.name = "run_window/compiled" ->
         (* The compiled data path's headline claim: >= 5x over the
            Refsim reference's window at full scale; at smoke scale warmup

@@ -353,8 +353,8 @@ let fuzz_cmd =
          & info [ "rules" ] ~docv:"N"
              ~doc:"Rule-scale mode: give every generated table N/2..N entries (single-key \
                    tables, 24-bit values, pooled ternary masks, no range tables) so \
-                   sim-diff exercises the large-table engine backends — learned-index \
-                   LPM and decision-tree ternary (docs/PERF.md \"Rule-scale backends\").")
+                   sim-diff exercises the LPM and ternary probes over many groups at \
+                   scale (docs/PERF.md \"Rule-scale tables\").")
   in
   let autotune_arg =
     let autotune_flag =

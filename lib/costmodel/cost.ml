@@ -109,46 +109,6 @@ let expected_latency ?(placement = all_asic) (target : Target.t) prof prog =
   in
   target.l_fixed +. node_sum +. migration_cost ~placement target prof prog
 
-let path_probability prof prog (path : P4ir.Program.path) =
-  (* Eq. 2a: multiply the probability of the edge leaving each node on
-     the path ([path_labels.(i)] labels the edge leaving [path_nodes.(i)]). *)
-  List.fold_left2
-    (fun acc src label ->
-      let edge_p =
-        match (label, P4ir.Program.find_exn prog src) with
-        | Some (P4ir.Program.Action_fired a), P4ir.Program.Table (tab, _) ->
-          if P4ir.Action.is_dropping (P4ir.Table.find_action_exn tab a) then 0.
-          else Profile.action_prob prof ~table:tab ~action:a
-        | Some P4ir.Program.Cond_true, P4ir.Program.Cond c ->
-          Profile.true_prob prof ~cond_name:c.cond_name
-        | Some P4ir.Program.Cond_false, P4ir.Program.Cond c ->
-          1. -. Profile.true_prob prof ~cond_name:c.cond_name
-        | None, P4ir.Program.Table (tab, _) ->
-          (* Uniform-next table: the survivor mass continues. *)
-          1. -. Profile.drop_prob prof tab
-        | _ -> 0.
-      in
-      acc *. edge_p)
-    1.0 path.path_nodes path.path_labels
-
-let path_latency ?(placement = all_asic) (target : Target.t) prof prog
-    (path : P4ir.Program.path) =
-  let node_sum =
-    List.fold_left
-      (fun acc id -> acc +. node_cost ~placement target prof prog id)
-      0. path.path_nodes
-  in
-  let rec migrations acc = function
-    | a :: (b :: _ as rest) ->
-      migrations (if placement a <> placement b then acc +. 1. else acc) rest
-    | [ last ] -> if placement last = Cpu then acc +. 1. else acc
-    | [] -> acc
-  in
-  let entry =
-    match path.path_nodes with first :: _ when placement first = Cpu -> 1. | _ -> 0.
-  in
-  node_sum +. ((migrations entry path.path_nodes) *. target.migration_latency)
-
 let expected_latency_via_paths ?(placement = all_asic) target prof prog =
   (* Eq. 1, but enumerate_paths only yields sink-terminated paths while
      dropped packets leave the graph early. We therefore expand each

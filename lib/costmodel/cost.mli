@@ -43,12 +43,6 @@ val expected_latency_via_paths :
 (** Direct Eq. 1/2 evaluation by path enumeration (exponential; tests and
     small programs only). *)
 
-val path_probability : Profile.t -> P4ir.Program.t -> P4ir.Program.path -> float
-val path_latency :
-  ?placement:placement -> Target.t -> Profile.t -> P4ir.Program.t ->
-  P4ir.Program.path -> float
-(** Eq. 2b plus migration costs along the path; excludes [l_fixed]. *)
-
 val expected_throughput_gbps : Target.t -> Profile.t -> P4ir.Program.t -> float
 (** Convenience: {!expected_latency} (all-ASIC placement) pushed through
     {!Target.throughput_gbps}. *)

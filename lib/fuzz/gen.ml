@@ -166,7 +166,7 @@ let gen_table params rng ~name =
     | None -> 1 + Prng.int rng params.max_entries
     | Some r ->
       (* Rule-scale mode: every table lands within a factor of two of
-         the requested size, so large-backend selection actually fires. *)
+         the requested size. *)
       let r = max 1 r in
       (r / 2) + 1 + Prng.int rng (max 1 ((r + 1) / 2))
   in
@@ -175,12 +175,8 @@ let gen_table params rng ~name =
     | Some _, Sh_ternary ->
       (* Prefix-pair masks (a prefix over each half of the field's value
          window), not free-form random bits: that is the shape ACL rule
-         sets and TCAM range expansions actually have, and it is what
-         the engine's decision-tree backend (and its degeneracy guard —
-         Nicsim.Engine) keys on. Masks sharing no bits would make every
-         large ternary table fall back to the skip probe, leaving the
-         tree plan untested at scale. One rng draw per mask, split into
-         the two prefix lengths. *)
+         sets and TCAM range expansions actually have. One rng draw per
+         mask, split into the two prefix lengths. *)
       let k0 = List.hd keys in
       let w = field_bits params k0.Table.field in
       let hi = (w + 1) / 2

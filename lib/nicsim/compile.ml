@@ -88,7 +88,6 @@ type fill = {
   f_keys : P4ir.Pattern.t list;
   f_covered : string list;
   mutable f_fired : (string * string) list;
-  mutable f_ended_early : bool;
 }
 
 type t = {
@@ -477,8 +476,7 @@ let run p ~tracer ~sampled ~seq ~nows ~out ~pos i pkt =
            { f_cache = tb.t_eng;
              f_keys = cache_key_patterns tb.t_tab pkt;
              f_covered = covered;
-             f_fired = [];
-             f_ended_early = false }
+             f_fired = [] }
            :: p.s_fills
        | _ -> ());
       if tb.t_records_fired then begin
@@ -513,7 +511,6 @@ let run p ~tracer ~sampled ~seq ~nows ~out ~pos i pkt =
           :: p.s_spans;
       if Packet.is_dropped pkt then begin
         (* Run-to-completion halt; the caller accounts the drop. *)
-        List.iter (fun f -> f.f_ended_early <- true) p.s_fills;
         (match p.tel_drops with Some c -> Telemetry.Metrics.inc c | None -> ());
         p.s_dropped <- true;
         p.s_pc <- -1

@@ -15,7 +15,7 @@ type slot = {
   entry : P4ir.Table.entry;
 }
 
-(* A shaped group's slot also carries the [Some entry] its straight probe
+(* A shaped group's slot also carries the [Some entry] its probe
    returns, preallocated at insert so the probe allocates nothing. Only
    shaped groups pay for it: the exact store's probe answers from its
    own index. *)
@@ -33,65 +33,11 @@ type group = {
   tbl : (int, gslot list) Hashtbl.t;
 }
 
-(* Learned-index LPM plan (single-LPM-key tables). The prefix set is
-   flattened into disjoint elementary intervals over the key domain; a
-   piecewise-linear model over the sorted interval start keys predicts
-   the slot holding a query's interval within a bounded error window,
-   and a last-mile binary search inside the window finishes the job.
-   Interval runs the model cannot fit are diverted to a small sorted
-   remainder store probed exactly — the NuevoMatchUp remainder
-   discipline. Entry options are preallocated at build, model
-   coefficients live in floatarrays, so the probe allocates nothing. *)
-type learned = {
-  l_bounds : int64 array;  (* interval start keys, ascending; slot 0 holds 0 *)
-  l_ent : P4ir.Table.entry option array;  (* winner per interval *)
-  l_acc : int array;  (* modeled access count per interval *)
-  seg_key : int64 array;  (* per segment, first covered bound *)
-  seg_pos : int array;  (* length nseg+1: slot range of each segment *)
-  seg_slope : floatarray;
-  seg_inter : floatarray;
-  l_window : int;  (* last-mile search radius around the prediction *)
-  r_bounds : int64 array;  (* remainder store: outlier bounds, ascending *)
-  r_ent : P4ir.Table.entry option array;
-  r_acc : int array;
-  l_dom : int64;  (* key domain mask: 2^width - 1 *)
-}
-
-(* Decision-tree ternary plan: internal nodes test one key bit (packed
-   as [key*64 + bit]), leaves hold candidate lists pre-sorted in the
-   probe's winner order (priority desc, then group probe order), so the
-   first matching candidate is the answer. Candidates wildcarded on a
-   split bit are duplicated down both sides, bounded by a duplication
-   budget. Nodes live in a flat int array (3 slots each), candidates in
-   parallel arrays with preallocated entry options. *)
-type tree = {
-  tn : int array;  (* node i at 3i: [bit; left; right] or [-1; start; len] *)
-  c_masked : int64 array array;  (* per candidate: masked key values *)
-  c_rank : int array;  (* per candidate: owning group's probe rank *)
-  c_ent : P4ir.Table.entry option array;  (* preallocated [Some entry] *)
-  t_masks : int64 array array;  (* per group rank: per-key masks *)
-  t_acc : int;  (* modeled accesses: every mask group is always charged *)
-  t_maxleaf : int;  (* largest leaf candidate list: worst-case scan length *)
-}
-
-(* Which compiled plan a shaped table is currently running. *)
-type splan =
-  | P_none  (* straight probe: longest-first LPM scan / ternary skip probe *)
-  | P_learned of learned
-  | P_tree of tree
-
-(* Per-table override for the plan selector. [Auto] picks from the table
-   alone at plan-build time; a forced hint that does not apply to the
-   table's shape falls back to [Auto]'s choice. *)
-type backend_hint = Auto | Force_linear | Force_learned | Force_tree
-
 type shaped = {
   mutable groups : group array;  (* only the first [ngroups] are live *)
   mutable ngroups : int;
   lpm_ordered : bool;
   mutable nentries : int;  (* live slots across all groups, tracked exactly *)
-  mutable plan : splan;
-  mutable plan_stale : bool;
 }
 
 (* Compiled probe index over an exact-hash store: open addressing keyed
@@ -163,9 +109,8 @@ type t = {
   fields : P4ir.Field.t array;  (* key fields, in key order *)
   scratch : int64 array;  (* reusable per-lookup key-value buffer *)
   backend : backend;
-  hint : backend_hint;  (* plan selector override, fixed at [create] *)
   mutable updates : int;
-  mutable last_acc : int;  (* accesses of the most recent plan probe *)
+  mutable last_acc : int;  (* accesses of the most recent probe *)
   mutable tokens : float;  (* cache-fill token bucket *)
   mutable token_time : float;
   mutable fills : int;  (* cache fills admitted, refreshes included *)
@@ -297,16 +242,17 @@ let mask_of_shape (k : P4ir.Table.key) = function
   | S_prefix len -> P4ir.Value.prefix_mask ~width:(P4ir.Field.width k.field) ~prefix_len:len
   | S_mask m -> m
 
-let entry_values (e : P4ir.Table.entry) =
-  List.map
-    (fun (p : P4ir.Pattern.t) ->
-      match p with
-      | P4ir.Pattern.Exact v | P4ir.Pattern.Lpm (v, _) | P4ir.Pattern.Ternary (v, _) -> v
-      | P4ir.Pattern.Range (lo, _) -> lo)
-    e.patterns
+let pattern_values (patterns : P4ir.Pattern.t list) =
+  Array.of_list
+    (List.map
+       (fun (p : P4ir.Pattern.t) ->
+         match p with
+         | P4ir.Pattern.Exact v | P4ir.Pattern.Lpm (v, _) | P4ir.Pattern.Ternary (v, _) -> v
+         | P4ir.Pattern.Range (lo, _) -> lo)
+       patterns)
 
-let shape_of_entry (tab : P4ir.Table.t) (e : P4ir.Table.entry) =
-  Array.of_list (List.map2 shape_of_pattern tab.keys e.patterns)
+let shape_of_patterns (tab : P4ir.Table.t) patterns =
+  Array.of_list (List.map2 shape_of_pattern tab.keys patterns)
 
 let total_prefix_of_shape shape =
   Array.fold_left
@@ -319,10 +265,6 @@ let masks_of_shape (tab : P4ir.Table.t) shape =
   Array.mapi (fun i s -> mask_of_shape keys.(i) s) shape
 
 (* --- shaped group array management --- *)
-
-let invalidate_plan s =
-  s.plan <- P_none;
-  s.plan_stale <- true
 
 let find_group s shape =
   let rec go i =
@@ -358,7 +300,7 @@ let add_group s (g : group) =
   s.ngroups <- s.ngroups + 1
 
 let shaped_insert s (tab : P4ir.Table.t) (e : P4ir.Table.entry) =
-  let shape = shape_of_entry tab e in
+  let shape = shape_of_patterns tab e.patterns in
   let g =
     match find_group s shape with
     | Some g ->
@@ -375,7 +317,7 @@ let shaped_insert s (tab : P4ir.Table.t) (e : P4ir.Table.entry) =
       add_group s g;
       g
   in
-  let values = Array.of_list (entry_values e) in
+  let values = pattern_values e.patterns in
   let masked = Array.mapi (fun i v -> Int64.logand v g.masks.(i)) values in
   if
     hash_insert
@@ -383,508 +325,13 @@ let shaped_insert s (tab : P4ir.Table.t) (e : P4ir.Table.entry) =
       ~priority:(fun s -> s.gentry.priority)
       g.tbl (hash_masked masked g.masks)
       { gmasked = masked; gentry = e; ghit = Some e }
-  then s.nentries <- s.nentries + 1;
-  invalidate_plan s
+  then s.nentries <- s.nentries + 1
 
 (* [Hashtbl.mem] then [find] rather than [find_opt] (whose [Some]
    allocates) or [find] under a handler (a miss raises, twice as slow). *)
 let group_probe (g : group) vals =
   let h = hash_masked vals g.masks in
   if Hashtbl.mem g.tbl h then gbucket_find g.masks vals (Hashtbl.find g.tbl h) else None
-
-(* --- learned-index LPM plan --- *)
-
-(* Tunables. [learned_epsilon] is the model's maximum slot error; the
-   last-mile search window is epsilon + 2 (queries between two sample
-   keys can land one slot past either bound). Segments shorter than
-   [learned_min_run] are outliers the cone could not extend over — they
-   go to the remainder store instead of earning coefficients. The auto
-   selector gives an LPM table the learned index once it has
-   [learned_min_groups] prefix lengths (below that the longest-first
-   scan is a handful of probes) or [learned_threshold] entries, and a
-   ternary table the decision tree at [tree_threshold] entries. *)
-let learned_epsilon = 32
-let learned_min_run = 4
-let learned_min_groups = 4
-let learned_threshold = 4096
-let tree_threshold = 4096
-
-(* Degeneracy guard for the decision tree. Unstructured mask sets (no
-   bits shared across masks) exhaust the wildcard-duplication budget
-   near the root and leave giant leaves, so a probe scans thousands of
-   candidates — far slower than the skip probe it replaced. The auto
-   selector keeps a tree only when its worst leaf scan stays within a
-   small factor of the skip probe's per-group cost (a leaf compare is
-   much cheaper than a masked hash probe); forced hints bypass the
-   guard. *)
-let tree_leaf_budget ngroups = 4 * max 8 ngroups
-
-(* The learned plan models one key dimension: a single LPM key, whose
-   width (<= 48 bits) converts to float exactly. Multi-key LPM tables
-   keep the linear plan. *)
-let learned_applicable t s =
-  s.lpm_ordered
-  && Array.length t.fields = 1
-  &&
-  let rec ok i =
-    i >= s.ngroups
-    || (match s.groups.(i).shape.(0) with S_prefix _ -> ok (i + 1) | S_exact | S_mask _ -> false)
-  in
-  ok 0
-
-let build_learned t s =
-  let width = P4ir.Field.width t.fields.(0) in
-  let dom = Int64.shift_left 1L width in
-  let dom_mask = Int64.sub dom 1L in
-  let miss_acc = max 1 s.ngroups in
-  (* Collect every prefix with its probe rank: a hit in group i costs
-     i+1 accesses under the modeled longest-first scan. *)
-  let n = s.nentries in
-  let it_lo = Array.make (max 1 n) 0L in
-  let it_hi = Array.make (max 1 n) 0L in
-  let it_len = Array.make (max 1 n) 0 in
-  let it_ent = Array.make (max 1 n) None in
-  let it_acc = Array.make (max 1 n) 0 in
-  let nit = ref 0 in
-  for i = 0 to s.ngroups - 1 do
-    let g = s.groups.(i) in
-    let len = match g.shape.(0) with S_prefix l -> l | S_exact | S_mask _ -> width in
-    let span = Int64.sub (Int64.shift_left 1L (width - len)) 1L in
-    Hashtbl.iter
-      (fun _ bucket ->
-        List.iter
-          (fun s0 ->
-            let k = !nit in
-            it_lo.(k) <- s0.gmasked.(0);
-            it_hi.(k) <- Int64.add s0.gmasked.(0) span;
-            it_len.(k) <- len;
-            it_ent.(k) <- s0.ghit;
-            it_acc.(k) <- i + 1;
-            incr nit)
-          bucket)
-      g.tbl
-  done;
-  let n = !nit in
-  let order = Array.init n (fun i -> i) in
-  (* Prefix intervals nest or are disjoint; sorting by (lo asc, wider
-     first) makes a single stack sweep flatten them into disjoint
-     elementary intervals whose winner is the innermost live prefix. *)
-  Array.sort
-    (fun a b ->
-      let c = Int64.compare it_lo.(a) it_lo.(b) in
-      if c <> 0 then c else compare it_len.(a) it_len.(b))
-    order;
-  let cap = (2 * n) + 2 in
-  let b_bound = Array.make cap 0L in
-  let b_ent = Array.make cap None in
-  let b_acc = Array.make cap miss_acc in
-  let bn = ref 0 in
-  let emit bound ent acc =
-    if Int64.compare bound dom < 0 then
-      if !bn > 0 && Int64.equal b_bound.(!bn - 1) bound then begin
-        (* Same start key: the later (narrower) item wins the interval. *)
-        b_ent.(!bn - 1) <- ent;
-        b_acc.(!bn - 1) <- acc
-      end
-      else begin
-        b_bound.(!bn) <- bound;
-        b_ent.(!bn) <- ent;
-        b_acc.(!bn) <- acc;
-        incr bn
-      end
-  in
-  emit 0L None miss_acc;
-  let stack = Array.make (max 1 n) 0 in
-  let top = ref 0 in
-  let emit_top_after bound =
-    if !top > 0 then begin
-      let p = stack.(!top - 1) in
-      emit bound it_ent.(p) it_acc.(p)
-    end
-    else emit bound None miss_acc
-  in
-  Array.iter
-    (fun idx ->
-      while !top > 0 && Int64.compare it_hi.(stack.(!top - 1)) it_lo.(idx) < 0 do
-        let popped = stack.(!top - 1) in
-        decr top;
-        emit_top_after (Int64.add it_hi.(popped) 1L)
-      done;
-      stack.(!top) <- idx;
-      incr top;
-      emit it_lo.(idx) it_ent.(idx) it_acc.(idx))
-    order;
-  while !top > 0 do
-    let popped = stack.(!top - 1) in
-    decr top;
-    emit_top_after (Int64.add it_hi.(popped) 1L)
-  done;
-  let nb = !bn in
-  (* Greedy shrinking-cone piecewise-linear regression over the points
-     (bound as float, slot index): extend the current segment while some
-     slope keeps every point within epsilon slots; close it when the
-     feasible cone empties. *)
-  let eps = float_of_int learned_epsilon in
-  let segs = ref [] in
-  let j0 = ref 0 in
-  let x0 = ref (Int64.to_float b_bound.(0)) in
-  let slo = ref neg_infinity and shi = ref infinity in
-  let close stop =
-    let slope =
-      if stop - !j0 <= 1 then 0.
-      else begin
-        let mid = (!slo +. !shi) /. 2. in
-        if Float.is_finite mid then mid else 0.
-      end
-    in
-    let inter = float_of_int !j0 -. (slope *. !x0) in
-    segs := (!j0, stop, slope, inter) :: !segs
-  in
-  for j = 1 to nb - 1 do
-    let x = Int64.to_float b_bound.(j) in
-    let dx = x -. !x0 in
-    let dy = float_of_int (j - !j0) in
-    let lo_req = (dy -. eps) /. dx and hi_req = (dy +. eps) /. dx in
-    let nlo = Float.max !slo lo_req and nhi = Float.min !shi hi_req in
-    if nlo > nhi then begin
-      close j;
-      j0 := j;
-      x0 := x;
-      slo := neg_infinity;
-      shi := infinity
-    end
-    else begin
-      slo := nlo;
-      shi := nhi
-    end
-  done;
-  close nb;
-  let segs = List.rev !segs in
-  (* Divert runt segments to the remainder store (the segment holding
-     bound 0 always stays: every query then finds a main-array floor).
-     Accepted segments keep their slope — removing whole earlier runs
-     shifts their slots by a constant, absorbed into the intercept. *)
-  let rem_cap = (nb / 16) + 4 in
-  let m_bound = Array.make (max 1 nb) 0L in
-  let m_ent = Array.make (max 1 nb) None in
-  let m_acc = Array.make (max 1 nb) miss_acc in
-  let mn = ref 0 in
-  let r_bound = Array.make rem_cap 0L in
-  let r_ent = Array.make rem_cap None in
-  let r_acc = Array.make rem_cap 0 in
-  let rn = ref 0 in
-  let skeys = ref [] and sposs = ref [] and sslopes = ref [] and sinters = ref [] in
-  let nseg = ref 0 in
-  List.iter
-    (fun (start, stop, slope, inter) ->
-      let cnt = stop - start in
-      if cnt < learned_min_run && start > 0 && !rn + cnt <= rem_cap then
-        for j = start to stop - 1 do
-          r_bound.(!rn) <- b_bound.(j);
-          r_ent.(!rn) <- b_ent.(j);
-          r_acc.(!rn) <- b_acc.(j);
-          incr rn
-        done
-      else begin
-        let removed = start - !mn in
-        skeys := b_bound.(start) :: !skeys;
-        sposs := !mn :: !sposs;
-        sslopes := slope :: !sslopes;
-        sinters := (inter -. float_of_int removed) :: !sinters;
-        incr nseg;
-        for j = start to stop - 1 do
-          m_bound.(!mn) <- b_bound.(j);
-          m_ent.(!mn) <- b_ent.(j);
-          m_acc.(!mn) <- b_acc.(j);
-          incr mn
-        done
-      end)
-    segs;
-  sposs := !mn :: !sposs;
-  { l_bounds = Array.sub m_bound 0 !mn;
-    l_ent = Array.sub m_ent 0 !mn;
-    l_acc = Array.sub m_acc 0 !mn;
-    seg_key = Array.of_list (List.rev !skeys);
-    seg_pos = Array.of_list (List.rev !sposs);
-    seg_slope = Float.Array.of_list (List.rev !sslopes);
-    seg_inter = Float.Array.of_list (List.rev !sinters);
-    l_window = learned_epsilon + 2;
-    r_bounds = Array.sub r_bound 0 !rn;
-    r_ent = Array.sub r_ent 0 !rn;
-    r_acc = Array.sub r_acc 0 !rn;
-    l_dom = dom_mask }
-
-(* Rightmost index in [lo, hi] whose key is <= v; [ans] if none. A
-   top-level tail-recursive function, not a local closure, so the probe
-   path allocates nothing. *)
-let rec bsearch_le (a : int64 array) (v : int64) lo hi ans =
-  if lo > hi then ans
-  else begin
-    let mid = (lo + hi) / 2 in
-    if Int64.compare (Array.unsafe_get a mid) v <= 0 then bsearch_le a v (mid + 1) hi mid
-    else bsearch_le a v lo (mid - 1) ans
-  end
-
-let learned_find t (l : learned) (v : int64) =
-  let v = Int64.logand v l.l_dom in
-  let s = bsearch_le l.seg_key v 0 (Array.length l.seg_key - 1) 0 in
-  let lo_pos = l.seg_pos.(s) and hi_pos = l.seg_pos.(s + 1) - 1 in
-  let pred =
-    int_of_float ((Float.Array.get l.seg_slope s *. Int64.to_float v) +. Float.Array.get l.seg_inter s)
-  in
-  let pred = if pred < lo_pos then lo_pos else if pred > hi_pos then hi_pos else pred in
-  let wlo = if pred - l.l_window < lo_pos then lo_pos else pred - l.l_window in
-  let whi = if pred + l.l_window > hi_pos then hi_pos else pred + l.l_window in
-  let j = bsearch_le l.l_bounds v wlo whi (wlo - 1) in
-  (* The window provably contains the answer for non-negative segment
-     slopes; verify and fall back to the whole segment otherwise. *)
-  let j =
-    if j >= wlo && (j = hi_pos || Int64.compare l.l_bounds.(j + 1) v > 0) then j
-    else bsearch_le l.l_bounds v lo_pos hi_pos lo_pos
-  in
-  let rn = Array.length l.r_bounds in
-  if rn > 0 then begin
-    let rj = bsearch_le l.r_bounds v 0 (rn - 1) (-1) in
-    if rj >= 0 && Int64.compare l.r_bounds.(rj) l.l_bounds.(j) > 0 then begin
-      t.last_acc <- l.r_acc.(rj);
-      l.r_ent.(rj)
-    end
-    else begin
-      t.last_acc <- l.l_acc.(j);
-      l.l_ent.(j)
-    end
-  end
-  else begin
-    t.last_acc <- l.l_acc.(j);
-    l.l_ent.(j)
-  end
-
-(* --- decision-tree ternary plan --- *)
-
-let tree_leaf_max = 8
-let tree_max_depth = 20
-let tree_sample_cap = 512
-
-let build_tree s =
-  let g_masks = Array.init s.ngroups (fun i -> s.groups.(i).masks) in
-  let nk = if s.ngroups = 0 then 0 else Array.length g_masks.(0) in
-  let n = s.nentries in
-  let a_masked = Array.make (max 1 n) [||] in
-  let a_rank = Array.make (max 1 n) 0 in
-  let a_ent = Array.make (max 1 n) None in
-  let a_prio = Array.make (max 1 n) 0 in
-  let na = ref 0 in
-  for i = 0 to s.ngroups - 1 do
-    Hashtbl.iter
-      (fun _ bucket ->
-        List.iter
-          (fun s0 ->
-            let k = !na in
-            a_masked.(k) <- s0.gmasked;
-            a_rank.(k) <- i;
-            a_ent.(k) <- s0.ghit;
-            a_prio.(k) <- s0.gentry.priority;
-            incr na)
-          bucket)
-      s.groups.(i).tbl
-  done;
-  let n = !na in
-  (* Pre-sort once in winner order (priority desc, probe rank asc);
-     stable partitions below preserve it, so every leaf list is sorted
-     and the first match wins — exactly the skip probe's answer. *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = compare a_prio.(b) a_prio.(a) in
-      if c <> 0 then c else compare a_rank.(a) a_rank.(b))
-    order;
-  (* Split-bit candidates: bits set in at least one group mask. *)
-  let bits = ref [] in
-  for k = nk - 1 downto 0 do
-    let u = ref 0L in
-    for i = 0 to s.ngroups - 1 do
-      u := Int64.logor !u g_masks.(i).(k)
-    done;
-    for b = 63 downto 0 do
-      if Int64.equal (Int64.logand (Int64.shift_right_logical !u b) 1L) 1L then
-        bits := ((k * 64) + b) :: !bits
-    done
-  done;
-  let bits = Array.of_list !bits in
-  let tn = ref (Array.make 96 0) in
-  let nnodes = ref 0 in
-  let new_node a b c =
-    if 3 * !nnodes >= Array.length !tn then begin
-      let bigger = Array.make (2 * Array.length !tn) 0 in
-      Array.blit !tn 0 bigger 0 (3 * !nnodes);
-      tn := bigger
-    end;
-    let id = !nnodes in
-    incr nnodes;
-    (!tn).((3 * id) + 0) <- a;
-    (!tn).((3 * id) + 1) <- b;
-    (!tn).((3 * id) + 2) <- c;
-    id
-  in
-  let c_masked = ref (Array.make (max 1 n) [||]) in
-  let c_rank = ref (Array.make (max 1 n) 0) in
-  let c_ent = ref (Array.make (max 1 n) None) in
-  let nc = ref 0 in
-  let push_cand i =
-    if !nc >= Array.length !c_ent then begin
-      let grow (type a) (a : a array) (z : a) =
-        let bigger = Array.make (2 * Array.length a) z in
-        Array.blit a 0 bigger 0 !nc;
-        bigger
-      in
-      c_masked := grow !c_masked [||];
-      c_rank := grow !c_rank 0;
-      c_ent := grow !c_ent None
-    end;
-    (!c_masked).(!nc) <- a_masked.(i);
-    (!c_rank).(!nc) <- a_rank.(i);
-    (!c_ent).(!nc) <- a_ent.(i);
-    incr nc
-  in
-  (* Wildcard duplication budget: once splits have copied this many
-     extra candidates, the remaining subtrees become leaves. *)
-  let dup_allow = ref ((8 * n) + 64) in
-  let maxleaf = ref 0 in
-  let bit_set v b = Int64.equal (Int64.logand (Int64.shift_right_logical v b) 1L) 1L in
-  let rec build cands depth =
-    let cn = Array.length cands in
-    let make_leaf () =
-      if cn > !maxleaf then maxleaf := cn;
-      let start = !nc in
-      Array.iter push_cand cands;
-      new_node (-1) start cn
-    in
-    if cn <= tree_leaf_max || depth >= tree_max_depth || !dup_allow <= 0 then make_leaf ()
-    else begin
-      (* Pick the bit separating the most candidates, scored on a
-         strided sample for large nodes (a sample underestimates both
-         sides, so a positive score still guarantees the split shrinks). *)
-      let step = if cn <= tree_sample_cap then 1 else cn / tree_sample_cap in
-      let best_bit = ref (-1) and best_score = ref 0 in
-      Array.iter
-        (fun kb ->
-          let k = kb lsr 6 and b = kb land 63 in
-          let zeros = ref 0 and ones = ref 0 in
-          let i = ref 0 in
-          while !i < cn do
-            let c = cands.(!i) in
-            if bit_set g_masks.(a_rank.(c)).(k) b then
-              if bit_set a_masked.(c).(k) b then incr ones else incr zeros;
-            i := !i + step
-          done;
-          let score = min !zeros !ones in
-          if score > !best_score then begin
-            best_score := score;
-            best_bit := kb
-          end)
-        bits;
-      if !best_bit < 0 then make_leaf ()
-      else begin
-        let kb = !best_bit in
-        let k = kb lsr 6 and b = kb land 63 in
-        let nl = ref 0 and nr = ref 0 in
-        Array.iter
-          (fun c ->
-            if bit_set g_masks.(a_rank.(c)).(k) b then
-              if bit_set a_masked.(c).(k) b then incr nr else incr nl
-            else begin
-              incr nl;
-              incr nr
-            end)
-          cands;
-        let left = Array.make !nl 0 and right = Array.make !nr 0 in
-        let il = ref 0 and ir = ref 0 in
-        Array.iter
-          (fun c ->
-            if bit_set g_masks.(a_rank.(c)).(k) b then begin
-              if bit_set a_masked.(c).(k) b then begin
-                right.(!ir) <- c;
-                incr ir
-              end
-              else begin
-                left.(!il) <- c;
-                incr il
-              end
-            end
-            else begin
-              left.(!il) <- c;
-              incr il;
-              right.(!ir) <- c;
-              incr ir
-            end)
-          cands;
-        dup_allow := !dup_allow - (!nl + !nr - cn);
-        let me = new_node kb 0 0 in
-        let l = build left (depth + 1) in
-        let r = build right (depth + 1) in
-        (!tn).((3 * me) + 1) <- l;
-        (!tn).((3 * me) + 2) <- r;
-        me
-      end
-    end
-  in
-  let root = build order 0 in
-  assert (root = 0);
-  { tn = Array.sub !tn 0 (3 * !nnodes);
-    c_masked = Array.sub !c_masked 0 !nc;
-    c_rank = Array.sub !c_rank 0 !nc;
-    c_ent = Array.sub !c_ent 0 !nc;
-    t_masks = g_masks;
-    t_acc = max 1 s.ngroups;
-    t_maxleaf = !maxleaf }
-
-(* Leaf scan: first candidate whose masked projection of the packet
-   values matches. *)
-let rec tree_scan (tr : tree) (vals : int64 array) i stop =
-  if i >= stop then None
-  else begin
-    let masks = tr.t_masks.(Array.unsafe_get tr.c_rank i) in
-    if masked_match (Array.unsafe_get tr.c_masked i) masks vals 0 (Array.length masks) then
-      Array.unsafe_get tr.c_ent i
-    else tree_scan tr vals (i + 1) stop
-  end
-
-let rec tree_descend (tr : tree) (vals : int64 array) node =
-  let tag = Array.unsafe_get tr.tn (3 * node) in
-  if tag < 0 then begin
-    let start = Array.unsafe_get tr.tn ((3 * node) + 1) in
-    tree_scan tr vals start (start + Array.unsafe_get tr.tn ((3 * node) + 2))
-  end
-  else begin
-    let v = Array.unsafe_get vals (tag lsr 6) in
-    if Int64.equal (Int64.logand (Int64.shift_right_logical v (tag land 63)) 1L) 1L then
-      tree_descend tr vals (Array.unsafe_get tr.tn ((3 * node) + 2))
-    else tree_descend tr vals (Array.unsafe_get tr.tn ((3 * node) + 1))
-  end
-
-(* --- plan selection --- *)
-
-let select_plan t s =
-  s.plan_stale <- false;
-  let auto () =
-    if s.lpm_ordered then
-      if
-        learned_applicable t s
-        && (s.ngroups >= learned_min_groups || s.nentries >= learned_threshold)
-      then P_learned (build_learned t s)
-      else P_none
-    else if s.nentries >= tree_threshold && s.ngroups >= 2 then begin
-      let tr = build_tree s in
-      if tr.t_maxleaf <= tree_leaf_budget s.ngroups then P_tree tr else P_none
-    end
-    else P_none
-  in
-  s.plan <-
-    (match t.hint with
-     | Auto -> auto ()
-     | Force_linear -> P_none
-     | Force_learned -> if learned_applicable t s then P_learned (build_learned t s) else auto ()
-     | Force_tree -> if (not s.lpm_ordered) && s.ngroups > 0 then P_tree (build_tree s) else auto ())
 
 (* --- flow-cache store --- *)
 
@@ -1148,7 +595,7 @@ let rec scan_from sc (vals : int64 array) i =
 let raw_insert t (e : P4ir.Table.entry) =
   match t.backend with
   | Exact_hash ex ->
-    let masked = Array.of_list (entry_values e) in
+    let masked = pattern_values e.patterns in
     if
       hash_insert
         ~masked:(fun s -> s.masked)
@@ -1163,7 +610,7 @@ let raw_insert t (e : P4ir.Table.entry) =
     l.lscan <- None
   | Shaped s -> shaped_insert s t.table e
 
-let create ?(hint = Auto) (tab : P4ir.Table.t) =
+let create (tab : P4ir.Table.t) =
   let backend =
     match tab.role with
     | P4ir.Table.Cache meta when all_exact tab -> Cache_lru (cache_make (max 1 meta.capacity))
@@ -1176,13 +623,7 @@ let create ?(hint = Auto) (tab : P4ir.Table.t) =
       let lpm_ordered =
         P4ir.Match_kind.equal (P4ir.Table.effective_kind tab) P4ir.Match_kind.Lpm
       in
-      Shaped
-        { groups = [||];
-          ngroups = 0;
-          lpm_ordered;
-          nentries = 0;
-          plan = P_none;
-          plan_stale = true }
+      Shaped { groups = [||]; ngroups = 0; lpm_ordered; nentries = 0 }
   in
   let nkeys = List.length tab.keys in
   let tokens =
@@ -1195,7 +636,6 @@ let create ?(hint = Auto) (tab : P4ir.Table.t) =
       fields = Array.of_list (key_fields tab);
       scratch = Array.make (max 1 nkeys) 0L;
       backend;
-      hint;
       updates = 0;
       last_acc = 1;
       tokens;
@@ -1249,23 +689,13 @@ let rec ternary_probe_from ~skip s vals i (best : P4ir.Table.entry option) =
     ternary_probe_from ~skip s vals (i + 1) best
   end
 
-(* The straight probe; the access count goes to [t.last_acc]. *)
-let straight_probe ~skip t s vals =
+(* The LPM or ternary probe; the access count goes to [t.last_acc]. *)
+let shaped_probe ~skip t s vals =
   if s.lpm_ordered then lpm_probe_from t s vals 0
   else begin
     t.last_acc <- max 1 s.ngroups;
     ternary_probe_from ~skip s vals 0 None
   end
-
-let shaped_probe t s pkt =
-  if s.plan_stale then select_plan t s;
-  match s.plan with
-  | P_learned l -> learned_find t l (Packet.get pkt (Array.unsafe_get t.fields 0))
-  | P_tree tr ->
-    let vals = read_values t pkt in
-    t.last_acc <- tr.t_acc;
-    tree_descend tr vals 0
-  | P_none -> straight_probe ~skip:true t s (read_values t pkt)
 
 (* --- compiled exact-probe index --- *)
 
@@ -1362,22 +792,10 @@ let probe t pkt =
     let sc = match l.lscan with Some sc -> sc | None -> build_scan t l in
     t.last_acc <- sc.sc_acc;
     scan_from sc (read_values t pkt) 0
-  | Shaped s -> shaped_probe t s pkt
+  | Shaped s -> shaped_probe ~skip:true t s (read_values t pkt)
 
 let last_accesses t = t.last_acc
 let cache_counts t = (t.fills, t.evictions, t.limited)
-
-let plan_kind t =
-  match t.backend with
-  | Exact_hash _ -> "exact-hash"
-  | Cache_lru _ -> "exact-lru"
-  | Linear _ -> "linear"
-  | Shaped s ->
-    if s.plan_stale then select_plan t s;
-    (match s.plan with
-     | P_learned _ -> "learned"
-     | P_tree _ -> "tree"
-     | P_none -> if s.lpm_ordered then "lpm-linear" else "ternary-skip")
 
 let lookup_linear t pkt =
   match t.backend with
@@ -1396,7 +814,7 @@ let lookup_linear t pkt =
     let tab = { t.table with P4ir.Table.entries = l.lentries } in
     (P4ir.Table.lookup tab (Packet.get pkt), max 1 l.lcount)
   | Shaped s ->
-    let r = straight_probe ~skip:false t s (read_values t pkt) in
+    let r = shaped_probe ~skip:false t s (read_values t pkt) in
     (r, t.last_acc)
   | Cache_lru _ ->
     let r = probe t pkt in
@@ -1447,27 +865,37 @@ let delete t ~patterns =
        l.lcount <- n;
        l.lscan <- None
      end
-   | Shaped s ->
+   | Shaped s when List.compare_lengths patterns t.table.keys <> 0 ->
+     (* No entry has this many patterns, so nothing is removed. The list
+        is still compared with every entry, as the range scan's delete
+        compares it: [List.for_all2] raises Invalid_argument when it
+        runs out on an entry whose leading patterns it equals. *)
      for i = 0 to s.ngroups - 1 do
-       let g = s.groups.(i) in
-       let victims =
-         Hashtbl.fold
-           (fun k bucket acc ->
-             if List.exists (fun s0 -> matches s0.gentry) bucket then (k, bucket) :: acc
-             else acc)
-           g.tbl []
-       in
-       List.iter
-         (fun (k, bucket) ->
-           removed := true;
+       Hashtbl.iter (fun _ b -> List.iter (fun s0 -> ignore (matches s0.gentry)) b) s.groups.(i).tbl
+     done
+   | Shaped s ->
+     (* An entry with these patterns lives in the group of their shape,
+        in the bucket of their masked hash. A range pattern has no shape
+        and matches no entry of a shaped table. *)
+     let has_range = List.exists (function P4ir.Pattern.Range _ -> true | _ -> false) patterns in
+     (match if has_range then None else find_group s (shape_of_patterns t.table patterns) with
+      | None -> ()
+      | Some g ->
+        let h = hash_masked (pattern_values patterns) g.masks in
+        (match Hashtbl.find_opt g.tbl h with
+         | Some bucket ->
            let survivors = List.filter (fun s0 -> not (matches s0.gentry)) bucket in
-           s.nentries <- s.nentries - (List.length bucket - List.length survivors);
-           if survivors = [] then Hashtbl.remove g.tbl k else Hashtbl.replace g.tbl k survivors)
-         victims
-     done;
-     (* Emptied groups stay in place: the modeled hardware still probes
-        their hash table, so the access count must keep charging them. *)
-     if !removed then invalidate_plan s);
+           let gone = List.length bucket - List.length survivors in
+           if gone > 0 then begin
+             removed := true;
+             s.nentries <- s.nentries - gone;
+             (* An emptied group stays in place: the modeled hardware
+                still probes its hash table, so the access count must
+                keep charging it. *)
+             if survivors = [] then Hashtbl.remove g.tbl h
+             else Hashtbl.replace g.tbl h survivors
+           end
+         | None -> ())));
   if !removed then t.updates <- t.updates + 1;
   !removed
 
@@ -1486,8 +914,7 @@ let invalidate t =
   | Shaped s ->
     s.groups <- [||];
     s.ngroups <- 0;
-    s.nentries <- 0;
-    invalidate_plan s
+    s.nentries <- 0
 
 let load_entries t new_entries =
   List.iter (validate_entry t) new_entries;
@@ -1537,13 +964,7 @@ let copy t =
     | Cache_lru c -> Cache_lru (cache_copy c)
     | Linear l -> Linear { lentries = l.lentries; lcount = l.lcount; lscan = l.lscan }
     | Shaped s ->
-      Shaped
-        { groups = Array.init s.ngroups (fun i -> copy_group s.groups.(i));
-          ngroups = s.ngroups;
-          lpm_ordered = s.lpm_ordered;
-          nentries = s.nentries;
-          plan = P_none;
-          plan_stale = true }
+      Shaped { s with groups = Array.init s.ngroups (fun i -> copy_group s.groups.(i)) }
   in
   { t with backend; scratch = Array.copy t.scratch }
 

@@ -12,23 +12,8 @@
 
 type t
 
-type backend_hint = Auto | Force_linear | Force_learned | Force_tree
-(** Override for the per-table plan selector (LPM/ternary backends
-    only). [Auto] picks from the table alone at plan-build time: a
-    single-key LPM table with at least four prefix lengths or
-    {!learned_threshold} entries gets the learned-index plan, a
-    multi-group ternary table with {!tree_threshold} entries the
-    decision tree, everything else the straight probe. The forced hints
-    exist so tests and benchmarks can run a plan below its threshold; a
-    forced hint that does not apply to the table's shape (e.g.
-    [Force_learned] on a ternary table) falls back to [Auto]'s choice.
-    Whatever the plan, lookups report the modeled hardware access
-    counts — the plan changes host execution speed, never forwarding or
-    cost-model inputs. *)
-
-val create : ?hint:backend_hint -> P4ir.Table.t -> t
-(** Engine initialized with the table's static entries; [hint] defaults
-    to [Auto]. *)
+val create : P4ir.Table.t -> t
+(** Engine initialized with the table's static entries. *)
 
 val def : t -> P4ir.Table.t
 (** The table definition this engine was built from. *)
@@ -47,12 +32,16 @@ val probe : t -> Packet.t -> P4ir.Table.entry option
       {!P4ir.Table.lookup}'s winner order (priority, then specificity,
       then insertion order), so the first match wins ([max 1 n]
       accesses);
-    - LPM and ternary tables run their compiled plan (see
-      {!backend_hint}).
+    - LPM tables probe their prefix-length groups longest first and
+      stop at the first hit (one access per group probed, every group
+      on a miss);
+    - ternary tables probe every mask group, skipping the hash probe of
+      a group whose highest priority cannot beat the current best (one
+      access per group, skipped or not).
 
-    Every index, scan and plan reads live table state: {!insert},
-    {!delete}, {!replace_all}, {!load_entries} and {!invalidate} mark
-    it stale and the next probe rebuilds it. *)
+    Every index and scan reads live table state: {!insert}, {!delete},
+    {!replace_all}, {!load_entries} and {!invalidate} mark it stale and
+    the next probe rebuilds it. *)
 
 val last_accesses : t -> int
 (** Modeled memory accesses of the most recent {!probe} or
@@ -62,30 +51,12 @@ val last_accesses : t -> int
 val lookup_linear : t -> Packet.t -> P4ir.Table.entry option * int
 (** The reference lookup {!probe} is tested against: match result plus
     modeled accesses, from the straight-line store of each backend and
-    no compiled plan. Exact tables go through the hash store, range
+    no compiled index. Exact tables go through the hash store, range
     tables through {!P4ir.Table.lookup}, LPM and ternary tables through
     the unskipped probe of every shape group (longest prefix first for
     LPM; one access per group probed, every group on a miss or for
     ternary), and flow caches answer as {!probe}, recency update
     included. *)
-
-val plan_kind : t -> string
-(** Which backend the table is currently running, building the plan
-    first if stale: ["exact-hash"], ["exact-lru"] (flow cache), ["linear"],
-    ["learned"], ["tree"], ["lpm-linear"] or ["ternary-skip"]. For tests and diagnostics. *)
-
-val learned_threshold : int
-(** Entry count at which [Auto] switches a single-key LPM table with
-    fewer than four prefix lengths to the learned-index plan. *)
-
-val tree_threshold : int
-(** Entry count at which [Auto] switches a multi-group ternary table to
-    the decision-tree plan. Degenerate mask sets are guarded against:
-    if the built tree's worst leaf scan is not competitive with the
-    skip probe's per-group
-    cost — masks sharing no bits exhaust the wildcard-duplication
-    budget and leave giant leaves — [Auto] discards the tree and keeps
-    the skip probe. [Force_tree] bypasses the guard. *)
 
 val insert : t -> P4ir.Table.entry -> unit
 (** Control-plane insert; bumps the update counter.
@@ -93,7 +64,9 @@ val insert : t -> P4ir.Table.entry -> unit
 
 val delete : t -> patterns:P4ir.Pattern.t list -> bool
 (** Control-plane delete by exact pattern list; true if something was
-    removed. Bumps the update counter. *)
+    removed, and then bumps the update counter. An LPM or ternary
+    table goes straight to the bucket the patterns hash to; a group it
+    empties stays and is still charged. *)
 
 val replace_all : t -> P4ir.Table.entry list -> unit
 (** Control-plane bulk replace; counts as one update per entry. *)

@@ -637,259 +637,87 @@ let test_lpm_plan_matches_linear () =
   ignore (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Lpm (0xDEADBEECL, 30) ]);
   agree 0xDEADBEEFL
 
-(* --- rule-scale plan selection --- *)
-
-(* [n] distinct prefixes spread over 8 lengths (17..24): enough groups
-   for every LPM plan, sized to straddle the auto-selection threshold. *)
-let big_lpm_table n =
-  let per = n / 8 in
-  P4ir.Table.make ~name:"big" ~keys:lpm_key
-    ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
-    ~default_action:"def"
-    ~entries:
-      (List.concat
-         (List.init 8 (fun l ->
-              let len = 17 + l in
-              List.init
-                (per + if l = 0 then n mod 8 else 0)
-                (fun i -> lpm_entry ~len (Int64.shift_left (Int64.of_int (i + 1)) (32 - len))))))
-    ()
-
-(* Masks share their top twelve bits, as structured ACL mask sets do —
-   the auto selector's degeneracy guard would (correctly) refuse a tree
-   over masks with no common bits; see [test_tree_degeneracy_guard]. *)
-let big_ternary_table n =
-  let masks = [| 0xFFFFFF00L; 0xFFFF00FFL; 0xFFF0FF0FL; 0xFFFFFFF0L |] in
-  let per = n / 4 in
-  P4ir.Table.make ~name:"bigt"
-    ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Ternary ]
-    ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
-    ~default_action:"def"
-    ~entries:
-      (List.concat
-         (List.init 4 (fun m ->
-              List.init
-                (per + if m = 0 then n mod 4 else 0)
-                (fun i ->
-                  P4ir.Table.entry ~priority:((m * per) + i)
-                    [ P4ir.Pattern.Ternary
-                        (Int64.logand (Int64.of_int ((i + 1) * 2654435761)) masks.(m), masks.(m))
-                    ]
-                    "hit"))))
-    ()
-
-(* [per] distinct prefixes at each of the given lengths. *)
-let lpm_lengths_table ~lens ~per =
-  P4ir.Table.make ~name:"lens" ~keys:lpm_key
-    ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
-    ~default_action:"def"
-    ~entries:
-      (List.concat_map
-         (fun len ->
-           List.init per (fun i ->
-               lpm_entry ~len (Int64.shift_left (Int64.of_int (i + 1)) (32 - len))))
-         lens)
-    ()
-
-let plan_agrees_with_linear ?(pkt_of = pkt_dst) eng probe =
-  let pkt = pkt_of probe in
-  let plan_hit, plan_acc = lookup eng pkt in
-  let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
-  check_bool
-    (Printf.sprintf "plan = linear at %Lx" probe)
-    true
-    ((match (plan_hit, lin_hit) with
-      | None, None -> true
-      | Some a, Some b -> a.P4ir.Table.patterns = b.P4ir.Table.patterns
-      | _ -> false)
-    && plan_acc = lin_acc)
-
-(* Probes that land inside the populated prefixes of [lpm_lengths_table]
-   (every length, at every depth) as well as random misses. *)
-let lengths_probes ~lens ~per =
-  List.concat_map
-    (fun len ->
-      List.init per (fun i ->
-          Int64.logor
-            (Int64.shift_left (Int64.of_int (i + 1)) (32 - len))
-            (Int64.of_int (i land 0xF))))
-    lens
-  @ List.init 200 (fun i -> Int64.logand (Stdx.Prng.mix64 (Int64.of_int i)) 0xFFFFFFFFL)
-
-let test_plan_selector_thresholds () =
-  (* Four prefix lengths are enough for the learned index, whatever the
-     entry count; result and modeled access count stay the linear probe's. *)
-  let lens = [ 8; 12; 16; 24 ] in
-  let eng = Nicsim.Engine.create (lpm_lengths_table ~lens ~per:16) in
-  check_string "4 lengths x 16 entries" "learned" (Nicsim.Engine.plan_kind eng);
-  List.iter (plan_agrees_with_linear eng) (lengths_probes ~lens ~per:16);
-  (* Three lengths take the learned index only from 4096 entries on. *)
-  let lens = [ 16; 20; 24 ] in
-  let n = Nicsim.Engine.learned_threshold in
-  let eng = Nicsim.Engine.create (lpm_lengths_table ~lens ~per:16) in
-  check_string "3 lengths, small" "lpm-linear" (Nicsim.Engine.plan_kind eng);
-  let eng = Nicsim.Engine.create (lpm_lengths_table ~lens ~per:((n / 3) + 1)) in
-  check_string "3 lengths at threshold" "learned" (Nicsim.Engine.plan_kind eng);
-  let eng = Nicsim.Engine.create (lpm_lengths_table ~lens ~per:((n - 1) / 3)) in
-  check_string "3 lengths below threshold" "lpm-linear" (Nicsim.Engine.plan_kind eng);
-  (* A second (exact) key rules the learned index out at any length
-     count: nested LPM+exact tables keep the longest-first probe. *)
-  let two_key =
-    P4ir.Table.make ~name:"lpm-exact"
-      ~keys:(lpm_key @ [ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Exact ])
-      ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
-      ~default_action:"def"
-      ~entries:
-        (List.concat_map
-           (fun len ->
-             List.init 16 (fun i ->
-                 P4ir.Table.entry
-                   [ P4ir.Pattern.Lpm (Int64.shift_left (Int64.of_int (i + 1)) (32 - len), len);
-                     P4ir.Pattern.Exact (Int64.of_int (i land 3)) ]
-                   "hit"))
-           [ 8; 12; 16; 20; 24; 28 ])
-      ()
-  in
-  let eng = Nicsim.Engine.create two_key in
-  check_string "LPM+exact, 6 lengths" "lpm-linear" (Nicsim.Engine.plan_kind eng);
-  let pkt_of v =
-    Nicsim.Packet.of_fields
-      [ (P4ir.Field.Ipv4_dst, Int64.logand v 0xFFFFFFFFL);
-        (P4ir.Field.Tcp_dport, Int64.shift_right_logical v 32 |> Int64.logand 3L) ]
-  in
-  List.iter
-    (fun v ->
-      plan_agrees_with_linear ~pkt_of eng v;
-      plan_agrees_with_linear ~pkt_of eng (Int64.logor v (Int64.shift_left 1L 32)))
-    (lengths_probes ~lens:[ 8; 12; 16; 20; 24; 28 ] ~per:16);
-  (* The ternary decision tree still switches on at 4096 entries. *)
-  let eng = Nicsim.Engine.create (big_ternary_table Nicsim.Engine.tree_threshold) in
-  check_string "ternary at threshold" "tree" (Nicsim.Engine.plan_kind eng);
-  let eng = Nicsim.Engine.create (big_ternary_table (Nicsim.Engine.tree_threshold - 1)) in
-  check_string "ternary below threshold" "ternary-skip" (Nicsim.Engine.plan_kind eng)
-
-let test_backend_hint_override () =
-  let lens = [ 16; 20; 24 ] in
-  let tab = lpm_lengths_table ~lens ~per:16 in
-  (* A forced hint runs a plan below its auto threshold... *)
-  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned tab in
-  check_string "forced learned" "learned" (Nicsim.Engine.plan_kind eng);
-  List.iter (plan_agrees_with_linear eng) (lengths_probes ~lens ~per:16);
-  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_linear (big_lpm_table 256) in
-  check_string "forced linear" "lpm-linear" (Nicsim.Engine.plan_kind eng);
-  (* ...but a hint the table's shape cannot honour falls back to Auto. *)
-  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree (big_lpm_table 256) in
-  check_string "tree hint on LPM: auto's learned" "learned" (Nicsim.Engine.plan_kind eng);
-  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree tab in
-  check_string "tree hint on LPM: auto's linear" "lpm-linear" (Nicsim.Engine.plan_kind eng);
-  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned (big_ternary_table 64) in
-  check_string "learned hint on ternary: auto's skip" "ternary-skip"
-    (Nicsim.Engine.plan_kind eng);
-  (* Hints are a shaped-backend concept; exact tables ignore them. *)
-  let ex =
-    Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree
-      (P4ir.Table.make ~name:"e"
-         ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Exact ]
-         ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
-         ~default_action:"def"
-         ~entries:[ P4ir.Table.entry [ P4ir.Pattern.Exact 5L ] "hit" ]
-         ())
-  in
-  check_string "exact kind unchanged" "exact-hash" (Nicsim.Engine.plan_kind ex)
-
-let test_plan_staleness () =
-  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned (empty_lpm_table ()) in
+let test_mutation_reaches_probe () =
+  let eng = Nicsim.Engine.create (empty_lpm_table ()) in
   Nicsim.Engine.insert eng (lpm_entry ~len:16 0x0A0B0000L);
-  check_string "learned from the start" "learned" (Nicsim.Engine.plan_kind eng);
   check_bool "/16 hit" true (fst (lookup eng (pkt_dst 0x0A0B0C0DL)) <> None);
-  (* Every control-plane mutation must invalidate the compiled plan. *)
+  (* Every control-plane mutation must reach the next probe. *)
   Nicsim.Engine.insert eng (lpm_entry ~len:24 0x0A0B0C00L);
   (match fst (lookup eng (pkt_dst 0x0A0B0C0DL)) with
    | Some e ->
-     check_bool "rebuilt after insert" true
+     check_bool "seen after insert" true
        (e.P4ir.Table.patterns = [ P4ir.Pattern.Lpm (0x0A0B0C00L, 24) ])
    | None -> Alcotest.fail "expected hit after insert");
   ignore (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Lpm (0x0A0B0C00L, 24) ]);
   (match fst (lookup eng (pkt_dst 0x0A0B0C0DL)) with
    | Some e ->
-     check_bool "rebuilt after delete" true
+     check_bool "seen after delete" true
        (e.P4ir.Table.patterns = [ P4ir.Pattern.Lpm (0x0A0B0000L, 16) ])
    | None -> Alcotest.fail "expected /16 hit after delete");
   Nicsim.Engine.load_entries eng [ lpm_entry ~len:8 0x0B000000L ];
   check_int "reloaded entry count" 1 (Nicsim.Engine.num_entries eng);
-  check_bool "rebuilt after load_entries" true
+  check_bool "seen after load_entries" true
     (fst (lookup eng (pkt_dst 0x0B123456L)) <> None);
   check_bool "old entries gone" true
     (fst (lookup eng (pkt_dst 0x0A0B0C0DL)) = None);
   Nicsim.Engine.invalidate eng;
   check_int "invalidated" 0 (Nicsim.Engine.num_entries eng);
-  check_bool "rebuilt after invalidate" true
+  check_bool "seen after invalidate" true
     (fst (lookup eng (pkt_dst 0x0B123456L)) = None)
 
-let test_learned_remainder_store () =
-  (* A dense run of /32 hosts makes the piecewise-linear fit trivial;
-     one far outlier then ends the key space with a sub-[learned_min_run]
-     segment, which must be diverted to the sorted remainder store
-     rather than earning (badly-fitting) coefficients. *)
-  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned (empty_lpm_table ()) in
-  for i = 0 to 159 do
-    Nicsim.Engine.insert eng (lpm_entry ~len:32 (Int64.of_int (0x0A000000 + i)))
-  done;
-  Nicsim.Engine.insert eng (lpm_entry ~len:32 0x30000000L);
-  check_string "still learned" "learned" (Nicsim.Engine.plan_kind eng);
-  List.iter (plan_agrees_with_linear eng)
-    [ 0L; 0x09FFFFFFL; 0x0A000000L; 0x0A00009FL; 0x0A0000A0L; 0x2FFFFFFFL; 0x30000000L;
-      0x30000001L; 0xFFFFFFFFL ]
-
-let test_tree_degeneracy_guard () =
-  (* Complement-pair masks: every key bit is wildcarded by half the
-     mask groups, so any split duplicates half the candidates — the
-     duplication budget dies near the root and leaves stay huge. Auto
-     must refuse that tree and keep the skip probe; a forced hint
-     builds it anyway and must still agree with the reference probe. *)
-  let masks =
-    [| 0xFFFF0000L; 0x0000FFFFL; 0xFF00FF00L; 0x00FF00FFL;
-       0xF0F0F0F0L; 0x0F0F0F0FL; 0xCCCCCCCCL; 0x33333333L |]
-  in
-  let n = 2 * Nicsim.Engine.tree_threshold in
-  let per = n / 8 in
-  (* Distinct patterns per mask: an odd-multiplier bijection of the
-     index deposited into the mask's 16 set bit positions. *)
-  let deposit mask x =
-    let v = ref 0L and bit = ref 0 in
-    for b = 0 to 31 do
-      if Int64.equal (Int64.logand (Int64.shift_right_logical mask b) 1L) 1L then begin
-        if (x lsr !bit) land 1 = 1 then v := Int64.logor !v (Int64.shift_left 1L b);
-        incr bit
-      end
-    done;
-    !v
-  in
+(* A delete whose pattern list does not fit the table's keys removes
+   nothing and counts no update. A list of the wrong length raises
+   Invalid_argument exactly when some live entry's leading patterns
+   equal the list's (or the list's leading patterns equal the entry's),
+   as on a range table. *)
+let test_shaped_delete_unfit_patterns () =
   let tab =
-    P4ir.Table.make ~name:"degen"
-      ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Ternary ]
+    P4ir.Table.make ~name:"lpm-exact"
+      ~keys:(lpm_key @ [ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Exact ])
       ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
       ~default_action:"def"
       ~entries:
-        (List.concat
-           (List.init 8 (fun m ->
-                List.init per (fun i ->
-                    P4ir.Table.entry ~priority:((m * per) + i)
-                      [ P4ir.Pattern.Ternary
-                          (deposit masks.(m) (i * 2654435761 land 0xFFFF), masks.(m))
-                      ]
-                      "hit"))))
+        [ P4ir.Table.entry [ P4ir.Pattern.Lpm (0x0A000000L, 8); P4ir.Pattern.Exact 3L ] "hit";
+          P4ir.Table.entry [ P4ir.Pattern.Lpm (0x0A0B0000L, 16); P4ir.Pattern.Exact 3L ] "hit" ]
       ()
   in
   let eng = Nicsim.Engine.create tab in
-  (* At twice [tree_threshold] entries over eight masks, only the leaf
-     guard keeps Auto off the tree. *)
-  check_string "auto refuses degenerate tree" "ternary-skip" (Nicsim.Engine.plan_kind eng);
-  let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree tab in
-  check_string "forced tree bypasses the guard" "tree" (Nicsim.Engine.plan_kind eng);
-  for i = 0 to 100 do
-    plan_agrees_with_linear eng (Int64.logand (Stdx.Prng.mix64 (Int64.of_int i)) 0xFFFFFFFFL)
-  done
+  ignore (Nicsim.Engine.take_update_count eng);
+  let unchanged what patterns =
+    check_bool what false (Nicsim.Engine.delete eng ~patterns);
+    check_int (what ^ ": entries") 2 (Nicsim.Engine.num_entries eng);
+    check_int (what ^ ": updates") 0 (Nicsim.Engine.take_update_count eng)
+  in
+  let raises what patterns =
+    (match Nicsim.Engine.delete eng ~patterns with
+     | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+     | exception Invalid_argument _ -> ());
+    check_int (what ^ ": entries") 2 (Nicsim.Engine.num_entries eng);
+    check_int (what ^ ": updates") 0 (Nicsim.Engine.take_update_count eng)
+  in
+  unchanged "short, no entry starts with it" [ P4ir.Pattern.Lpm (0x0B000000L, 8) ];
+  raises "short, an entry starts with it" [ P4ir.Pattern.Lpm (0x0A000000L, 8) ];
+  raises "empty list" [];
+  raises "long, it starts with an entry"
+    [ P4ir.Pattern.Lpm (0x0A000000L, 8); P4ir.Pattern.Exact 3L; P4ir.Pattern.Exact 4L ];
+  unchanged "range pattern" [ P4ir.Pattern.Lpm (0x0A000000L, 8); P4ir.Pattern.Range (3L, 3L) ];
+  unchanged "exact on the LPM key" [ P4ir.Pattern.Exact 0x0A000000L; P4ir.Pattern.Exact 3L ];
+  unchanged "bits past the prefix" [ P4ir.Pattern.Lpm (0x0A000001L, 8); P4ir.Pattern.Exact 3L ];
+  (* The fitting list still deletes, and the /8 group it empties keeps
+     being charged: a miss probes both groups. *)
+  check_bool "fitting delete" true
+    (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Lpm (0x0A000000L, 8); P4ir.Pattern.Exact 3L ]);
+  check_int "one entry left" 1 (Nicsim.Engine.num_entries eng);
+  check_int "one update" 1 (Nicsim.Engine.take_update_count eng);
+  let pkt =
+    Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, 0x0AFF0000L); (P4ir.Field.Tcp_dport, 3L) ]
+  in
+  check_bool "/8 gone" true (fst (lookup eng pkt) = None);
+  check_int "emptied group still charged" 2 (snd (lookup eng pkt));
+  ignore (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Lpm (0x0A0B0000L, 16); P4ir.Pattern.Exact 3L ]);
+  (* With no entry left, nothing starts with the list. *)
+  check_bool "short on an empty table" false
+    (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Lpm (0x0A000000L, 8) ])
 
 let test_engine_copy_independent () =
   let eng = Nicsim.Engine.create (empty_lpm_table ()) in
@@ -1019,11 +847,9 @@ let () =
       ( "fast-path",
         [ Alcotest.test_case "shaped insert ordering" `Quick test_shaped_insert_ordering;
           Alcotest.test_case "lpm plan = linear probe" `Quick test_lpm_plan_matches_linear;
-          Alcotest.test_case "plan selector thresholds" `Quick test_plan_selector_thresholds;
-          Alcotest.test_case "backend hint override" `Quick test_backend_hint_override;
-          Alcotest.test_case "plan staleness on mutation" `Quick test_plan_staleness;
-          Alcotest.test_case "learned remainder store" `Quick test_learned_remainder_store;
-          Alcotest.test_case "tree degeneracy guard" `Quick test_tree_degeneracy_guard;
+          Alcotest.test_case "plan staleness on mutation" `Quick test_mutation_reaches_probe;
+          Alcotest.test_case "shaped delete of unfit patterns" `Quick
+            test_shaped_delete_unfit_patterns;
           Alcotest.test_case "engine copy independent" `Quick test_engine_copy_independent;
           Alcotest.test_case "prng fork deterministic" `Quick test_prng_fork_deterministic;
           Alcotest.test_case "batched window bit-identical" `Quick

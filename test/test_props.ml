@@ -104,31 +104,29 @@ let test_engine_matches_reference =
         a.P4ir.Table.priority = b.P4ir.Table.priority
       | _ -> false)
 
-(* Random many-prefix-length LPM tables: enough groups to cross the
-   auto selector's four-length learned-index threshold. With [two_key],
-   half the tables carry a second, exact key (tcp.dport in 0..3) — the
-   nested LPM+exact shape the learned index cannot model, which keeps
-   the longest-first probe. *)
-let lpm_plan_gen ~two_key =
-  let open QCheck2.Gen in
-  (if two_key then bool else return false)
-  >>= fun with_port ->
-  list_size (int_range 1 40) (triple (int_range 1 30) (map Int64.of_int int) (int_range 0 3))
-  >>= fun raw ->
-  let entries =
-    List.map
-      (fun (len, v, port) ->
-        let v =
-          Int64.logand
-            (P4ir.Value.truncate ~width:32 v)
-            (P4ir.Value.prefix_mask ~width:32 ~prefix_len:len)
-        in
-        P4ir.Table.entry
-          (P4ir.Pattern.Lpm (v, len)
-          :: (if with_port then [ P4ir.Pattern.Exact (Int64.of_int port) ] else []))
-          "hit")
-      raw
+let lpm_raw_gen = QCheck2.Gen.(triple (int_range 1 30) (map Int64.of_int int) (int_range 0 3))
+
+(* One [lpm_plan_gen] entry: a prefix with the value bits past its
+   length cleared and, on a two-key table, a port. *)
+let lpm_plan_entry ~with_port (len, v, port) =
+  let v =
+    Int64.logand (P4ir.Value.truncate ~width:32 v) (P4ir.Value.prefix_mask ~width:32 ~prefix_len:len)
   in
+  P4ir.Table.entry
+    (P4ir.Pattern.Lpm (v, len)
+    :: (if with_port then [ P4ir.Pattern.Exact (Int64.of_int port) ] else []))
+    "hit"
+
+(* Random LPM tables over up to 30 prefix lengths. Half the tables
+   carry a second, exact key (tcp.dport in 0..3): the nested LPM+exact
+   shape. *)
+let lpm_plan_gen =
+  let open QCheck2.Gen in
+  bool
+  >>= fun with_port ->
+  list_size (int_range 1 40) lpm_raw_gen
+  >>= fun raw ->
+  let entries = List.map (lpm_plan_entry ~with_port) raw in
   let entries =
     List.fold_left
       (fun acc (e : P4ir.Table.entry) ->
@@ -158,7 +156,7 @@ let lpm_probe_packet (dst, port) =
 
 let test_lpm_plan_equals_linear =
   qtest ~count:300 "auto LPM plan = linear probe"
-    QCheck2.Gen.(pair (lpm_plan_gen ~two_key:true) lpm_probe_gen)
+    QCheck2.Gen.(pair lpm_plan_gen lpm_probe_gen)
     (fun (tab, probe) ->
       let eng = Nicsim.Engine.create tab in
       let pkt = lpm_probe_packet probe in
@@ -171,43 +169,21 @@ let test_lpm_plan_equals_linear =
       | Some a, Some b -> a.P4ir.Table.patterns = b.P4ir.Table.patterns
       | _ -> false)
 
-(* Auto selects the learned index only from four prefix lengths (or
-   [Engine.learned_threshold] entries), so force it to cover tables with
-   one to three lengths too. Result entry AND modeled access count must
-   equal the longest-first linear probe on every table, including
-   miss-heavy probes outside the populated prefix ranges. *)
-let test_learned_plan_equals_linear =
-  qtest ~count:300 "forced learned-index plan = linear probe"
-    QCheck2.Gen.(pair (lpm_plan_gen ~two_key:false) lpm_probe_gen)
-    (fun (tab, probe) ->
-      let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_learned tab in
-      let pkt = lpm_probe_packet probe in
-      let plan_hit, plan_acc = lookup eng pkt in
-      let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
-      String.equal (Nicsim.Engine.plan_kind eng) "learned"
-      && plan_acc = lin_acc
-      &&
-      match (plan_hit, lin_hit) with
-      | None, None -> true
-      | Some a, Some b -> a.P4ir.Table.patterns = b.P4ir.Table.patterns
-      | _ -> false)
+let ternary_raw_gen = QCheck2.Gen.(pair (int_range 0 4) (map Int64.of_int int))
 
-(* Random single-key ternary tables over a small mask pool with unique
-   priorities — several mask groups, overlapping matches, wildcard
-   duplication in the tree. *)
+(* One [ternary_plan_gen] entry: a value under one of a small pool of
+   masks, its bits outside the mask cleared. *)
+let ternary_plan_entry ~priority (mi, v) =
+  let masks = [| 0x3FL; 0x3F00L; 0xFFFFL; 0xF0F0L; 0x0FF0L |] in
+  P4ir.Table.entry ~priority [ P4ir.Pattern.Ternary (Int64.logand v masks.(mi), masks.(mi)) ] "hit"
+
+(* Random single-key ternary tables over the mask pool with unique
+   priorities: several mask groups and overlapping matches. *)
 let ternary_plan_gen =
   let open QCheck2.Gen in
-  let masks = [| 0x3FL; 0x3F00L; 0xFFFFL; 0xF0F0L; 0x0FF0L |] in
-  list_size (int_range 1 40) (pair (int_range 0 4) (map Int64.of_int int))
+  list_size (int_range 1 40) ternary_raw_gen
   >>= fun raw ->
-  let entries =
-    List.mapi
-      (fun i (mi, v) ->
-        P4ir.Table.entry ~priority:i
-          [ P4ir.Pattern.Ternary (Int64.logand v masks.(mi), masks.(mi)) ]
-          "hit")
-      raw
-  in
+  let entries = List.mapi (fun i raw -> ternary_plan_entry ~priority:i raw) raw in
   let entries =
     List.fold_left
       (fun acc (e : P4ir.Table.entry) ->
@@ -222,21 +198,106 @@ let ternary_plan_gen =
        ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "fallback" ]
        ~default_action:"fallback" ~entries ())
 
-let test_tree_plan_equals_linear =
-  qtest ~count:300 "forced decision-tree plan = skip probe"
-    QCheck2.Gen.(pair ternary_plan_gen (int_range 0 0xFFFF))
-    (fun (tab, probe) ->
-      let eng = Nicsim.Engine.create ~hint:Nicsim.Engine.Force_tree tab in
-      let pkt = Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, Int64.of_int probe) ] in
-      let plan_hit, plan_acc = lookup eng pkt in
-      let lin_hit, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
-      String.equal (Nicsim.Engine.plan_kind eng) "tree"
-      && plan_acc = lin_acc
-      &&
-      match (plan_hit, lin_hit) with
-      | None, None -> true
-      | Some a, Some b -> a.P4ir.Table.priority = b.P4ir.Table.priority
-      | _ -> false)
+type edit = Insert of P4ir.Table.entry | Delete of P4ir.Pattern.t list | Delete_live of int
+
+(* Up to 24 edits: inserts, deletes of random patterns (mostly misses)
+   and deletes of the [i mod n]-th live entry. [entry_gen k] draws the
+   k-th edit's entry. *)
+let edits_gen entry_gen =
+  QCheck2.Gen.(
+    int_range 1 24 >>= fun n ->
+    flatten_l
+      (List.init n (fun k ->
+           triple (int_range 0 2) (entry_gen k) nat >|= fun (op, (e : P4ir.Table.entry), i) ->
+           match op with 0 -> Insert e | 1 -> Delete e.patterns | _ -> Delete_live i)))
+
+(* [lpm_plan_gen] (one and two keys) and [ternary_plan_gen] tables with
+   edits; inserted ternary entries take priorities above every initial
+   one, so priorities stay unique. *)
+let shaped_edits_gen =
+  QCheck2.Gen.(
+    oneof
+      [ ( lpm_plan_gen >>= fun tab ->
+          let with_port = List.length tab.P4ir.Table.keys = 2 in
+          edits_gen (fun _ -> map (lpm_plan_entry ~with_port) lpm_raw_gen) >|= fun edits ->
+          (tab, edits) );
+        ( ternary_plan_gen >>= fun tab ->
+          edits_gen (fun k -> map (ternary_plan_entry ~priority:(1000 + k)) ternary_raw_gen)
+          >|= fun edits -> (tab, edits) ) ])
+
+(* A packet at an entry's own values: a hit on it while it is live. *)
+let entry_packet (patterns : P4ir.Pattern.t list) =
+  let dst =
+    match patterns with
+    | (P4ir.Pattern.Lpm (v, _) | P4ir.Pattern.Ternary (v, _)) :: _ -> v
+    | _ -> 0L
+  in
+  let port = match patterns with [ _; P4ir.Pattern.Exact p ] -> Int64.to_int p | _ -> 0 in
+  lpm_probe_packet (dst, port)
+
+(* LPM and ternary tables under interleaved inserts and deletes. A
+   model list of the live entries follows every edit (an insert onto
+   live patterns keeps the higher priority, ties to the live entry).
+   After every edit the delete's result, [num_entries] and [entries]
+   match the model, and on each probe [probe] agrees with
+   [lookup_linear] on the entry and the access count; on a single-key
+   table it also returns [P4ir.Table.lookup]'s winner over
+   [Engine.entries]. *)
+let test_shaped_probe_under_edits =
+  qtest ~count:300 "shaped probe = linear under edits"
+    QCheck2.Gen.(pair shaped_edits_gen (list_size (pure 16) lpm_probe_gen))
+    (fun ((tab, edits), probes) ->
+      let eng = Nicsim.Engine.create tab in
+      let same a b = match (a, b) with None, None -> true | Some a, Some b -> a == b | _ -> false in
+      let agree pkt =
+        let got = Nicsim.Engine.probe eng pkt in
+        let acc = Nicsim.Engine.last_accesses eng in
+        let lin, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
+        same got lin && acc = lin_acc
+        && (List.length tab.keys > 1
+           || same got
+                (P4ir.Table.lookup
+                   { tab with entries = Nicsim.Engine.entries eng }
+                   (Nicsim.Packet.get pkt)))
+      in
+      let sorted es = List.sort compare (List.map (fun (e : P4ir.Table.entry) -> e.patterns) es) in
+      let holds model patterns =
+        Nicsim.Engine.num_entries eng = List.length model
+        && sorted (Nicsim.Engine.entries eng) = sorted model
+        && List.for_all agree (entry_packet patterns :: List.map lpm_probe_packet probes)
+      in
+      let live model patterns =
+        List.exists (fun (m : P4ir.Table.entry) -> m.patterns = patterns) model
+      in
+      let delete model patterns =
+        let ok = Nicsim.Engine.delete eng ~patterns = live model patterns in
+        (ok, List.filter (fun (m : P4ir.Table.entry) -> m.patterns <> patterns) model, patterns)
+      in
+      let rec go model = function
+        | [] -> true
+        | edit :: rest ->
+          let ok, model, patterns =
+            match edit with
+            | Insert (e : P4ir.Table.entry) ->
+              Nicsim.Engine.insert eng e;
+              let model =
+                if live model e.patterns then
+                  List.map
+                    (fun (m : P4ir.Table.entry) ->
+                      if m.patterns = e.patterns && m.priority < e.priority then e else m)
+                    model
+                else model @ [ e ]
+              in
+              (true, model, e.patterns)
+            | Delete patterns -> delete model patterns
+            | Delete_live i ->
+              (match model with
+               | [] -> (true, model, [])
+               | _ -> delete model (List.nth model (i mod List.length model)).patterns)
+          in
+          ok && holds model patterns && go model rest
+      in
+      holds tab.entries [] && go tab.entries edits)
 
 (* --- the window against Refsim --- *)
 
@@ -620,8 +681,7 @@ let () =
         [ test_truncate_idempotent; test_lpm_equals_ternary; test_prefix_mask_popcount ] );
       ( "engines",
         [ test_engine_matches_reference; test_lpm_plan_equals_linear;
-          test_learned_plan_equals_linear; test_tree_plan_equals_linear;
-          test_range_scan_equals_reference ] );
+          test_shaped_probe_under_edits; test_range_scan_equals_reference ] );
       ("window-drivers", [ test_window_drivers_identical ]);
       ("costmodel", [ test_node_sum_equals_paths; test_reach_probs_bounded ]);
       ( "optimizer",
