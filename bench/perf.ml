@@ -390,6 +390,36 @@ let run_suite ~smoke =
                [ (P4ir.Field.Ipv4_dst, Int64.of_int (Stdx.Prng.int rng (2 * sz))) ])))
     [ (100_000, "100k"); (1_000_000, "1M") ];
 
+  (* Lookups under a sustained update rate: each op deletes the oldest
+     of 4096 live exact keys, inserts a new one (keys cycle through
+     8192) and probes 16 live keys. Entries and packets are prebuilt,
+     so the row times the index's in-place edits and the probes. *)
+  push
+    (let live = 4096 and burst = 16 in
+     let ents = Array.init (2 * live) (fun i -> P4ir.Table.entry [ P4ir.Pattern.Exact (Int64.of_int i) ] "a") in
+     let pkts =
+       Array.init (2 * live) (fun i ->
+           Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, Int64.of_int i) ])
+     in
+     let eng = Nicsim.Engine.create (exact_table live) in
+     let k = ref 0 in
+     let churn_iters = scale 20_000 in
+     { name = "engine-churn/exact-4k";
+       unit_ = "op";
+       before_ns = None;
+       after_ns =
+         time_ns ~iters:churn_iters (fun () ->
+             let oldest = !k land ((2 * live) - 1) in
+             ignore (Nicsim.Engine.delete eng ~patterns:ents.(oldest).patterns);
+             Nicsim.Engine.insert eng ents.((oldest + live) land ((2 * live) - 1));
+             incr k;
+             for j = 1 to burst do
+               let key = (!k + (j * 257 mod live)) land ((2 * live) - 1) in
+               ignore (Sys.opaque_identity (Nicsim.Engine.probe eng pkts.(key)))
+             done);
+       iters = churn_iters;
+       note = Some "1 delete + 1 insert + 16 probes per op" });
+
   (* Engine build: insert-time behaviour of the shaped backend. *)
   let build_iters = scale 200 in
   let lpm_tab = lpm_table ~nlens:16 ~per_len:32 in

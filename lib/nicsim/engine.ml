@@ -1,36 +1,29 @@
 (* Per-key "shape": which bits of the field participate in the hash.
    Entries sharing a shape live in the same hash table; the number of
-   distinct shapes is the paper's [m]. *)
+   distinct shapes is the paper's [m]. An exact table is the one-shape
+   case: every key [S_exact]. *)
 type shape_elem =
   | S_exact
   | S_prefix of int  (* LPM prefix length *)
   | S_mask of int64  (* ternary mask *)
 
-(* One stored entry together with its pre-masked key values: hash tables
-   are keyed by a 63-bit mixing hash of the masked values, and the masked
-   arrays disambiguate the (rare) hash collisions. This keeps the probe
-   path free of string keys. *)
-type slot = {
-  masked : int64 array;  (* one per key, already masked *)
-  entry : P4ir.Table.entry;
-}
-
-(* A shaped group's slot also carries the [Some entry] its probe
-   returns, preallocated at insert so the probe allocates nothing. Only
-   shaped groups pay for it: the exact store's probe answers from its
-   own index. *)
-type gslot = {
-  gmasked : int64 array;
-  gentry : P4ir.Table.entry;
-  ghit : P4ir.Table.entry option;  (* [Some gentry] *)
-}
-
+(* One shape group: an open-addressed hash table (linear probing over
+   the mixing hash, load factor at most 1/2, doubled when full) of its
+   entries' masked keys. Each slot holds the masked key, its hash and
+   the preallocated [Some entry] the probe returns, so a probe allocates
+   nothing. Inserts and deletes update the slots in place; a delete
+   shifts the rest of its probe run back, so there are no tombstones and
+   nothing is ever rebuilt. *)
 type group = {
   shape : shape_elem array;
   masks : int64 array;  (* per-key mask, precomputed from the shape *)
+  exact : bool;  (* every key exact: a packet value, already truncated to its field, needs no mask *)
   total_prefix : int;  (* for LPM ordering: longer prefixes probed first *)
   mutable max_priority : int;
-  tbl : (int, gslot list) Hashtbl.t;
+  mutable gcount : int;  (* live slots *)
+  mutable ghash : int array;  (* per slot: mixing hash of the masked key *)
+  mutable gkeys : int64 array array;  (* per slot: masked key values *)
+  mutable gent : P4ir.Table.entry option array;  (* per slot: [Some entry]; None = empty *)
 }
 
 type shaped = {
@@ -40,25 +33,7 @@ type shaped = {
   mutable nentries : int;  (* live slots across all groups, tracked exactly *)
 }
 
-(* Compiled probe index over an exact-hash store: open addressing keyed
-   by the same mixing hash, entry options preallocated at build so the
-   steady-state probe allocates nothing. Rebuilt lazily after any
-   control-plane mutation ([eidx = None] marks it stale), so the compiled
-   data path always sees live table state. *)
-type xindex = {
-  xmask : int;  (* capacity - 1, capacity a power of two *)
-  xhash : int array;  (* per-slot mixing hash (occupancy lives in xent) *)
-  xvals : int64 array array;  (* per-slot key values *)
-  xent : P4ir.Table.entry option array;  (* preallocated [Some entry] *)
-}
-
-type exact_store = {
-  etbl : (int, slot list) Hashtbl.t;
-  mutable ecount : int;  (* live entries, tracked exactly *)
-  mutable eidx : xindex option;  (* compiled probe index; None = stale *)
-}
-
-(* Flow-cache store (§3.2.2): the exact store's mixing hash over key
+(* Flow-cache store (§3.2.2): the shape groups' mixing hash over key
    values, an open-addressed index of node ids (linear probing,
    backward-shift delete) and an index-linked recency list. Node arrays
    start small and grow geometrically up to [ccap]; a hit touches only
@@ -99,7 +74,6 @@ type linear = {
 }
 
 type backend =
-  | Exact_hash of exact_store
   | Cache_lru of cache_store
   | Shaped of shaped
   | Linear of linear
@@ -193,37 +167,14 @@ let rec masked_match (cm : int64 array) (masks : int64 array) (vals : int64 arra
        (Int64.logand (Array.unsafe_get vals i) (Array.unsafe_get masks i))
      && masked_match cm masks vals (i + 1) n
 
-let rec gbucket_find masks vals = function
-  | [] -> None
-  | s :: rest ->
-    if masked_match s.gmasked masks vals 0 (Array.length masks) then s.ghit
-    else gbucket_find masks vals rest
-
-let exact_slot_matches (vals : int64 array) (s : slot) = arrays_equal s.masked vals
-
-let rec exact_bucket_find vals = function
-  | [] -> None
-  | s :: rest -> if exact_slot_matches vals s then Some s else exact_bucket_find vals rest
-
-(* Two entries with the same masked key collapse to one slot; keep the
-   one the reference list scan would pick — higher priority, ties to the
-   earlier insertion. (Same shape means same masks, so specificity cannot
-   break the tie either.) True iff the store grew (the slot's masked key
-   was new): collapsing onto an existing slot keeps the live-entry count
-   unchanged. *)
-let hash_insert ~masked ~priority tbl key slot =
-  let bucket = match Hashtbl.find_opt tbl key with Some b -> b | None -> [] in
-  let rec keep acc = function
-    | [] -> (slot :: bucket, true)
-    | s :: rest ->
-      if arrays_equal (masked s) (masked slot) then
-        if priority s >= priority slot then (bucket, false)
-        else (List.rev_append acc (slot :: rest), false)
-      else keep (s :: acc) rest
-  in
-  let bucket', grew = keep [] bucket in
-  Hashtbl.replace tbl key bucket';
-  grew
+(* Open-addressing slots for [n] keys: a power of two keeping the load
+   factor at most 1/2, so linear-probe chains stay short. *)
+let index_size n =
+  let s = ref 8 in
+  while !s < 2 * n do
+    s := 2 * !s
+  done;
+  !s
 
 (* --- shapes --- *)
 
@@ -264,6 +215,129 @@ let masks_of_shape (tab : P4ir.Table.t) shape =
   let keys = Array.of_list tab.keys in
   Array.mapi (fun i s -> mask_of_shape keys.(i) s) shape
 
+(* --- one shape group's index --- *)
+
+(* The slot of a group's index holding masked key [key] (hash [h]), or
+   the empty slot ending its probe run, probing from slot [j]. The
+   group's [gent] at that slot is the probe's answer: [Some entry] on a
+   hit, [None] on a miss. Occupancy is the entry option itself, since
+   the mixing hash ranges over the whole native int and no integer
+   sentinel is safe. The walks are top-level recursions, not local
+   closures, so a probe allocates nothing. *)
+let rec gslot g (key : int64 array) h j =
+  match Array.unsafe_get g.gent j with
+  | None -> j
+  | Some _ ->
+    if
+      Array.unsafe_get g.ghash j = h
+      && arrays_equal_from (Array.unsafe_get g.gkeys j) key 0 (Array.length key)
+    then j
+    else gslot g key h ((j + 1) land (Array.length g.gent - 1))
+
+(* [gslot] for packet values [vals] of a group with a non-exact key:
+   each value is masked as it is compared. *)
+let rec gslot_masked g (vals : int64 array) h j =
+  match Array.unsafe_get g.gent j with
+  | None -> j
+  | Some _ ->
+    if
+      Array.unsafe_get g.ghash j = h
+      && masked_match (Array.unsafe_get g.gkeys j) g.masks vals 0 (Array.length g.masks)
+    then j
+    else gslot_masked g vals h ((j + 1) land (Array.length g.gent - 1))
+
+(* Single-key forms: no scratch fill, no array loop — one field read,
+   one inlined mix, one indexed compare ([v land m] for a masked key).
+   The exact one, the probe of every single-key exact table, returns
+   the slot's entry option itself rather than its index, which
+   measured ~2 ns faster per lookup. *)
+let rec gfind1 g (v : int64) h j =
+  match Array.unsafe_get g.gent j with
+  | None -> None
+  | Some _ as r ->
+    if
+      Array.unsafe_get g.ghash j = h
+      && Int64.equal (Array.unsafe_get (Array.unsafe_get g.gkeys j) 0) v
+    then r
+    else gfind1 g v h ((j + 1) land (Array.length g.gent - 1))
+
+let rec gslot1_masked g (v : int64) (m : int64) h j =
+  match Array.unsafe_get g.gent j with
+  | None -> j
+  | Some _ ->
+    if
+      Array.unsafe_get g.ghash j = h
+      && Int64.equal (Array.unsafe_get (Array.unsafe_get g.gkeys j) 0) (Int64.logand v m)
+    then j
+    else gslot1_masked g v m h ((j + 1) land (Array.length g.gent - 1))
+
+(* The group's entry for a packet: [v] is the key value of a single-key
+   group, [vals] the key values of a wider one. An exact group's hash of
+   the packet values is its hash of the masked key, since a packet value
+   is already truncated to its field; any other group masks first. *)
+let[@inline] group_probe g (vals : int64 array) (v : int64) =
+  let m = Array.length g.gent - 1 in
+  let single = Array.length g.masks = 1 in
+  if single && g.exact then begin
+    let h = hash_exact1 v in
+    gfind1 g v h (h land m)
+  end
+  else begin
+    let j =
+      if single then begin
+        let mask = Array.unsafe_get g.masks 0 in
+        let h = hash_exact1 (Int64.logand v mask) in
+        gslot1_masked g v mask h (h land m)
+      end
+      else if g.exact then begin
+        let h = hash_exact vals in
+        gslot g vals h (h land m)
+      end
+      else begin
+        let h = hash_masked vals g.masks in
+        gslot_masked g vals h (h land m)
+      end
+    in
+    Array.unsafe_get g.gent j
+  end
+
+let gplace g key h e =
+  let j = gslot g key h (h land (Array.length g.gent - 1)) in
+  g.ghash.(j) <- h;
+  g.gkeys.(j) <- key;
+  g.gent.(j) <- e
+
+(* The masked key of [patterns] in group [g], its hash and its slot. *)
+let key_slot g patterns =
+  let key = Array.mapi (fun i v -> Int64.logand v g.masks.(i)) (pattern_values patterns) in
+  let h = hash_exact key in
+  (key, h, gslot g key h (h land (Array.length g.gent - 1)))
+
+(* Double the index, re-placing every live slot. *)
+let ggrow g =
+  let hashes = g.ghash and keys = g.gkeys and ents = g.gent in
+  let n = 2 * Array.length ents in
+  g.ghash <- Array.make n 0;
+  g.gkeys <- Array.make n [||];
+  g.gent <- Array.make n None;
+  Array.iteri (fun j e -> if Option.is_some e then gplace g keys.(j) hashes.(j) e) ents
+
+(* Backward-shift delete: walk the probe run after the hole and pull
+   back every slot whose home slot lies at or before the hole, so the
+   index never needs tombstones. *)
+let rec gshift g hole k =
+  let m = Array.length g.gent - 1 in
+  if Option.is_some g.gent.(k) then
+    if (k - (g.ghash.(k) land m)) land m >= (k - hole) land m then begin
+      g.ghash.(hole) <- g.ghash.(k);
+      g.gkeys.(hole) <- g.gkeys.(k);
+      g.gent.(hole) <- g.gent.(k);
+      g.gkeys.(k) <- [||];
+      g.gent.(k) <- None;
+      gshift g k ((k + 1) land m)
+    end
+    else gshift g hole ((k + 1) land m)
+
 (* --- shaped group array management --- *)
 
 let find_group s shape =
@@ -299,6 +373,11 @@ let add_group s (g : group) =
   s.groups.(idx) <- g;
   s.ngroups <- s.ngroups + 1
 
+(* Two entries with the same masked key collapse to one slot; keep the
+   one the reference list scan would pick — higher priority, ties to the
+   earlier insertion. (Same shape means same masks, so specificity cannot
+   break the tie either.) Collapsing onto a live slot keeps the
+   live-entry count unchanged. *)
 let shaped_insert s (tab : P4ir.Table.t) (e : P4ir.Table.entry) =
   let shape = shape_of_patterns tab e.patterns in
   let g =
@@ -307,46 +386,56 @@ let shaped_insert s (tab : P4ir.Table.t) (e : P4ir.Table.entry) =
       g.max_priority <- max g.max_priority e.priority;
       g
     | None ->
+      let n = index_size 0 in
       let g =
         { shape;
           masks = masks_of_shape tab shape;
+          exact = Array.for_all (fun k -> k = S_exact) shape;
           total_prefix = total_prefix_of_shape shape;
           max_priority = e.priority;
-          tbl = Hashtbl.create 64 }
+          gcount = 0;
+          ghash = Array.make n 0;
+          gkeys = Array.make n [||];
+          gent = Array.make n None }
       in
       add_group s g;
       g
   in
-  let values = pattern_values e.patterns in
-  let masked = Array.mapi (fun i v -> Int64.logand v g.masks.(i)) values in
-  if
-    hash_insert
-      ~masked:(fun s -> s.gmasked)
-      ~priority:(fun s -> s.gentry.priority)
-      g.tbl (hash_masked masked g.masks)
-      { gmasked = masked; gentry = e; ghit = Some e }
-  then s.nentries <- s.nentries + 1
+  let key, h, j = key_slot g e.patterns in
+  match g.gent.(j) with
+  | Some (old : P4ir.Table.entry) -> if old.priority < e.priority then g.gent.(j) <- Some e
+  | None ->
+    if 2 * (g.gcount + 1) > Array.length g.gent then ggrow g;
+    gplace g key h (Some e);
+    g.gcount <- g.gcount + 1;
+    s.nentries <- s.nentries + 1
 
-(* [Hashtbl.mem] then [find] rather than [find_opt] (whose [Some]
-   allocates) or [find] under a handler (a miss raises, twice as slow). *)
-let group_probe (g : group) vals =
-  let h = hash_masked vals g.masks in
-  if Hashtbl.mem g.tbl h then gbucket_find g.masks vals (Hashtbl.find g.tbl h) else None
+(* Remove the entry whose patterns are [patterns] exactly: it lives in
+   the group of their shape, at the slot of their masked key. A range
+   pattern has no shape and matches no entry of a shaped table. An
+   emptied group stays in place: the modeled hardware still probes its
+   hash table, so the access count must keep charging it. *)
+let shaped_delete s (tab : P4ir.Table.t) patterns =
+  let has_range = List.exists (function P4ir.Pattern.Range _ -> true | _ -> false) patterns in
+  match if has_range then None else find_group s (shape_of_patterns tab patterns) with
+  | None -> false
+  | Some g -> (
+    let _, _, j = key_slot g patterns in
+    match g.gent.(j) with
+    | Some (e : P4ir.Table.entry) when List.for_all2 P4ir.Pattern.equal e.patterns patterns ->
+      g.gkeys.(j) <- [||];
+      g.gent.(j) <- None;
+      gshift g j ((j + 1) land (Array.length g.gent - 1));
+      g.gcount <- g.gcount - 1;
+      s.nentries <- s.nentries - 1;
+      true
+    | _ -> false)
 
 (* --- flow-cache store --- *)
 
 let cache_initial_nodes = 8
 
-(* Open-addressing slots for [n] keys: a power of two keeping the load
-   factor at most 1/2, so linear-probe chains stay short. *)
-let index_size n =
-  let s = ref 8 in
-  while !s < 2 * n do
-    s := 2 * !s
-  done;
-  !s
-
-(* Back to the initial small arrays, as [Hashtbl.reset] would. *)
+(* Back to the initial small arrays. *)
 let cache_reset c =
   let n = min c.ccap cache_initial_nodes in
   c.ckeys <- Array.make n [||];
@@ -594,15 +683,6 @@ let rec scan_from sc (vals : int64 array) i =
 
 let raw_insert t (e : P4ir.Table.entry) =
   match t.backend with
-  | Exact_hash ex ->
-    let masked = pattern_values e.patterns in
-    if
-      hash_insert
-        ~masked:(fun s -> s.masked)
-        ~priority:(fun s -> s.entry.priority)
-        ex.etbl (hash_exact masked) { masked; entry = e }
-    then ex.ecount <- ex.ecount + 1;
-    ex.eidx <- None
   | Cache_lru c -> ignore (cache_put c (exact_values e.patterns) e)
   | Linear l ->
     l.lentries <- l.lentries @ [ e ];
@@ -616,9 +696,6 @@ let create (tab : P4ir.Table.t) =
     | P4ir.Table.Cache meta when all_exact tab -> Cache_lru (cache_make (max 1 meta.capacity))
     | _ when has_range tab ->
       Linear { lentries = tab.entries; lcount = List.length tab.entries; lscan = None }
-    | _ when all_exact tab ->
-      Exact_hash
-        { etbl = Hashtbl.create (max 64 (List.length tab.entries)); ecount = 0; eidx = None }
     | _ ->
       let lpm_ordered =
         P4ir.Match_kind.equal (P4ir.Table.effective_kind tab) P4ir.Match_kind.Lpm
@@ -645,7 +722,7 @@ let create (tab : P4ir.Table.t) =
       limited = 0 }
   in
   (match backend with
-   | Exact_hash _ | Cache_lru _ | Shaped _ -> List.iter (raw_insert t) tab.entries
+   | Cache_lru _ | Shaped _ -> List.iter (raw_insert t) tab.entries
    | Linear _ -> ());
   t
 
@@ -657,23 +734,23 @@ let read_values t pkt =
   t.scratch
 
 (* Longest-prefix groups first; the first hit is the answer. *)
-let rec lpm_probe_from t s vals i =
+let rec lpm_probe_from t s vals v i =
   if i >= s.ngroups then begin
     t.last_acc <- max 1 s.ngroups;
     None
   end
   else
-    match group_probe (Array.unsafe_get s.groups i) vals with
+    match group_probe (Array.unsafe_get s.groups i) vals v with
     | Some _ as r ->
       t.last_acc <- i + 1;
       r
-    | None -> lpm_probe_from t s vals (i + 1)
+    | None -> lpm_probe_from t s vals v (i + 1)
 
 (* Ternary: the model probes every mask group; highest priority wins.
    [skip] elides hash probes that cannot change the winner (the group's
    max priority does not beat the current best) — the reported access
    count still charges every group, as the hardware would. *)
-let rec ternary_probe_from ~skip s vals i (best : P4ir.Table.entry option) =
+let rec ternary_probe_from ~skip s vals v i (best : P4ir.Table.entry option) =
   if i >= s.ngroups then best
   else begin
     let g = Array.unsafe_get s.groups i in
@@ -681,94 +758,38 @@ let rec ternary_probe_from ~skip s vals i (best : P4ir.Table.entry option) =
       match best with
       | Some b when skip && b.priority >= g.max_priority -> best
       | _ -> (
-        match group_probe g vals with
+        match group_probe g vals v with
         | Some e as r -> (
           match best with Some b when b.priority >= e.priority -> best | _ -> r)
         | None -> best)
     in
-    ternary_probe_from ~skip s vals (i + 1) best
+    ternary_probe_from ~skip s vals v (i + 1) best
   end
 
-(* The LPM or ternary probe; the access count goes to [t.last_acc]. *)
-let shaped_probe ~skip t s vals =
-  if s.lpm_ordered then lpm_probe_from t s vals 0
+(* The probe of every shape group, the access count left in
+   [t.last_acc]. A table of one group (every exact table) probes it
+   once, one access; otherwise LPM probes longest first and ternary
+   every group. A single-key table passes its key value as [v] and
+   leaves the scratch buffer unfilled. *)
+let[@inline] shaped_probe ~skip t s pkt =
+  let one = Array.length t.fields = 1 in
+  let v = if one then Packet.get pkt (Array.unsafe_get t.fields 0) else 0L in
+  let vals = if one then t.scratch else read_values t pkt in
+  if s.ngroups = 1 then begin
+    t.last_acc <- 1;
+    group_probe (Array.unsafe_get s.groups 0) vals v
+  end
+  else if s.lpm_ordered then lpm_probe_from t s vals v 0
   else begin
     t.last_acc <- max 1 s.ngroups;
-    ternary_probe_from ~skip s vals 0 None
+    ternary_probe_from ~skip s vals v 0 None
   end
-
-(* --- compiled exact-probe index --- *)
-
-let build_xindex (ex : exact_store) =
-  let cap = index_size ex.ecount in
-  let idx =
-    { xmask = cap - 1; xhash = Array.make cap 0; xvals = Array.make cap [||]; xent = Array.make cap None }
-  in
-  Hashtbl.iter
-    (fun h bucket ->
-      List.iter
-        (fun (s : slot) ->
-          let rec place j =
-            match idx.xent.(j) with
-            | Some _ -> place ((j + 1) land idx.xmask)
-            | None ->
-              idx.xhash.(j) <- h;
-              idx.xvals.(j) <- s.masked;
-              idx.xent.(j) <- Some s.entry
-          in
-          place (h land idx.xmask))
-        bucket)
-    ex.etbl;
-  ex.eidx <- Some idx;
-  idx
-
-(* The probe answers exactly what the hash store's lookup answers (same
-   mixing hash, same full-key disambiguation, same physical entries).
-   Occupancy is the entry option itself — [hash_exact] ranges over the
-   whole native int (bit 62 lands in the sign bit), so no integer
-   sentinel is safe — and a hit returns the slot's preallocated [Some]. *)
-(* The probe loops are top-level recursive functions, not local [rec go]
-   closures: a local closure captures its free variables, which is a
-   fresh block on every probe — the compiled walk's only allocation. *)
-let rec xfind_from idx (vals : int64 array) h j =
-  match Array.unsafe_get idx.xent j with
-  | None -> None
-  | Some _ as r ->
-    if Array.unsafe_get idx.xhash j = h && arrays_equal (Array.unsafe_get idx.xvals j) vals
-    then r
-    else xfind_from idx vals h ((j + 1) land idx.xmask)
-
-let xindex_find idx (vals : int64 array) h = xfind_from idx vals h (h land idx.xmask)
-
-(* Single-key probe: no scratch fill, no array loop — one field read,
-   one inlined mix, one indexed compare. *)
-let rec xfind1_from idx (v : int64) h j =
-  match Array.unsafe_get idx.xent j with
-  | None -> None
-  | Some _ as r ->
-    if
-      Array.unsafe_get idx.xhash j = h
-      && Int64.equal (Array.unsafe_get (Array.unsafe_get idx.xvals j) 0) v
-    then r
-    else xfind1_from idx v h ((j + 1) land idx.xmask)
-
-let xindex_find1 idx (v : int64) =
-  let h = hash_exact1 v in
-  xfind1_from idx v h (h land idx.xmask)
 
 (* --- the probe --- *)
 
 let probe t pkt =
   match t.backend with
-  | Exact_hash ex ->
-    t.last_acc <- 1;
-    let idx = match ex.eidx with Some idx -> idx | None -> build_xindex ex in
-    if Array.length t.fields = 1 then
-      xindex_find1 idx (Packet.get pkt (Array.unsafe_get t.fields 0))
-    else begin
-      let vals = read_values t pkt in
-      xindex_find idx vals (hash_exact vals)
-    end
+  | Shaped s -> shaped_probe ~skip:true t s pkt
   | Cache_lru c ->
     t.last_acc <- 1;
     let n =
@@ -792,29 +813,17 @@ let probe t pkt =
     let sc = match l.lscan with Some sc -> sc | None -> build_scan t l in
     t.last_acc <- sc.sc_acc;
     scan_from sc (read_values t pkt) 0
-  | Shaped s -> shaped_probe ~skip:true t s (read_values t pkt)
 
 let last_accesses t = t.last_acc
 let cache_counts t = (t.fills, t.evictions, t.limited)
 
 let lookup_linear t pkt =
   match t.backend with
-  | Exact_hash ex ->
-    let vals = read_values t pkt in
-    let res =
-      match Hashtbl.find_opt ex.etbl (hash_exact vals) with
-      | None -> None
-      | Some bucket -> (
-        match exact_bucket_find vals bucket with
-        | Some slot -> Some slot.entry
-        | None -> None)
-    in
-    (res, 1)
   | Linear l ->
     let tab = { t.table with P4ir.Table.entries = l.lentries } in
     (P4ir.Table.lookup tab (Packet.get pkt), max 1 l.lcount)
   | Shaped s ->
-    let r = shaped_probe ~skip:false t s (read_values t pkt) in
+    let r = shaped_probe ~skip:false t s pkt in
     (r, t.last_acc)
   | Cache_lru _ ->
     let r = probe t pkt in
@@ -830,82 +839,39 @@ let insert t e =
   t.updates <- t.updates + 1
 
 let delete t ~patterns =
-  let matches (e : P4ir.Table.entry) = List.for_all2 P4ir.Pattern.equal e.patterns patterns in
-  let removed = ref false in
-  (match t.backend with
-   | Exact_hash ex ->
-     let vals = exact_values patterns in
-     let key = hash_exact vals in
-     (match Hashtbl.find_opt ex.etbl key with
-      | Some bucket ->
-        let survivors = List.filter (fun s -> not (exact_slot_matches vals s)) bucket in
-        let gone = List.length bucket - List.length survivors in
-        if gone > 0 then begin
-          removed := true;
-          ex.ecount <- ex.ecount - gone;
-          ex.eidx <- None;
-          if survivors = [] then Hashtbl.remove ex.etbl key
-          else Hashtbl.replace ex.etbl key survivors
-        end
-      | None -> ())
-   | Cache_lru c ->
-     let vals = exact_values patterns in
-     let h = hash_exact vals in
-     let n = cfind c vals h (h land (Array.length c.cidx - 1)) in
-     if n >= 0 then begin
-       cache_remove c n;
-       removed := true
-     end
-   | Linear l ->
-     let survivors = List.filter (fun e -> not (matches e)) l.lentries in
-     let n = List.length survivors in
-     if n < l.lcount then begin
-       removed := true;
-       l.lentries <- survivors;
-       l.lcount <- n;
-       l.lscan <- None
-     end
-   | Shaped s when List.compare_lengths patterns t.table.keys <> 0 ->
-     (* No entry has this many patterns, so nothing is removed. The list
-        is still compared with every entry, as the range scan's delete
-        compares it: [List.for_all2] raises Invalid_argument when it
-        runs out on an entry whose leading patterns it equals. *)
-     for i = 0 to s.ngroups - 1 do
-       Hashtbl.iter (fun _ b -> List.iter (fun s0 -> ignore (matches s0.gentry)) b) s.groups.(i).tbl
-     done
-   | Shaped s ->
-     (* An entry with these patterns lives in the group of their shape,
-        in the bucket of their masked hash. A range pattern has no shape
-        and matches no entry of a shaped table. *)
-     let has_range = List.exists (function P4ir.Pattern.Range _ -> true | _ -> false) patterns in
-     (match if has_range then None else find_group s (shape_of_patterns t.table patterns) with
-      | None -> ()
-      | Some g ->
-        let h = hash_masked (pattern_values patterns) g.masks in
-        (match Hashtbl.find_opt g.tbl h with
-         | Some bucket ->
-           let survivors = List.filter (fun s0 -> not (matches s0.gentry)) bucket in
-           let gone = List.length bucket - List.length survivors in
-           if gone > 0 then begin
-             removed := true;
-             s.nentries <- s.nentries - gone;
-             (* An emptied group stays in place: the modeled hardware
-                still probes its hash table, so the access count must
-                keep charging it. *)
-             if survivors = [] then Hashtbl.remove g.tbl h
-             else Hashtbl.replace g.tbl h survivors
-           end
-         | None -> ())));
-  if !removed then t.updates <- t.updates + 1;
-  !removed
+  if List.compare_lengths patterns t.table.keys <> 0 then
+    invalid_arg
+      (Printf.sprintf "Engine.delete: table %s has %d keys, the delete gives %d patterns"
+         t.table.name (List.length t.table.keys) (List.length patterns));
+  let removed =
+    match t.backend with
+    | Cache_lru c ->
+      let vals = exact_values patterns in
+      let h = hash_exact vals in
+      let n = cfind c vals h (h land (Array.length c.cidx - 1)) in
+      n >= 0 && (cache_remove c n; true)
+    | Linear l ->
+      let survivors =
+        List.filter
+          (fun (e : P4ir.Table.entry) -> not (List.for_all2 P4ir.Pattern.equal e.patterns patterns))
+          l.lentries
+      in
+      let n = List.length survivors in
+      n < l.lcount
+      && begin
+        l.lentries <- survivors;
+        l.lcount <- n;
+        l.lscan <- None;
+        true
+      end
+    | Shaped s -> shaped_delete s t.table patterns
+  in
+  if removed then t.updates <- t.updates + 1;
+  removed
 
 (* Drop every entry, back to the initial empty store. *)
 let invalidate t =
   match t.backend with
-  | Exact_hash ex ->
-    Hashtbl.reset ex.etbl;
-    ex.ecount <- 0;
-    ex.eidx <- None
   | Cache_lru c -> cache_reset c
   | Linear l ->
     l.lentries <- [];
@@ -923,30 +889,27 @@ let load_entries t new_entries =
   | Linear l ->
     l.lentries <- new_entries;
     l.lcount <- List.length new_entries
-  | Exact_hash _ | Cache_lru _ | Shaped _ -> List.iter (raw_insert t) new_entries
+  | Cache_lru _ | Shaped _ -> List.iter (raw_insert t) new_entries
 
 let replace_all t new_entries =
   load_entries t new_entries;
   t.updates <- t.updates + List.length new_entries
 
+(* A shaped table lists its last group first, so {!load_entries} on the
+   list recreates the groups in the same probe order. *)
 let entries t =
   match t.backend with
-  | Exact_hash ex ->
-    Hashtbl.fold (fun _ bucket acc -> List.map (fun s -> s.entry) bucket @ acc) ex.etbl []
   | Cache_lru c -> cache_entries c
   | Linear l -> l.lentries
   | Shaped s ->
     let acc = ref [] in
     for i = 0 to s.ngroups - 1 do
-      Hashtbl.iter
-        (fun _ bucket -> List.iter (fun s0 -> acc := s0.gentry :: !acc) bucket)
-        s.groups.(i).tbl
+      Array.iter (function Some e -> acc := e :: !acc | None -> ()) s.groups.(i).gent
     done;
     !acc
 
 let num_entries t =
   match t.backend with
-  | Exact_hash ex -> ex.ecount
   | Cache_lru c -> c.clen
   | Linear l -> l.lcount
   | Shaped s -> s.nentries
@@ -957,10 +920,11 @@ let take_update_count t =
   n
 
 let copy t =
-  let copy_group (g : group) = { g with tbl = Hashtbl.copy g.tbl } in
+  let copy_group (g : group) =
+    { g with ghash = Array.copy g.ghash; gkeys = Array.copy g.gkeys; gent = Array.copy g.gent }
+  in
   let backend =
     match t.backend with
-    | Exact_hash ex -> Exact_hash { etbl = Hashtbl.copy ex.etbl; ecount = ex.ecount; eidx = None }
     | Cache_lru c -> Cache_lru (cache_copy c)
     | Linear l -> Linear { lentries = l.lentries; lcount = l.lcount; lscan = l.lscan }
     | Shaped s ->

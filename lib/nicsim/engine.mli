@@ -1,14 +1,15 @@
 (** Runtime state of one match/action table inside the simulator.
 
-    Exact tables are hash tables (one memory access per lookup); LPM and
-    ternary tables are implemented as one hash table per distinct prefix
-    length / mask — exactly the implementation the paper's cost model
-    assumes (§3.1: "LPM and ternary match are usually implemented using
-    multiple hash tables"); range tables are a linear scan. Lookups
-    report how many memory accesses they performed so the executor can
-    charge latency. Cache-role tables are flow caches (§3.2.2): an
-    int-hash exact store with LRU eviction at [capacity] and a
-    token-bucket insertion limit. *)
+    Exact, LPM and ternary tables are one hash table per distinct shape
+    (prefix length / mask) — exactly the implementation the paper's cost
+    model assumes (§3.1: "LPM and ternary match are usually implemented
+    using multiple hash tables"); an exact table is the case of one
+    shape, so one memory access per lookup. Each shape's table is an
+    open-addressed index that inserts and deletes update in place. Range
+    tables are a linear scan. Lookups report how many memory accesses
+    they performed so the executor can charge latency. Cache-role tables
+    are flow caches (§3.2.2): an open-addressed exact store with LRU
+    eviction at [capacity] and a token-bucket insertion limit. *)
 
 type t
 
@@ -24,8 +25,7 @@ val probe : t -> Packet.t -> P4ir.Table.entry option
     {!last_accesses} instead of a result tuple. A hit returns a
     preallocated [Some entry] (the same physical entry
     {!lookup_linear} returns), so a steady-state probe allocates nothing:
-    - exact tables probe an open-addressing index over the mixing hash
-      (one access);
+    - exact tables probe their one shape group (one access);
     - flow caches probe their own index and move the hit to the front
       of the recency list (one access);
     - range tables scan their entries pre-sorted in
@@ -39,9 +39,10 @@ val probe : t -> Packet.t -> P4ir.Table.entry option
       a group whose highest priority cannot beat the current best (one
       access per group, skipped or not).
 
-    Every index and scan reads live table state: {!insert}, {!delete},
-    {!replace_all}, {!load_entries} and {!invalidate} mark it stale and
-    the next probe rebuilds it. *)
+    Every index and scan reads live table state. A shape group's index
+    is updated in place by {!insert} and {!delete} (a delete shifts the
+    rest of its probe run back, so it leaves no tombstone); the range
+    scan is marked stale by an edit and rebuilt by the next probe. *)
 
 val last_accesses : t -> int
 (** Modeled memory accesses of the most recent {!probe} or
@@ -50,13 +51,12 @@ val last_accesses : t -> int
 
 val lookup_linear : t -> Packet.t -> P4ir.Table.entry option * int
 (** The reference lookup {!probe} is tested against: match result plus
-    modeled accesses, from the straight-line store of each backend and
-    no compiled index. Exact tables go through the hash store, range
-    tables through {!P4ir.Table.lookup}, LPM and ternary tables through
+    modeled accesses, with none of {!probe}'s shortcuts. Range tables go
+    through {!P4ir.Table.lookup}; exact, LPM and ternary tables through
     the unskipped probe of every shape group (longest prefix first for
     LPM; one access per group probed, every group on a miss or for
-    ternary), and flow caches answer as {!probe}, recency update
-    included. *)
+    ternary), which for an exact table is {!probe} itself; flow caches
+    answer as {!probe}, recency update included. *)
 
 val insert : t -> P4ir.Table.entry -> unit
 (** Control-plane insert; bumps the update counter.
@@ -64,9 +64,11 @@ val insert : t -> P4ir.Table.entry -> unit
 
 val delete : t -> patterns:P4ir.Pattern.t list -> bool
 (** Control-plane delete by exact pattern list; true if something was
-    removed, and then bumps the update counter. An LPM or ternary
-    table goes straight to the bucket the patterns hash to; a group it
-    empties stays and is still charged. *)
+    removed, and then bumps the update counter. An exact, LPM or ternary
+    table goes straight to the slot the patterns hash to in the group of
+    their shape; a group it empties stays and is still charged.
+    @raise Invalid_argument, naming the table, if the list's length is
+    not the table's key count. *)
 
 val replace_all : t -> P4ir.Table.entry list -> unit
 (** Control-plane bulk replace; counts as one update per entry. *)

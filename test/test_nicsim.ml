@@ -665,41 +665,70 @@ let test_mutation_reaches_probe () =
   check_bool "seen after invalidate" true
     (fst (lookup eng (pkt_dst 0x0B123456L)) = None)
 
-(* A delete whose pattern list does not fit the table's keys removes
-   nothing and counts no update. A list of the wrong length raises
-   Invalid_argument exactly when some live entry's leading patterns
-   equal the list's (or the list's leading patterns equal the entry's),
-   as on a range table. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* A delete whose pattern list has the wrong length raises one
+   Invalid_argument naming the table, whatever the backend: exact, flow
+   cache, range, LPM and ternary. A list of the right length that fits
+   no entry removes nothing. Neither counts an update. *)
 let test_shaped_delete_unfit_patterns () =
-  let tab =
-    P4ir.Table.make ~name:"lpm-exact"
-      ~keys:(lpm_key @ [ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Exact ])
-      ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
-      ~default_action:"def"
-      ~entries:
-        [ P4ir.Table.entry [ P4ir.Pattern.Lpm (0x0A000000L, 8); P4ir.Pattern.Exact 3L ] "hit";
-          P4ir.Table.entry [ P4ir.Pattern.Lpm (0x0A0B0000L, 16); P4ir.Pattern.Exact 3L ] "hit" ]
-      ()
+  let actions = [ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ] in
+  let table name keys entries =
+    P4ir.Table.make ~name ~keys ~actions ~default_action:"def" ~entries ()
   in
-  let eng = Nicsim.Engine.create tab in
-  ignore (Nicsim.Engine.take_update_count eng);
+  let dport_exact = P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Exact in
+  let lpm_exact =
+    table "lpm-exact" (lpm_key @ [ dport_exact ])
+      [ P4ir.Table.entry [ P4ir.Pattern.Lpm (0x0A000000L, 8); P4ir.Pattern.Exact 3L ] "hit";
+        P4ir.Table.entry [ P4ir.Pattern.Lpm (0x0A0B0000L, 16); P4ir.Pattern.Exact 3L ] "hit" ]
+  in
+  let exact = table "exact" [ dport_exact ] [ P4ir.Table.entry [ P4ir.Pattern.Exact 3L ] "hit" ] in
+  let cache = Nicsim.Engine.create (cache_table ()) in
+  ignore (Nicsim.Engine.cache_fill cache ~now:0. (cache_entry 3L));
+  let range =
+    table "range"
+      [ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Range ]
+      [ P4ir.Table.entry [ P4ir.Pattern.Range (3L, 3L) ] "hit" ]
+  in
+  let ternary =
+    table "ternary"
+      [ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Ternary ]
+      [ P4ir.Table.entry [ P4ir.Pattern.Ternary (3L, 0xFFL) ] "hit" ]
+  in
+  let engines =
+    [ ("exact", Nicsim.Engine.create exact, P4ir.Pattern.Exact 3L);
+      ("cache", cache, P4ir.Pattern.Exact 3L);
+      ("range", Nicsim.Engine.create range, P4ir.Pattern.Range (3L, 3L));
+      ("lpm-exact", Nicsim.Engine.create lpm_exact, P4ir.Pattern.Lpm (0x0A000000L, 8));
+      ("ternary", Nicsim.Engine.create ternary, P4ir.Pattern.Ternary (3L, 0xFFL)) ]
+  in
+  List.iter
+    (fun (name, eng, first) ->
+      ignore (Nicsim.Engine.take_update_count eng);
+      let n = Nicsim.Engine.num_entries eng in
+      let nkeys = List.length (Nicsim.Engine.def eng).keys in
+      let raises what patterns =
+        let what = name ^ ", " ^ what in
+        (match Nicsim.Engine.delete eng ~patterns with
+         | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+         | exception Invalid_argument msg ->
+           check_bool (what ^ ": names the table") true (contains msg name));
+        check_int (what ^ ": entries") n (Nicsim.Engine.num_entries eng);
+        check_int (what ^ ": updates") 0 (Nicsim.Engine.take_update_count eng)
+      in
+      raises "empty list" [];
+      raises "one pattern too many" (List.init (nkeys + 1) (fun _ -> first));
+      if nkeys > 1 then raises "one pattern short" [ first ])
+    engines;
+  let eng = List.assoc "lpm-exact" (List.map (fun (n, e, _) -> (n, e)) engines) in
   let unchanged what patterns =
     check_bool what false (Nicsim.Engine.delete eng ~patterns);
     check_int (what ^ ": entries") 2 (Nicsim.Engine.num_entries eng);
     check_int (what ^ ": updates") 0 (Nicsim.Engine.take_update_count eng)
   in
-  let raises what patterns =
-    (match Nicsim.Engine.delete eng ~patterns with
-     | _ -> Alcotest.failf "%s: expected Invalid_argument" what
-     | exception Invalid_argument _ -> ());
-    check_int (what ^ ": entries") 2 (Nicsim.Engine.num_entries eng);
-    check_int (what ^ ": updates") 0 (Nicsim.Engine.take_update_count eng)
-  in
-  unchanged "short, no entry starts with it" [ P4ir.Pattern.Lpm (0x0B000000L, 8) ];
-  raises "short, an entry starts with it" [ P4ir.Pattern.Lpm (0x0A000000L, 8) ];
-  raises "empty list" [];
-  raises "long, it starts with an entry"
-    [ P4ir.Pattern.Lpm (0x0A000000L, 8); P4ir.Pattern.Exact 3L; P4ir.Pattern.Exact 4L ];
   unchanged "range pattern" [ P4ir.Pattern.Lpm (0x0A000000L, 8); P4ir.Pattern.Range (3L, 3L) ];
   unchanged "exact on the LPM key" [ P4ir.Pattern.Exact 0x0A000000L; P4ir.Pattern.Exact 3L ];
   unchanged "bits past the prefix" [ P4ir.Pattern.Lpm (0x0A000001L, 8); P4ir.Pattern.Exact 3L ];
@@ -713,11 +742,30 @@ let test_shaped_delete_unfit_patterns () =
     Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, 0x0AFF0000L); (P4ir.Field.Tcp_dport, 3L) ]
   in
   check_bool "/8 gone" true (fst (lookup eng pkt) = None);
-  check_int "emptied group still charged" 2 (snd (lookup eng pkt));
-  ignore (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Lpm (0x0A0B0000L, 16); P4ir.Pattern.Exact 3L ]);
-  (* With no entry left, nothing starts with the list. *)
-  check_bool "short on an empty table" false
-    (Nicsim.Engine.delete eng ~patterns:[ P4ir.Pattern.Lpm (0x0A000000L, 8) ])
+  check_int "emptied group still charged" 2 (snd (lookup eng pkt))
+
+(* An exact value wider than its field matches on the field's bits, as
+   everywhere else in the system: [P4ir.Table.lookup] and the reference
+   executor both truncate it to the field width, and the engine must
+   agree with them. *)
+let test_exact_value_past_field_width () =
+  let tab =
+    P4ir.Table.make ~name:"sport"
+      ~keys:[ P4ir.Table.key P4ir.Field.Tcp_sport P4ir.Match_kind.Exact ]
+      ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "def" ]
+      ~default_action:"def"
+      ~entries:[ P4ir.Table.entry [ P4ir.Pattern.Exact 0x11234L ] "hit" ]
+      ()
+  in
+  let fields = [ (P4ir.Field.Tcp_sport, 0x1234L) ] in
+  let pkt = Nicsim.Packet.of_fields fields in
+  let action = Option.map (fun (e : P4ir.Table.entry) -> e.action) in
+  let reference = action (P4ir.Table.lookup tab (Nicsim.Packet.get pkt)) in
+  check_bool "the table's lookup hits" true (reference = Some "hit");
+  check_bool "probe = P4ir.Table.lookup" true
+    (action (Nicsim.Engine.probe (Nicsim.Engine.create tab) pkt) = reference);
+  let obs = Fuzz.Refsim.run (P4ir.Program.linear "p" [ tab ]) fields in
+  check_bool "probe = Refsim" true (List.assoc_opt "sport" obs.trace = reference)
 
 let test_engine_copy_independent () =
   let eng = Nicsim.Engine.create (empty_lpm_table ()) in
@@ -850,6 +898,8 @@ let () =
           Alcotest.test_case "plan staleness on mutation" `Quick test_mutation_reaches_probe;
           Alcotest.test_case "shaped delete of unfit patterns" `Quick
             test_shaped_delete_unfit_patterns;
+          Alcotest.test_case "exact value past its field width" `Quick
+            test_exact_value_past_field_width;
           Alcotest.test_case "engine copy independent" `Quick test_engine_copy_independent;
           Alcotest.test_case "prng fork deterministic" `Quick test_prng_fork_deterministic;
           Alcotest.test_case "batched window bit-identical" `Quick

@@ -200,71 +200,121 @@ let ternary_plan_gen =
 
 type edit = Insert of P4ir.Table.entry | Delete of P4ir.Pattern.t list | Delete_live of int
 
-(* Up to 24 edits: inserts, deletes of random patterns (mostly misses)
-   and deletes of the [i mod n]-th live entry. [entry_gen k] draws the
-   k-th edit's entry. *)
-let edits_gen entry_gen =
+(* Up to [max_edits] edits: inserts ([insert_weight] shares), deletes
+   of random patterns and deletes of the [i mod n]-th live entry (one
+   share each). [entry_gen k] draws the k-th edit's entry. *)
+let edits_gen ?(max_edits = 24) ?(insert_weight = 1) entry_gen =
   QCheck2.Gen.(
-    int_range 1 24 >>= fun n ->
+    int_range 1 max_edits >>= fun n ->
     flatten_l
       (List.init n (fun k ->
-           triple (int_range 0 2) (entry_gen k) nat >|= fun (op, (e : P4ir.Table.entry), i) ->
-           match op with 0 -> Insert e | 1 -> Delete e.patterns | _ -> Delete_live i)))
+           triple (int_range 0 (insert_weight + 1)) (entry_gen k) nat
+           >|= fun (op, (e : P4ir.Table.entry), i) ->
+           if op < insert_weight then Insert e
+           else if op = insert_weight then Delete e.patterns
+           else Delete_live i)))
+
+(* One [exact_edits_gen] entry: a destination in 0..95 and, on a
+   two-key table, a port in 0..3. *)
+let exact_raw_gen = QCheck2.Gen.(pair (int_range 0 95) (int_range 0 3))
+
+let exact_entry ~with_port ~priority (v, port) =
+  P4ir.Table.entry ~priority
+    (P4ir.Pattern.Exact (Int64.of_int v)
+    :: (if with_port then [ P4ir.Pattern.Exact (Int64.of_int port) ] else []))
+    "hit"
+
+(* One- and two-key exact tables (one shape group) under up to 160
+   edits, three in five of them inserts over a small key space: the
+   group's index doubles several times (a live count past 32 takes it
+   from 8 slots to 128) and deletes land inside collision runs.
+   Inserted entries take priorities 0..2, so re-inserting a live key
+   exercises the collapse rule both ways. *)
+let exact_edits_gen =
+  let open QCheck2.Gen in
+  bool >>= fun with_port ->
+  list_size (int_range 0 40) exact_raw_gen >>= fun raw ->
+  let entries =
+    List.map (fun (v, port) -> (v, if with_port then port else 0)) raw
+    |> List.sort_uniq compare
+    |> List.map (exact_entry ~with_port ~priority:0)
+  in
+  let tab =
+    P4ir.Table.make ~name:"t"
+      ~keys:
+        (P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Exact
+        ::
+        (if with_port then [ P4ir.Table.key P4ir.Field.Tcp_dport P4ir.Match_kind.Exact ]
+         else []))
+      ~actions:[ P4ir.Action.nop "hit"; P4ir.Action.nop "fallback" ]
+      ~default_action:"fallback" ~entries ()
+  in
+  edits_gen ~max_edits:160 ~insert_weight:3 (fun k ->
+      map (exact_entry ~with_port ~priority:(k mod 3)) exact_raw_gen)
+  >>= fun edits ->
+  list_size (pure 16) (pair (map Int64.of_int (int_range 0 127)) (int_range 0 3))
+  >|= fun probes -> (tab, edits, probes)
 
 (* [lpm_plan_gen] (one and two keys) and [ternary_plan_gen] tables with
-   edits; inserted ternary entries take priorities above every initial
-   one, so priorities stay unique. *)
+   edits, and exact tables with more of them; inserted ternary entries
+   take priorities above every initial one, so priorities stay unique. *)
 let shaped_edits_gen =
+  let probes = QCheck2.Gen.list_size (QCheck2.Gen.pure 16) lpm_probe_gen in
   QCheck2.Gen.(
     oneof
       [ ( lpm_plan_gen >>= fun tab ->
           let with_port = List.length tab.P4ir.Table.keys = 2 in
-          edits_gen (fun _ -> map (lpm_plan_entry ~with_port) lpm_raw_gen) >|= fun edits ->
-          (tab, edits) );
+          edits_gen (fun _ -> map (lpm_plan_entry ~with_port) lpm_raw_gen) >>= fun edits ->
+          probes >|= fun probes -> (tab, edits, probes) );
         ( ternary_plan_gen >>= fun tab ->
           edits_gen (fun k -> map (ternary_plan_entry ~priority:(1000 + k)) ternary_raw_gen)
-          >|= fun edits -> (tab, edits) ) ])
+          >>= fun edits -> probes >|= fun probes -> (tab, edits, probes) );
+        exact_edits_gen ])
 
 (* A packet at an entry's own values: a hit on it while it is live. *)
 let entry_packet (patterns : P4ir.Pattern.t list) =
   let dst =
     match patterns with
-    | (P4ir.Pattern.Lpm (v, _) | P4ir.Pattern.Ternary (v, _)) :: _ -> v
+    | (P4ir.Pattern.Exact v | P4ir.Pattern.Lpm (v, _) | P4ir.Pattern.Ternary (v, _)) :: _ -> v
     | _ -> 0L
   in
   let port = match patterns with [ _; P4ir.Pattern.Exact p ] -> Int64.to_int p | _ -> 0 in
   lpm_probe_packet (dst, port)
 
-(* LPM and ternary tables under interleaved inserts and deletes. A
-   model list of the live entries follows every edit (an insert onto
+(* LPM, ternary and exact tables under interleaved inserts and deletes.
+   A model list of the live entries follows every edit (an insert onto
    live patterns keeps the higher priority, ties to the live entry).
    After every edit the delete's result, [num_entries] and [entries]
    match the model, and on each probe [probe] agrees with
    [lookup_linear] on the entry and the access count; on a single-key
-   table it also returns [P4ir.Table.lookup]'s winner over
-   [Engine.entries]. *)
+   or an exact table (whose winner is unique) it also returns
+   [P4ir.Table.lookup]'s winner over [Engine.entries]. For an exact
+   table [lookup_linear] is the same index, so that and the final
+   check are its independent references. After the last edit,
+   [load_entries] of [Engine.entries] into a fresh engine (the reload
+   [Sim.hot_patch] and [Sim.reconfigure] do) answers every probe with
+   the same entry, and [Refsim] agrees on every hit and miss. *)
 let test_shaped_probe_under_edits =
-  qtest ~count:300 "shaped probe = linear under edits"
-    QCheck2.Gen.(pair shaped_edits_gen (list_size (pure 16) lpm_probe_gen))
-    (fun ((tab, edits), probes) ->
+  qtest ~count:300 "shaped probe = linear under edits" shaped_edits_gen
+    (fun (tab, edits, probes) ->
       let eng = Nicsim.Engine.create tab in
       let same a b = match (a, b) with None, None -> true | Some a, Some b -> a == b | _ -> false in
-      let agree pkt =
+      let exact = List.for_all (fun (k : P4ir.Table.key) -> k.kind = P4ir.Match_kind.Exact) tab.keys in
+      let agree live pkt =
         let got = Nicsim.Engine.probe eng pkt in
         let acc = Nicsim.Engine.last_accesses eng in
         let lin, lin_acc = Nicsim.Engine.lookup_linear eng pkt in
         same got lin && acc = lin_acc
-        && (List.length tab.keys > 1
-           || same got
-                (P4ir.Table.lookup
-                   { tab with entries = Nicsim.Engine.entries eng }
-                   (Nicsim.Packet.get pkt)))
+        && ((List.length tab.keys > 1 && not exact)
+           || same got (P4ir.Table.lookup live (Nicsim.Packet.get pkt)))
       in
       let sorted es = List.sort compare (List.map (fun (e : P4ir.Table.entry) -> e.patterns) es) in
+      let probe_packets = List.map lpm_probe_packet probes in
       let holds model patterns =
+        let live = { tab with entries = Nicsim.Engine.entries eng } in
         Nicsim.Engine.num_entries eng = List.length model
-        && sorted (Nicsim.Engine.entries eng) = sorted model
-        && List.for_all agree (entry_packet patterns :: List.map lpm_probe_packet probes)
+        && sorted live.entries = sorted model
+        && List.for_all (agree live) (entry_packet patterns :: probe_packets)
       in
       let live model patterns =
         List.exists (fun (m : P4ir.Table.entry) -> m.patterns = patterns) model
@@ -297,7 +347,24 @@ let test_shaped_probe_under_edits =
           in
           ok && holds model patterns && go model rest
       in
-      holds tab.entries [] && go tab.entries edits)
+      let reloaded () =
+        let live = Nicsim.Engine.entries eng in
+        let fresh = Nicsim.Engine.create { tab with entries = [] } in
+        Nicsim.Engine.load_entries fresh live;
+        let prog = P4ir.Program.linear "p" [ { tab with entries = live } ] in
+        List.for_all2
+          (fun pkt (dst, port) ->
+            let got = Nicsim.Engine.probe eng pkt in
+            let fields =
+              [ (P4ir.Field.Ipv4_dst, P4ir.Value.truncate ~width:32 dst);
+                (P4ir.Field.Tcp_dport, Int64.of_int port) ]
+            in
+            same got (Nicsim.Engine.probe fresh pkt)
+            && List.assoc_opt "t" (Fuzz.Refsim.run prog fields).trace
+               = Some (match got with Some _ -> "hit" | None -> "fallback"))
+          probe_packets probes
+      in
+      holds tab.entries [] && go tab.entries edits && reloaded ())
 
 (* --- the window against Refsim --- *)
 
